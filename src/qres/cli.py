@@ -1,9 +1,20 @@
 """Command-line surface.
 
 Subcommands: classify, resolve, blowup, hilbert, hj, cartify, glue-check.
-Exit codes: 0 success, 2 precondition violation, 3 parse error, 4 internal
-assertion (a decreasing measure failed, which certifies a bug).  The env
-var ``QRES_MAX_DEGREE`` overrides the default truncation bound of 12.
+Exit codes:
+
+- 0: success.
+- 1: ``glue-check`` ran, but some sampled substitution broke the filtration.
+- 2: precondition violation, for example ``--samples`` below 0, a ray
+  outside the fan or a singular cone without a faithful marked ray.
+  argparse also exits 2 on malformed arguments.
+- 3: parse error or other invalid input.
+- 4: internal check failed, which certifies a bug.  This covers a measure
+  that did not decrease, a final fan that is not smooth, a resolution whose
+  trace does not replay, and a missing oracle ray.  These checks are
+  explicit, not ``assert`` statements, so ``python -O`` keeps them.
+
+The env var ``QRES_MAX_DEGREE`` overrides the default truncation bound of 12.
 All reports are byte-deterministic for fixed inputs and flags.
 """
 
@@ -25,6 +36,7 @@ from .errors import (
     MeasureError,
     PreconditionError,
     QresError,
+    ReplayError,
 )
 from .exact_lattice import IntegerVector
 from .hj_oracle import hj_expansion, hj_rays
@@ -180,7 +192,10 @@ def _cmd_resolve(args) -> int:
     if args.char is not None:
         m = MarkedFan(m.fan, m.marked_rays, args.char)
     trace = resolve(m)
-    assert replay(m, trace) == trace.final.fan
+    try:
+        replay(m, trace)
+    except ReplayError as exc:
+        raise MeasureError(f"the resolution does not replay: {exc}") from exc
     if args.emit_trace:
         Path(args.emit_trace).write_text(fanfile.emit_trace(trace), encoding="utf-8")
     if args.oracle_check:
@@ -291,6 +306,8 @@ def _cmd_cartify(args) -> int:
 
 
 def _cmd_glue_check(args) -> int:
+    if args.samples < 0:
+        raise PreconditionError(f"--samples must be nonnegative, got {args.samples}")
     order, chars = parse_quotient_literal(args.type)
     if math.gcd(chars[-1], order) != 1:
         raise PreconditionError(

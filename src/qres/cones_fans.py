@@ -4,21 +4,34 @@ Cones are stored by their primitive, linearly independent generators in a
 canonical (lexicographic) order, so equal cones compare equal and fans can
 be compared as sets.  Star subdivision and the shared-face fan check are
 exact; no floating point is used anywhere.
+
+Kernel.  A full-dimensional cone computes, once in its constructor, the
+absolute determinant ``det`` of its generator matrix ``G`` and the rows
+``C_j`` of ``sign(det G)`` times the cofactor matrix of ``G`` (one
+fraction-free elimination, :func:`~qres.exact_lattice.adjugate`).  By
+Cramer's rule the coordinates of ``v`` in the generators are
+``C_j . v / det``, so containment is ``n`` sign tests of integer dot
+products, the multiplicity is ``det`` and star subdivision reads the integer
+numerators ``C_j . v`` directly.  Lower-dimensional cones, which only come
+from parsed fan files and :func:`faces`, have no cofactor matrix; they keep
+the rational elimination of :func:`~qres.exact_lattice.span_coordinates` and
+the Smith normal form for their multiplicity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegenerateInputError, DimensionError, SupportError
+from .errors import DegenerateInputError, DimensionError, MeasureError, SupportError
 from .exact_lattice import (
     IntegerMatrix,
     IntegerVector,
+    adjugate,
     is_primitive,
     matrix_rank,
     smith_normal_form,
@@ -31,10 +44,17 @@ class Cone:
     """Simplicial cone spanned by primitive, independent lattice vectors.
 
     The zero cone of a given ambient rank has an empty generator tuple.
+    For a full-dimensional cone ``det`` is ``|det G|`` of the generator
+    matrix and ``cofactors[j] . v / det`` is the ``j``-th coordinate of
+    ``v``; both are ``None`` for lower-dimensional cones.
     """
 
     rank: int
     generators: tuple[IntegerVector, ...]
+    det: Optional[int] = field(init=False, repr=False, compare=False)
+    cofactors: Optional[tuple[tuple[int, ...], ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(self, rank: int, generators: Iterable[Iterable[int] | IntegerVector]):
         gens = tuple(
@@ -48,10 +68,21 @@ class Cone:
             if not is_primitive(g):
                 raise DegenerateInputError(f"ray generator {g} is not primitive")
         gens = tuple(sorted(set(gens), key=lambda g: g.entries))
-        if gens and matrix_rank(IntegerMatrix(gens)) != len(gens):
+        det = cofactors = None
+        if len(gens) == rank:
+            det, adj = adjugate([g.entries for g in gens])
+            if det == 0:
+                raise DegenerateInputError("generators are linearly dependent")
+            # column j of adj(G), times sign(det), is the cofactor row C_j
+            s = 1 if det > 0 else -1
+            cofactors = tuple(tuple(s * x for x in col) for col in zip(*adj))
+            det = abs(det)
+        elif gens and matrix_rank(IntegerMatrix(gens)) != len(gens):
             raise DegenerateInputError("generators are linearly dependent")
         object.__setattr__(self, "rank", int(rank))
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "cofactors", cofactors)
 
     @property
     def dim(self) -> int:
@@ -60,15 +91,34 @@ class Cone:
     def is_full_dimensional(self) -> bool:
         return self.dim == self.rank
 
-    def coordinates(self, v: IntegerVector) -> Optional[tuple[Fraction, ...]]:
-        """Barycentric coordinates of ``v`` in the generators, or ``None``."""
+    def numerators(self, v: IntegerVector) -> Optional[tuple[tuple[int, ...], int]]:
+        """Integer numerators and positive common denominator of the
+        coordinates of ``v`` in the generators, or ``None`` off their span."""
         if v.rank != self.rank:
             raise DimensionError("vector rank does not match the cone")
-        return span_coordinates(self.generators, v)
+        if self.cofactors is not None:
+            e = v.entries
+            return tuple(sum(a * b for a, b in zip(row, e)) for row in self.cofactors), self.det
+        coords = span_coordinates(self.generators, v)
+        if coords is None:
+            return None
+        den = math.lcm(*(x.denominator for x in coords))
+        return tuple(x.numerator * (den // x.denominator) for x in coords), den
+
+    def coordinates(self, v: IntegerVector) -> Optional[tuple[Fraction, ...]]:
+        """Barycentric coordinates of ``v`` in the generators, or ``None``."""
+        nd = self.numerators(v)
+        if nd is None:
+            return None
+        nums, den = nd
+        return tuple(Fraction(x, den) for x in nums)
 
     def contains(self, v: IntegerVector) -> bool:
-        coords = self.coordinates(v)
-        return coords is not None and all(c >= 0 for c in coords)
+        if self.cofactors is not None and v.rank == self.rank:
+            e = v.entries
+            return all(sum(a * b for a, b in zip(row, e)) >= 0 for row in self.cofactors)
+        nd = self.numerators(v)
+        return nd is not None and all(x >= 0 for x in nd[0])
 
     def sort_key(self) -> tuple:
         return tuple(g.entries for g in self.generators)
@@ -82,7 +132,9 @@ class Fan:
     """Finite set of maximal simplicial cones of a common ambient rank.
 
     Construction absorbs any cone whose generators are a subset of another
-    cone's, so only maximal cones are stored; their faces are implied.
+    cone's, so only maximal cones are stored; their faces are implied.  Only
+    cones below the top dimension are tested: a full-dimensional cone is
+    never a proper face of another, and equal cones meet in the set.
     """
 
     rank: int
@@ -93,15 +145,16 @@ class Fan:
         for c in cs:
             if c.rank != rank:
                 raise DimensionError("cone rank does not match fan rank")
-        maximal = {
+        absorbed = {
             c
             for c in cs
-            if not any(
-                c is not d and set(c.generators) <= set(d.generators) for d in cs
+            if c.dim < rank
+            and any(
+                c.dim < d.dim and set(c.generators) <= set(d.generators) for d in cs
             )
         }
         object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "cones", frozenset(maximal))
+        object.__setattr__(self, "cones", frozenset(cs - absorbed))
 
     def sorted_cones(self) -> tuple[Cone, ...]:
         return tuple(sorted(self.cones, key=Cone.sort_key))
@@ -125,6 +178,8 @@ def multiplicity(c: Cone) -> int:
     equals 1 exactly when the affine chart is smooth.  Lower-dimensional
     cones are measured inside the saturated sublattice they span.
     """
+    if c.det is not None:
+        return c.det
     if not c.generators:
         return 1
     diag = smith_normal_form(IntegerMatrix(c.generators)).diagonal
@@ -150,13 +205,17 @@ def faces(c: Cone) -> frozenset[Cone]:
 def _subdivide_cone(c: Cone, u: IntegerVector) -> tuple[Cone, ...]:
     """Star subdivision of a single cone containing ``u``.
 
-    Every generator of the minimal face containing ``u`` is replaced in turn
-    by ``u``; if ``u`` already is a generator the cone is returned unchanged.
+    Every generator of the minimal face containing ``u`` (the positive
+    coordinates) is replaced in turn by ``u``; if ``u`` already is a
+    generator the cone is returned unchanged.  Raises :class:`MeasureError`
+    when ``u`` is not in ``c``: callers only pass cones that contain it.
     """
-    coords = c.coordinates(u)
-    assert coords is not None and all(x >= 0 for x in coords)
-    slots = [i for i, x in enumerate(coords) if x > 0]
-    if len(slots) == 1 and coords[slots[0]] == 1:
+    nd = c.numerators(u)
+    if nd is None or any(x < 0 for x in nd[0]):
+        raise MeasureError(f"subdivision ray {u} does not lie in {c}")
+    nums, den = nd
+    slots = [i for i, x in enumerate(nums) if x > 0]
+    if len(slots) == 1 and nums[slots[0]] == den:
         return (c,)
     pieces = []
     for i in slots:
@@ -178,7 +237,7 @@ def star_subdivide(f: Fan, u: IntegerVector) -> Fan:
         raise DegenerateInputError(f"subdivision ray {u} must be primitive")
     new_cones: list[Cone] = []
     touched = False
-    for c in f.sorted_cones():
+    for c in f.cones:
         if c.contains(u):
             touched = True
             new_cones.extend(_subdivide_cone(c, u))

@@ -4,6 +4,14 @@ Arbitrary-precision integer vectors and matrices with determinants, Hermite
 and Smith normal forms, primitivity and exact rational solving.  All values
 are immutable and every operation is a pure function; Python's native
 integers provide the arbitrary precision.
+
+Two solvers coexist.  :func:`adjugate` is the integer kernel behind every
+full-dimensional :class:`~qres.cones_fans.Cone`: one fraction-free (Bareiss)
+Gauss-Jordan elimination gives the determinant and adjugate, after which
+coordinates are integer dot products over one denominator (Cramer's rule).
+:func:`span_coordinates` and :func:`matrix_rank` eliminate over ``Fraction``
+and serve the rest: lower-dimensional cones, which may be non-square, and
+:func:`rational_coordinates`.
 """
 
 from __future__ import annotations
@@ -144,23 +152,40 @@ def determinant(m: IntegerMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if m.nrows != m.ncols:
         raise DimensionError(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    a = m.to_lists()
-    n = m.nrows
+    return adjugate(m.to_lists())[0]
+
+
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, Optional[list[list[int]]]]:
+    """Determinant and adjugate of a square integer matrix given as int lists.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination of ``[A | I]``: after
+    step ``k`` every entry is, up to sign, a ``(k+1)``-minor of ``[A | I]``, so
+    each division by the previous pivot is exact and no ``Fraction`` is
+    built.  It ends at ``[d*I | d*A^-1]`` with ``d = +-det A``.  Returns
+    ``(0, None)`` for a singular matrix.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionError(f"adjugate of a non-square {n}-row matrix")
+    a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if pivot is None:
-                return 0
+                return 0, None
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        rk = a[k]
+        piv = rk[k]
+        for i in range(n):
+            if i != k:
+                ri = a[i]
+                f = ri[k]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = piv
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def _swap_rows(a: list[list[int]], i: int, j: int) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .cones_fans import Cone, Fan, validate_fan
-from .errors import FanParseError, PreconditionError, QresError
+from .errors import FanParseError, MeasureError, PreconditionError, QresError
 from .exact_lattice import IntegerVector, is_primitive
 from .resolution_engine import MarkedFan, ResolutionTrace, StepRecord, _check_step_measure
 
@@ -234,7 +234,7 @@ def emit_trace(trace: ResolutionTrace) -> str:
     try:
         for step in trace.steps:
             _check_step_measure(step)
-    except Exception:
+    except MeasureError:
         measure_ok = False
     lines.append(
         _dump(

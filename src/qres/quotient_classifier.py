@@ -24,16 +24,27 @@ from .exact_lattice import IntegerMatrix, IntegerVector, primitive, smith_normal
 
 
 def _canonical_characters(order: int, chars: Sequence[int]) -> tuple[int, ...]:
+    """Smallest sorted tuple ``sorted(u*c mod l)`` over the units ``u`` mod l.
+
+    A unit keeps ``gcd(c, l)``, so the first nonzero entry of any candidate
+    is at least the minimal gcd ``g`` of a nonzero character, and ``g`` is
+    reached.  Only the units sending some character ``c`` of gcd ``g`` to
+    ``g`` can win: the lifts of ``(c/g)^-1 mod l/g`` to units mod ``l``.
+    """
     reduced = tuple(c % order for c in chars)
-    best: Optional[tuple[int, ...]] = None
-    for u in range(1, order + 1):
-        if math.gcd(u, order) != 1:
-            continue
-        cand = tuple(sorted((u * c) % order for c in reduced))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    nonzero = [c for c in reduced if c]
+    if not nonzero:
+        return tuple(reduced)
+    g = min(math.gcd(c, order) for c in nonzero)
+    step = order // g
+    units = {
+        u
+        for c in set(nonzero)
+        if math.gcd(c, order) == g
+        for u in range(pow(c // g, -1, step), order, step)
+        if math.gcd(u, order) == 1
+    }
+    return min(tuple(sorted((u * c) % order for c in reduced)) for u in units)
 
 
 @dataclass(frozen=True)

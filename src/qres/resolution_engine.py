@@ -10,7 +10,9 @@ Two kinds of step alternate: ordinary steps target the cones of maximal
 multiplicity; whenever charts of order divisible by the characteristic
 appear, dedicated steps target the maximal such order first, using the
 freshest marked ray with unit character (largest creation index) as the
-divisor.  Both measures decrease strictly, which is asserted at runtime.
+divisor.  Both measures decrease strictly; that and every other invariant
+of the loop is checked explicitly and a failure raises
+:class:`~qres.errors.MeasureError`, so the checks survive ``python -O``.
 """
 
 from __future__ import annotations
@@ -189,9 +191,11 @@ def _center_for(m: MarkedFan, cone: Cone) -> Center:
     for w, g in zip(weights, gens):
         for j in range(cone.rank):
             num[j] += w * g.entries[j]
-    assert all(x % order == 0 for x in num), "center is not a lattice point"
+    if any(x % order for x in num):
+        raise MeasureError(f"center of {cone} is not a lattice point")
     ray = IntegerVector([x // order for x in num])
-    assert is_primitive(ray), "center ray must be primitive"
+    if not is_primitive(ray):
+        raise MeasureError(f"center ray {ray} of {cone} is not primitive")
     return Center(cone, ray, divisor_ray, divisor_index, order, weights)
 
 
@@ -213,7 +217,8 @@ def _local_charts(center: Center, characteristic: int) -> tuple[ChartRecord, ...
     pieces = _subdivide_cone(center.cone, center.ray)
     expected = sorted(w for w in center.weights if w > 0)
     got = sorted(multiplicity(piece) for piece in pieces)
-    assert got == expected, f"chart orders {got} differ from weights {expected}"
+    if got != expected:
+        raise MeasureError(f"chart orders {got} differ from weights {expected}")
     records = []
     for piece in sorted(pieces, key=Cone.sort_key):
         order, chars = cone_characters(piece)
@@ -222,12 +227,13 @@ def _local_charts(center: Center, characteristic: int) -> tuple[ChartRecord, ...
         # the exceptional character is the center order mod the chart order,
         # hence a unit exactly when those two orders are coprime; singular
         # charts always keep the old divisor ray, whose character is -1
-        if math.gcd(center.order, order) == 1:
-            assert math.gcd(exc, order) == 1, "exceptional character must be a unit"
-        if order > 1:
-            assert center.divisor_ray in piece.generators
-            dpos = piece.generators.index(center.divisor_ray)
-            assert math.gcd(chars[dpos], order) == 1, "divisor ray lost faithfulness"
+        if math.gcd(center.order, order) == 1 and math.gcd(exc, order) != 1:
+            raise MeasureError(f"exceptional character of {piece} is not a unit")
+        if order > 1 and (
+            center.divisor_ray not in piece.generators
+            or math.gcd(chars[piece.generators.index(center.divisor_ray)], order) != 1
+        ):
+            raise MeasureError(f"divisor ray lost faithfulness on {piece}")
         tame = characteristic == 0 or order % characteristic != 0
         records.append(
             ChartRecord(piece, order, CyclicQuotientType(order, chars), tame, exc)
@@ -291,7 +297,8 @@ def resolve(m: MarkedFan) -> ResolutionTrace:
     have a marked ray with unit character; both are rechecked as new charts
     appear.  Charts of order divisible by the characteristic are eliminated
     before the next ordinary step, always using the freshest faithful
-    marking, and the recorded measures are asserted to decrease.
+    marking.  Raises :class:`MeasureError` when a recorded measure fails to
+    decrease or the final fan is not smooth.
     """
     for cone in m.fan.sorted_cones():
         if multiplicity(cone) > 1:
@@ -313,7 +320,8 @@ def resolve(m: MarkedFan) -> ResolutionTrace:
         steps.append(record)
     else:
         raise MeasureError("step budget exceeded; measure failed to make progress")
-    assert all(multiplicity(c) == 1 for c in current.fan.cones)
+    if not all(multiplicity(c) == 1 for c in current.fan.cones):
+        raise MeasureError("resolution ended with a singular cone")
     return ResolutionTrace(fan_digest(m), tuple(steps), current)
 
 

@@ -1,0 +1,254 @@
+"""The integer cone kernel against the rational reference it replaced.
+
+Full-dimensional cones answer ``contains``, ``coordinates``, ``multiplicity``
+and star subdivision from one cached determinant and cofactor matrix; these
+tests compare every answer with ``span_coordinates`` elimination, the Smith
+normal form and the all-pairs maximality rule written out below.
+"""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qres.cones_fans import Cone, Fan, _subdivide_cone, faces, multiplicity, star_subdivide
+from qres.errors import DegenerateInputError, MeasureError
+from qres.exact_lattice import (
+    IntegerMatrix,
+    IntegerVector,
+    adjugate,
+    determinant,
+    primitive,
+    smith_normal_form,
+    span_coordinates,
+)
+
+
+def primitive_vectors(rank, bound=6):
+    return (
+        st.lists(st.integers(-bound, bound), min_size=rank, max_size=rank)
+        .filter(any)
+        .map(lambda e: primitive(IntegerVector(e)))
+    )
+
+
+@st.composite
+def full_cones(draw, rank=None):
+    """Full-dimensional cone of rank 2-4: a triangular matrix with nonzero
+    diagonal, mixed by unimodular column operations and a coordinate
+    permutation, so the sorted generators have either determinant sign."""
+    n = rank if rank is not None else draw(st.integers(2, 4))
+    nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    rows = [
+        [draw(st.integers(-4, 4)) if j < i else draw(nonzero) if j == i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        k = draw(st.integers(-2, 2))
+        for r in rows:
+            r[dst] += k * r[src]
+    perm = draw(st.permutations(range(n)))
+    return Cone(n, [primitive(IntegerVector([r[j] for j in perm])) for r in rows])
+
+
+@st.composite
+def cone_and_points(draw):
+    """A full cone with probe points: interior, on faces and outside."""
+    c = draw(full_cones())
+    n = c.rank
+    points = []
+    for _ in range(6):
+        coeffs = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
+        v = [sum(k * g.entries[i] for k, g in zip(coeffs, c.generators)) for i in range(n)]
+        points.append(IntegerVector(v))  # in the cone; on a face when some k = 0
+        points.append(IntegerVector([-x for x in v]))  # outside
+        points.append(IntegerVector(v[:-1] + [v[-1] + draw(st.integers(-3, 3))]))
+    points.extend(draw(st.lists(primitive_vectors(n), min_size=1, max_size=4)))
+    points.extend(c.generators)
+    return c, points
+
+
+def reference_contains(c, v):
+    coords = span_coordinates(c.generators, v)
+    return coords is not None and all(x >= 0 for x in coords)
+
+
+def reference_maximal(cones):
+    """The all-pairs rule: drop every cone whose rays are a subset of another's."""
+    cs = set(cones)
+    return frozenset(
+        c
+        for c in cs
+        if not any(c is not d and set(c.generators) <= set(d.generators) for d in cs)
+    )
+
+
+def reference_star(cones, u):
+    """Star subdivision of a cone collection by rational elimination."""
+    out = []
+    for c in cones:
+        coords = span_coordinates(c.generators, u)
+        if coords is None or any(x < 0 for x in coords):
+            out.append(c)
+            continue
+        slots = [i for i, x in enumerate(coords) if x > 0]
+        if len(slots) == 1 and coords[slots[0]] == 1:
+            out.append(c)
+            continue
+        for i in slots:
+            gens = list(c.generators)
+            gens[i] = u
+            out.append(Cone(c.rank, gens))
+    return reference_maximal(out)
+
+
+class TestAdjugate:
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ))
+    @settings(max_examples=200)
+    def test_adjugate_inverts(self, rows):
+        n = len(rows)
+        det, adj = adjugate(rows)
+        assert det == determinant(IntegerMatrix(rows))
+        if det == 0:
+            assert adj is None
+            return
+        prod = [[sum(rows[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert prod == [[det if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+class TestFullDimensionalKernel:
+    @given(cone_and_points())
+    @settings(max_examples=100, deadline=None)
+    def test_contains_and_coordinates_match_elimination(self, data):
+        c, points = data
+        assert c.det is not None and c.det > 0
+        for v in points:
+            assert c.coordinates(v) == span_coordinates(c.generators, v)
+            assert c.contains(v) == reference_contains(c, v)
+
+    @given(full_cones())
+    @settings(max_examples=100, deadline=None)
+    def test_multiplicity_is_snf_product(self, c):
+        diag = smith_normal_form(IntegerMatrix(c.generators)).diagonal
+        assert multiplicity(c) == c.det == math.prod(diag)
+
+    def test_both_determinant_signs_are_drawn(self):
+        signs = set()
+
+        @given(full_cones())
+        @settings(max_examples=60, deadline=None)
+        def record(c):
+            signs.add(determinant(IntegerMatrix(c.generators)) > 0)
+
+        record()
+        assert signs == {True, False}
+
+    def test_both_determinant_signs_are_normalized(self):
+        pos = Cone(2, [(1, 0), (0, 1)])
+        neg = Cone(2, [(0, 1), (1, 0)])
+        flipped = Cone(2, [(1, 0), (-1, -2)])  # sorted rows (-1,-2),(1,0): det 2
+        twisted = Cone(2, [(1, 0), (-1, 2)])  # sorted rows (-1,2),(1,0): det -2
+        assert pos.det == neg.det == 1
+        assert flipped.det == twisted.det == 2
+        assert twisted.coordinates(IntegerVector((0, 1))) == span_coordinates(
+            twisted.generators, IntegerVector((0, 1))
+        )
+        assert twisted.contains(IntegerVector((0, 1)))
+        assert not twisted.contains(IntegerVector((0, -1)))
+
+    def test_dependent_generators_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            Cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+
+    def test_lower_dimensional_cones_keep_rational_path(self):
+        c = Cone(3, [(1, 0, 0), (-1, 2, 0)])
+        assert c.det is None and c.cofactors is None
+        assert multiplicity(c) == 2
+        assert c.contains(IntegerVector((0, 1, 0)))
+        assert not c.contains(IntegerVector((0, 1, 1)))
+        assert c.numerators(IntegerVector((0, 1, 0))) == ((1, 1), 2)
+
+
+class TestSubdivideCone:
+    def test_ray_outside_raises_measure_error(self):
+        c = Cone(2, [(1, 0), (0, 1)])
+        with pytest.raises(MeasureError):
+            _subdivide_cone(c, IntegerVector((-1, 1)))
+
+    def test_existing_generator_returns_cone(self):
+        c = Cone(2, [(1, 0), (-1, 3)])
+        assert _subdivide_cone(c, IntegerVector((-1, 3))) == (c,)
+
+
+@st.composite
+def mixed_cone_lists(draw):
+    """Full cones of one rank plus some of their faces and stray lower cones."""
+    n = draw(st.integers(2, 4))
+    full = draw(st.lists(full_cones(n), min_size=1, max_size=4))
+    cones = list(full)
+    for c in full:
+        fs = sorted(faces(c), key=Cone.sort_key)
+        cones.extend(draw(st.lists(st.sampled_from(fs), max_size=3)))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, n - 1))
+        gens = draw(st.lists(primitive_vectors(n), min_size=k, max_size=k, unique=True))
+        try:
+            cones.append(Cone(n, gens))
+        except DegenerateInputError:
+            pass
+    return n, draw(st.permutations(cones))
+
+
+class TestFanMaximality:
+    @given(mixed_cone_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_pairs_rule(self, data):
+        n, cones = data
+        assert Fan(n, cones).cones == reference_maximal(cones)
+
+
+@st.composite
+def fan_and_rays(draw):
+    """A fan (full cones plus stray lower cones) and rays inside its cones."""
+    n, cones = draw(mixed_cone_lists())
+    rays = []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(st.sampled_from(sorted(cones, key=Cone.sort_key)))
+        coeffs = draw(
+            st.lists(st.integers(0, 3), min_size=c.dim, max_size=c.dim).filter(any)
+        )
+        v = [sum(k * g.entries[i] for k, g in zip(coeffs, c.generators)) for i in range(n)]
+        rays.append(primitive(IntegerVector(v)))
+    return n, cones, rays
+
+
+class TestStarSubdivide:
+    @given(fan_and_rays())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_subdivision(self, data):
+        n, cones, rays = data
+        fan = Fan(n, cones)
+        expected = fan.cones
+        for u in rays:
+            if not any(reference_contains(c, u) for c in expected):
+                continue  # the ray left the support after an earlier step
+            fan = star_subdivide(fan, u)
+            expected = reference_star(expected, u)
+            assert fan.cones == expected
+
+    def test_iterated_subdivision_of_a_rank3_cone(self):
+        c = Cone(3, [(1, 0, 0), (0, 1, 0), (-1, -5, 31)])
+        fan, expected = Fan(3, [c]), frozenset([c])
+        for coeffs in itertools.product(range(1, 3), repeat=3):
+            v = [sum(k * g.entries[i] for k, g in zip(coeffs, c.generators)) for i in range(3)]
+            u = primitive(IntegerVector(v))
+            fan = star_subdivide(fan, u)
+            expected = reference_star(expected, u)
+            assert fan.cones == expected

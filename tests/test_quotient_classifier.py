@@ -9,6 +9,7 @@ from qres.cones_fans import Cone, multiplicity
 from qres.errors import DimensionError, NotRepresentableError, QresError, UnsupportedInputError
 from qres.quotient_classifier import (
     CyclicQuotientType,
+    _canonical_characters,
     cone_characters,
     cone_to_quotient,
     faithful_rays,
@@ -50,6 +51,26 @@ class TestCanonicalForm:
         scaled = [(u * c) % l for c in chars]
         rnd.shuffle(scaled)
         assert Q(l, *scaled) == Q(l, *chars)
+
+    @given(
+        st.integers(1, 400).flatmap(
+            lambda l: st.tuples(
+                st.just(l),
+                st.lists(st.integers(-2 * l, 2 * l), min_size=1, max_size=5),
+                st.sampled_from([1, 2, 3, 4, 6]),
+            )
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_scan_over_all_units(self, data):
+        l, chars, k = data
+        chars = [k * c for c in chars]  # shared factors give characters of gcd > 1
+        brute = min(
+            tuple(sorted((u * c) % l for c in chars))
+            for u in range(1, l + 1)
+            if math.gcd(u, l) == 1
+        )
+        assert _canonical_characters(l, chars) == brute
 
     def test_parse_literal(self):
         assert parse_quotient_literal("1/6(2,3,1)") == (6, (2, 3, 1))
