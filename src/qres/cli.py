@@ -13,6 +13,9 @@ Exit codes:
   that did not decrease, a final fan that is not smooth, a resolution whose
   trace does not replay, and a missing oracle ray.  These checks are
   explicit, not ``assert`` statements, so ``python -O`` keeps them.
+- 141: standard output was closed early, for example by ``| head``; the
+  rest of the output is discarded without a traceback (128 + SIGPIPE, as
+  a shell reports a process killed by a broken pipe).
 
 The env var ``QRES_MAX_DEGREE`` overrides the default truncation bound of 12.
 All reports are byte-deterministic for fixed inputs and flags.
@@ -39,12 +42,13 @@ from .errors import (
     ReplayError,
 )
 from .exact_lattice import IntegerVector
-from .hj_oracle import hj_expansion, hj_rays
+from .hj_oracle import hj_cone_rays, hj_expansion, hj_rays
 from .quotient_classifier import (
     CyclicQuotientType,
     cone_characters,
     cone_descriptor,
     parse_quotient_literal,
+    unit_weights,
 )
 from .resolution_engine import MarkedFan, blowup_step, replay, resolve
 from .weighted_filtration import (
@@ -138,30 +142,6 @@ def _cmd_classify(args) -> int:
 # resolve / blowup
 
 
-def _oracle_rays_for(cone: Cone) -> list[IntegerVector]:
-    """Minimal-resolution rays of a singular 2D cone, in ambient coordinates."""
-    order, chars = cone_characters(cone)
-    g1, g2 = cone.generators
-    c1, c2 = chars
-    if math.gcd(c2, order) == 1:
-        first, div, a = g1, g2, (c1 * pow(c2, -1, order)) % order
-    else:
-        first, div, a = g2, g1, (c2 * pow(c1, -1, order)) % order
-    # image of e2 under the unimodular map sending the standard cone here
-    mid = IntegerVector(
-        [(d + a * f) // order for d, f in zip(div.entries, first.entries)]
-    )
-    out = []
-    for ray in hj_rays(order, a):
-        x, y = ray.entries
-        out.append(
-            IntegerVector(
-                [x * f + y * mdd for f, mdd in zip(first.entries, mid.entries)]
-            )
-        )
-    return out
-
-
 def _trace_summary(trace, as_json: bool) -> None:
     if as_json:
         payload = {
@@ -206,7 +186,7 @@ def _cmd_resolve(args) -> int:
         for cone in m.fan.sorted_cones():
             if multiplicity(cone) == 1:
                 continue
-            for ray in _oracle_rays_for(cone):
+            for ray in hj_cone_rays(cone):
                 if ray not in final_rays:
                     raise MeasureError(
                         f"oracle ray {ray} missing from the resolved fan"
@@ -313,9 +293,7 @@ def _cmd_glue_check(args) -> int:
         raise PreconditionError(
             f"last coordinate of 1/{order}{chars} must carry a unit character"
         )
-    s = pow(chars[-1], -1, order)
-    weights = tuple((s * c) % order for c in chars)
-    w = WeightedFiltration(order, weights)
+    w = WeightedFiltration(order, unit_weights(order, chars, len(chars) - 1))
     bound = args.kmax if args.kmax is not None else _max_degree()
     rng = Random(args.seed)
     passed = 0
@@ -405,7 +383,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; later writes and the flush at exit go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except FanParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

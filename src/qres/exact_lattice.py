@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegenerateInputError, DimensionError
+from .errors import DegenerateInputError, DimensionError, MeasureError
 
 
 @dataclass(frozen=True)
@@ -405,5 +405,6 @@ def rational_coordinates(basis: IntegerMatrix, target: IntegerVector) -> tuple[F
     if determinant(basis) == 0:
         raise DimensionError("basis is singular")
     coords = span_coordinates(basis.rows, target)
-    assert coords is not None
+    if coords is None:
+        raise MeasureError("a nonsingular square basis does not span its target")
     return coords

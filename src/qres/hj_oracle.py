@@ -13,13 +13,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateInputError, InfiniteQuotientError, QresError
+from .cones_fans import Cone
+from .errors import DegenerateInputError, InfiniteQuotientError, MeasureError, QresError
 from .exact_lattice import (
     IntegerMatrix,
     IntegerVector,
     determinant,
     hermite_normal_form,
 )
+from .quotient_classifier import _prime_factors, cone_characters, unit_weights
 
 BRUTE_FORCE_LIMIT = 10**4
 
@@ -56,7 +58,8 @@ def hj_expansion(l: int, a: int) -> HJExpansion:
         coeffs.append(b)
         num, den = den, b * den - num
     exp = HJExpansion(l, a, tuple(coeffs))
-    assert exp.reconstruct() == Fraction(l, a)
+    if exp.reconstruct() != Fraction(l, a):
+        raise MeasureError(f"expansion {exp.coefficients} does not reconstruct {l}/{a}")
     return exp
 
 
@@ -76,8 +79,33 @@ def hj_rays(l: int, a: int) -> tuple[IntegerVector, ...]:
         v_prev, v_cur = v_cur, IntegerVector([b * x - y for x, y in zip(v_cur.entries, v_prev.entries)])
         rays.append(v_cur)
     end = rays.pop()
-    assert end.entries == (-a, l), f"recursion ended at {end}, expected (-{a}, {l})"
+    if end.entries != (-a, l):
+        raise MeasureError(f"recursion ended at {end}, expected (-{a}, {l})")
     return tuple(rays)
+
+
+def hj_cone_rays(cone: Cone) -> list[IntegerVector]:
+    """Minimal-resolution rays of a singular 2D cone, in ambient coordinates.
+
+    The cone is the image of the standard cone ``<e1, l*e2 - a*e1>`` of
+    ``1/l(a, 1)`` under the unimodular map sending ``l*e2 - a*e1`` to a
+    generator with unit character and ``e1`` to the other one.
+    """
+    order, chars = cone_characters(cone)
+    d = 1 if math.gcd(chars[1], order) == 1 else 0
+    first, div = cone.generators[1 - d], cone.generators[d]
+    a = unit_weights(order, chars, d)[1 - d]
+    # image of e2 under the unimodular map sending the standard cone here
+    mid = IntegerVector(
+        [(x + a * f) // order for x, f in zip(div.entries, first.entries)]
+    )
+    out = []
+    for ray in hj_rays(order, a):
+        x, y = ray.entries
+        out.append(
+            IntegerVector([x * f + y * m for f, m in zip(first.entries, mid.entries)])
+        )
+    return out
 
 
 def _box_representatives(hnf: IntegerMatrix) -> list[tuple[int, ...]]:
@@ -114,9 +142,11 @@ def brute_quotient(mat: IntegerMatrix) -> tuple[int, ...]:
     if order > BRUTE_FORCE_LIMIT:
         raise DegenerateInputError(f"quotient of order {order} exceeds the desk-scale limit")
     hnf = hermite_normal_form(mat)
-    assert hnf.nrows == mat.ncols
+    if hnf.nrows != mat.ncols:
+        raise MeasureError(f"Hermite basis has {hnf.nrows} rows, expected {mat.ncols}")
     reps = _box_representatives(hnf)
-    assert len(reps) == order
+    if len(reps) != order:
+        raise MeasureError(f"{len(reps)} coset representatives, expected {order}")
 
     def kill_count(m: int) -> int:
         zero = tuple(0 for _ in range(mat.ncols))
@@ -156,19 +186,7 @@ def brute_quotient(mat: IntegerMatrix) -> tuple[int, ...]:
     prod = 1
     for d in chain:
         prod *= d
-    assert prod == order
+    if prod != order:
+        raise MeasureError(f"divisor chain {chain} does not multiply to {order}")
     return tuple(chain)
 
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out

@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .cones_fans import Cone, multiplicity
 from .errors import (
     DimensionError,
+    MeasureError,
     NotRepresentableError,
     QresError,
     UnsupportedInputError,
@@ -188,44 +189,48 @@ def cone_to_quotient(c: Cone) -> QuotientDescriptor:
     return cone_descriptor(c)
 
 
-def standard_cone_with_divisor(q: CyclicQuotientType) -> tuple[Cone, IntegerVector]:
-    """Standard cone of ``q`` together with its distinguished divisor ray.
+def unit_weights(order: int, chars: Sequence[int], i: int) -> tuple[int, ...]:
+    """Characters rescaled mod ``order`` so coordinate ``i`` has character 1.
 
-    The divisor ray is the generator built from the unit-normalized last
-    coordinate; it is the natural marking for the resolution loop.
+    These are the weights of a weighted blow-up with divisor ``i``; the
+    caller checks that ``chars[i]`` is a unit mod ``order``.
     """
-    n = q.rank
-    lorder = q.order
-    units = [i for i, c in enumerate(q.characters) if math.gcd(c, lorder) == 1]
-    if not units:
-        raise NotRepresentableError(
-            f"{q} has no coordinate with unit character; no standard cone exists"
-        )
-    d = units[0]
-    s = pow(q.characters[d], -1, lorder)
-    scaled = [(s * c) % lorder for c in q.characters]
-    rest = [scaled[i] for i in range(n) if i != d]
-    gens: list[IntegerVector] = []
-    for i in range(n - 1):
-        gens.append(IntegerVector([1 if j == i else 0 for j in range(n)]))
-    last = [0] * n
-    last[n - 1] = lorder
-    for i, a in enumerate(rest):
-        last[i] -= a
-    divisor = primitive(IntegerVector(last))
-    gens.append(divisor)
-    return Cone(n, gens), divisor
+    s = pow(chars[i], -1, order)
+    return tuple((s * c) % order for c in chars)
+
+
+def standard_cone(
+    order: int, chars: Sequence[int], divisor: int
+) -> tuple[Cone, IntegerVector]:
+    """Standard cone of ``1/order(chars)`` and its divisor ray.
+
+    With the weights :func:`unit_weights` of coordinate ``divisor`` (a unit)
+    and ``a_i`` the other weights in their order, the cone is spanned by
+    ``e_1, ..., e_{n-1}`` and the divisor ray ``l*e_n - sum_i a_i e_i``,
+    stored primitively.
+    """
+    weights = unit_weights(order, chars, divisor)
+    n = len(weights)
+    rest = weights[:divisor] + weights[divisor + 1 :]
+    gens = [IntegerVector([1 if j == i else 0 for j in range(n)]) for i in range(n - 1)]
+    divisor_ray = primitive(IntegerVector([-a for a in rest] + [order]))
+    gens.append(divisor_ray)
+    return Cone(n, gens), divisor_ray
 
 
 def quotient_to_cone(q: CyclicQuotientType) -> Cone:
     """Standard cone of a cyclic quotient type with a unit character.
 
-    With characters normalized so the last one equals 1, the cone is
-    spanned by ``e_1, ..., e_{n-1}`` and ``l*e_n - sum_i c_i e_i``.  The
-    last generator is stored primitively, so quotients with generating
+    The divisor is the first coordinate with a unit character.  The last
+    generator is stored primitively, so quotients with generating
     pseudoreflections land on the cone of their reduced type.
     """
-    return standard_cone_with_divisor(q)[0]
+    units = [i for i, c in enumerate(q.characters) if math.gcd(c, q.order) == 1]
+    if not units:
+        raise NotRepresentableError(
+            f"{q} has no coordinate with unit character; no standard cone exists"
+        )
+    return standard_cone(q.order, q.characters, units[0])[0]
 
 
 def is_tame(q: CyclicQuotientType, characteristic: int) -> bool:
@@ -234,19 +239,23 @@ def is_tame(q: CyclicQuotientType, characteristic: int) -> bool:
     return characteristic == 0 or q.order % characteristic != 0
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of ``n >= 1`` in increasing order, by trial division."""
+    out = []
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _validate_characteristic(p: int) -> None:
@@ -287,12 +296,14 @@ def pseudoreflection_reduce(q: CyclicQuotientType) -> CyclicQuotientType:
         prod *= e
     # the pseudoreflection subgroup splits as a direct sum of one-coordinate
     # kernels, so its invariant ring is generated by pure powers
-    assert prod == sub_order
+    if prod != sub_order:
+        raise MeasureError(f"pseudoreflection subgroup of {q} is not a direct sum")
     step = sub_order
     new_chars = []
     for c, e in zip(q.characters, exps):
         ce = (c * e) % l
-        assert ce % step == 0
+        if ce % step:
+            raise MeasureError(f"residual character of {q} is not integral")
         new_chars.append(ce // step)
     return CyclicQuotientType(d, new_chars)
 

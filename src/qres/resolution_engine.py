@@ -32,12 +32,13 @@ from .errors import (
     ReplayError,
     SupportError,
 )
-from .exact_lattice import IntegerVector, is_primitive, primitive
+from .exact_lattice import IntegerVector, is_primitive
 from .quotient_classifier import (
     CyclicQuotientType,
     _validate_characteristic,
     cone_characters,
-    standard_cone_with_divisor,
+    standard_cone,
+    unit_weights,
 )
 
 PHASE_MAX_ORDER = "max-order"
@@ -159,11 +160,8 @@ def _nontame_invariant(m: MarkedFan) -> Optional[tuple[int, int]]:
     p = m.characteristic
     if p == 0:
         return None
-    bad = [
-        multiplicity(c)
-        for c in m.fan.cones
-        if multiplicity(c) > 1 and multiplicity(c) % p == 0
-    ]
+    mults = (multiplicity(c) for c in m.fan.cones)
+    bad = [x for x in mults if x > 1 and x % p == 0]
     if not bad:
         return None
     top = max(bad)
@@ -184,9 +182,7 @@ def _center_for(m: MarkedFan, cone: Cone) -> Center:
             f"no marked ray of {cone} (order {order}) carries a unit character"
         )
     divisor_index, divisor_ray = max(unit_marked, key=lambda t: t[0])
-    pos = gens.index(divisor_ray)
-    s = pow(chars[pos], -1, order)
-    weights = tuple((s * c) % order for c in chars)
+    weights = unit_weights(order, chars, gens.index(divisor_ray))
     num = [0] * cone.rank
     for w, g in zip(weights, gens):
         for j in range(cone.rank):
@@ -197,20 +193,6 @@ def _center_for(m: MarkedFan, cone: Cone) -> Center:
     if not is_primitive(ray):
         raise MeasureError(f"center ray {ray} of {cone} is not primitive")
     return Center(cone, ray, divisor_ray, divisor_index, order, weights)
-
-
-def select_center(m: MarkedFan) -> tuple[Center, ...]:
-    """Centers for every cone of maximal multiplicity.
-
-    Per cone, the divisor is the unit-character marked ray with the largest
-    creation index; the subdivision ray follows from the divisor-normalized
-    characters.
-    """
-    top, _ = invariant(m)
-    if top == 1:
-        raise PreconditionError("fan is already smooth; nothing to select")
-    targets = [c for c in m.fan.sorted_cones() if multiplicity(c) == top]
-    return tuple(_center_for(m, c) for c in targets)
 
 
 def _local_charts(center: Center, characteristic: int) -> tuple[ChartRecord, ...]:
@@ -241,10 +223,24 @@ def _local_charts(center: Center, characteristic: int) -> tuple[ChartRecord, ...
     return tuple(records)
 
 
-def _apply_step(m: MarkedFan, targets: list[Cone], phase: str) -> tuple[MarkedFan, StepRecord]:
-    inv_before = invariant(m)
-    nt_before = _nontame_invariant(m)
-    centers = tuple(_center_for(m, c) for c in sorted(targets, key=Cone.sort_key))
+def _targets(m: MarkedFan, order: int) -> list[Cone]:
+    """Cones of multiplicity ``order``, in sorted order."""
+    return [c for c in m.fan.sorted_cones() if multiplicity(c) == order]
+
+
+def _apply_step(
+    m: MarkedFan,
+    phase: str,
+    inv_before: tuple[int, int],
+    nt_before: Optional[tuple[int, int]],
+) -> tuple[MarkedFan, StepRecord]:
+    """Blow up every cone of the order the phase targets.
+
+    ``inv_before`` and ``nt_before`` are the measures of ``m``; the step
+    computes only the measures of the result.
+    """
+    top = nt_before[0] if phase == PHASE_NON_TAME else inv_before[0]
+    centers = tuple(_center_for(m, c) for c in _targets(m, top))
     added = tuple(sorted({c.ray for c in centers}, key=lambda v: v.entries))
     fan = m.fan
     for u in added:
@@ -266,11 +262,10 @@ def _apply_step(m: MarkedFan, targets: list[Cone], phase: str) -> tuple[MarkedFa
 
 def blowup_step(m: MarkedFan) -> tuple[MarkedFan, StepRecord]:
     """One simultaneous blow-up of all cones of maximal multiplicity."""
-    top, _ = invariant(m)
-    if top == 1:
+    inv = invariant(m)
+    if inv[0] == 1:
         raise PreconditionError("fan is already smooth")
-    targets = [c for c in m.fan.sorted_cones() if multiplicity(c) == top]
-    return _apply_step(m, targets, PHASE_MAX_ORDER)
+    return _apply_step(m, PHASE_MAX_ORDER, inv, _nontame_invariant(m))
 
 
 def _check_step_measure(record: StepRecord) -> None:
@@ -305,19 +300,18 @@ def resolve(m: MarkedFan) -> ResolutionTrace:
             _center_for(m, cone)
     steps: list[StepRecord] = []
     current = m
+    inv, nt = invariant(m), _nontame_invariant(m)
     while len(steps) <= _STEP_BUDGET:
-        nt = _nontame_invariant(current)
         if nt is not None:
-            targets = [
-                c for c in current.fan.sorted_cones() if multiplicity(c) == nt[0]
-            ]
-            current, record = _apply_step(current, targets, PHASE_NON_TAME)
-        elif invariant(current)[0] > 1:
-            current, record = blowup_step(current)
+            phase = PHASE_NON_TAME
+        elif inv[0] > 1:
+            phase = PHASE_MAX_ORDER
         else:
             break
+        current, record = _apply_step(current, phase, inv, nt)
         _check_step_measure(record)
         steps.append(record)
+        inv, nt = record.invariant_after, record.nontame_after
     else:
         raise MeasureError("step budget exceeded; measure failed to make progress")
     if not all(multiplicity(c) == 1 for c in current.fan.cones):
@@ -345,22 +339,15 @@ def replay(m: MarkedFan, trace) -> Fan:
     return fan
 
 
-def standard_marked_fan(q: CyclicQuotientType, characteristic: int = 0) -> MarkedFan:
-    """Fan of the standard cone of ``q`` with its divisor ray marked."""
-    cone, divisor = standard_cone_with_divisor(q)
-    return MarkedFan(Fan(cone.rank, [cone]), (divisor,), characteristic)
-
-
 def marked_fan_from_characters(
     order: int, chars: Iterable[int], characteristic: int = 0
 ) -> MarkedFan:
     """Marked fan of the literal tuple, preserving coordinate positions.
 
-    Characters are rescaled so the last one equals 1 (it must be a unit);
-    the cone is ``<e_1, ..., e_{n-1}, order*e_n - sum c_i e_i>`` with the
-    last generator marked.  Unlike :func:`standard_marked_fan` this keeps
-    the tuple as given instead of canonicalizing, so the fan lives in the
-    coordinates the caller wrote down.
+    The cone is :func:`~qres.quotient_classifier.standard_cone` with the
+    last coordinate as divisor (its character must be a unit), and the
+    divisor ray is marked.  The tuple is kept as given instead of
+    canonicalized, so the fan lives in the coordinates the caller wrote down.
     """
     chars = tuple(int(c) % order for c in chars)
     n = len(chars)
@@ -370,13 +357,5 @@ def marked_fan_from_characters(
         raise NoFaithfulDivisorError(
             f"last character of 1/{order}{chars} is not a unit"
         )
-    s = pow(chars[-1], -1, order)
-    scaled = [(s * c) % order for c in chars]
-    gens = [
-        IntegerVector([1 if j == i else 0 for j in range(n)]) for i in range(n - 1)
-    ]
-    last = [-a for a in scaled[:-1]] + [order]
-    divisor = primitive(IntegerVector(last))
-    gens.append(divisor)
-    cone = Cone(n, gens)
+    cone, divisor = standard_cone(order, chars, n - 1)
     return MarkedFan(Fan(n, [cone]), (divisor,), characteristic)

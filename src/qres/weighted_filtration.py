@@ -12,14 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .cones_fans import Cone
 from .errors import DimensionError, GluePreconditionError, QresError
-from .exact_lattice import IntegerMatrix, IntegerVector, rational_coordinates
 from .quotient_classifier import CyclicQuotientType, _is_prime
 
 DEFAULT_DEGREE_BOUND = 12
@@ -96,19 +94,6 @@ class WeightedFiltration:
     def rank(self) -> int:
         return len(self.weights)
 
-    @classmethod
-    def from_type(cls, q: CyclicQuotientType, divisor: int) -> "WeightedFiltration":
-        """Weights of ``q`` rescaled so coordinate ``divisor`` has weight 1,
-        then moved to the last position."""
-        if math.gcd(q.characters[divisor], q.order) != 1:
-            raise GluePreconditionError(
-                f"coordinate {divisor} of {q} does not carry a unit character"
-            )
-        s = pow(q.characters[divisor], -1, q.order)
-        scaled = [(s * c) % q.order for c in q.characters]
-        ws = [scaled[i] for i in range(q.rank) if i != divisor] + [scaled[divisor]]
-        return cls(q.order, ws)
-
 
 def ideal_generators(w: WeightedFiltration, k: int) -> frozenset[Monomial]:
     """Unique minimal monomial generating set of ``I_k``."""
@@ -179,39 +164,22 @@ def dual_cone_points(c: Cone, degree_bound: int) -> DualConePoints:
     """Dual-cone lattice points with chart coordinate sum up to the bound.
 
     A candidate exponent vector ``alpha`` corresponds to the dual vector
-    ``sum alpha_i w_i`` in the basis dual to the cone generators; it is kept
-    exactly when that vector is integral in the ambient dual lattice.  This
-    is an independent, purely lattice-theoretic route to the invariant
-    monomials.
+    ``sum alpha_j w_j`` in the basis dual to the cone generators; it is kept
+    exactly when that vector is integral in the ambient dual lattice.  The
+    dual basis is ``w_j = C_j / det`` with the cone's cofactor rows, so the
+    test is ``sum alpha_j C_j = 0 (mod det)`` in every entry.  This is an
+    independent, purely lattice-theoretic route to the invariant monomials.
     """
     if not c.is_full_dimensional():
         raise DimensionError("dual cone points need a full-dimensional cone")
-    n = c.rank
-    # rows of the inverse transpose of the generator matrix = dual basis
-    dual = _dual_basis(IntegerMatrix(c.generators))
+    det, rows = c.det, c.cofactors
     points = []
-    for exps in _simplex(n, degree_bound):
-        vec = [Fraction(0)] * n
-        for a, w in zip(exps, dual):
-            if a:
-                for j in range(n):
-                    vec[j] += a * w[j]
-        if all(x.denominator == 1 for x in vec):
+    for exps in _simplex(c.rank, degree_bound):
+        vec = [sum(a * row[j] for a, row in zip(exps, rows)) for j in range(c.rank)]
+        if all(x % det == 0 for x in vec):
             points.append(Monomial(exps))
     nonzero = [m for m in points if m.total_degree > 0]
     return DualConePoints(frozenset(points), minimalize(nonzero))
-
-
-def _dual_basis(g: IntegerMatrix) -> list[list[Fraction]]:
-    n = g.nrows
-    cols = g.transpose()
-    out = []
-    for i in range(n):
-        target = IntegerVector([1 if j == i else 0 for j in range(n)])
-        # w_i solves <w_i, v_j> = delta_ij, i.e. the columns of G^T^{-1}
-        coords = rational_coordinates(cols, target)
-        out.append(list(coords))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qres.cones_fans import Cone, multiplicity
@@ -10,6 +10,8 @@ from qres.errors import DimensionError, NotRepresentableError, QresError, Unsupp
 from qres.quotient_classifier import (
     CyclicQuotientType,
     _canonical_characters,
+    _is_prime,
+    _prime_factors,
     cone_characters,
     cone_to_quotient,
     faithful_rays,
@@ -18,6 +20,8 @@ from qres.quotient_classifier import (
     pseudoreflection_reduce,
     pseudoreflections,
     quotient_to_cone,
+    standard_cone,
+    unit_weights,
 )
 
 
@@ -92,6 +96,19 @@ class TestQuotientToCone:
     def test_no_unit_rejected(self):
         with pytest.raises(NotRepresentableError):
             quotient_to_cone(Q(6, 2, 3))
+
+    @given(valid_type, st.data())
+    def test_any_unit_divisor_gives_the_reduced_type(self, lc, data):
+        order, chars = lc
+        units = [i for i, c in enumerate(chars) if math.gcd(c, order) == 1]
+        assume(units)
+        d = data.draw(st.sampled_from(units))
+        weights = unit_weights(order, chars, d)
+        assert weights[d] == 1 % order
+        assert Q(order, *weights) == Q(order, *chars)
+        cone, divisor = standard_cone(order, chars, d)
+        assert divisor in cone.generators
+        assert cone_to_quotient(cone).cqs == pseudoreflection_reduce(Q(order, *chars))
 
 
 class TestConeToQuotient:
@@ -172,6 +189,17 @@ class TestTameness:
     def test_rejects_composite_characteristic(self):
         with pytest.raises(QresError):
             is_tame(Q(5, 2, 1), 4)
+
+
+class TestTrialDivision:
+    def test_prime_factors_and_primality_match_the_definition(self):
+        for n in range(-2, 400):
+            naive = [
+                p for p in range(2, n + 1) if n % p == 0 and all(p % k for k in range(2, p))
+            ]
+            if n >= 1:
+                assert _prime_factors(n) == naive
+            assert _is_prime(n) == (naive == [n])
 
 
 class TestPseudoreflections:

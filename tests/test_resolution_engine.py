@@ -1,8 +1,10 @@
 """The blow-up loop end to end: smooth result, dropping measures, traces.
 
-Covers the paper's main claim on a few ladder types in characteristic 0 and
-2, the trace round trip, independence of the trace bytes from the hash seed,
-and the command-line checks that must survive ``python -O``.
+Covers the paper's main claim on a few ladder types in characteristic 0, 2,
+3 and 5, the chart orders of every step, one evaluation of the measure per
+fan state, the fan and trace round trips, independence of the trace bytes
+from the hash seed, and the command-line checks that must survive
+``python -O``.
 """
 
 import hashlib
@@ -13,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from qres import cli, fanfile
+from qres import cli, fanfile, resolution_engine
 from qres.cones_fans import multiplicity, validate_fan
-from qres.hj_oracle import hj_rays
+from qres.hj_oracle import hj_cone_rays, hj_rays
 from qres.resolution_engine import (
     PHASE_NON_TAME,
     marked_fan_from_characters,
@@ -30,6 +32,8 @@ CASES = [
     (31, (1, 5, 11), 0),
     (13, (1, 3, 5, 7), 0),
     (12, (1, 5, 7), 2),
+    (18, (10, 15, 11), 3),
+    (45, (19, 17, 32), 5),
     (7, (3, 1), 0),
     (50, (13, 1), 0),
     (101, (37, 1), 0),
@@ -83,6 +87,43 @@ def test_characteristic_two_case_runs_the_non_tame_phase():
     assert any(step.phase == PHASE_NON_TAME for step in trace.steps)
 
 
+@pytest.mark.parametrize("case", [c for c in CASES if c[2] in (3, 5)], ids=case_id)
+def test_characteristic_three_and_five_cases_run_the_non_tame_phase(case):
+    _, trace = traced(case)
+    assert any(step.phase == PHASE_NON_TAME for step in trace.steps)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_chart_orders_equal_positive_weights(case):
+    _, trace = traced(case)
+    for step in trace.steps:
+        for center, charts in zip(step.centers, step.charts):
+            assert sorted(ch.order for ch in charts) == sorted(
+                w for w in center.weights if w > 0
+            )
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_invariant_runs_once_per_fan_state(case, monkeypatch):
+    order, chars, p = case
+    calls = []
+    counted = resolution_engine.invariant
+
+    def counting(m):
+        calls.append(m)
+        return counted(m)
+
+    monkeypatch.setattr(resolution_engine, "invariant", counting)
+    trace = resolve(marked_fan_from_characters(order, chars, p))
+    assert len(calls) == len(trace.steps) + 1
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_final_fan_round_trips(case):
+    _, trace = traced(case)
+    assert fanfile.parse_fan(fanfile.emit_fan(trace.final)) == trace.final
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_trace_round_trips(case):
     m, trace = traced(case)
@@ -98,18 +139,26 @@ def test_trace_round_trips(case):
 @pytest.mark.parametrize("case", RANK2, ids=case_id)
 def test_rank2_exceptional_rays_are_hirzebruch_jung(case):
     order, (a, _), _ = case
-    _, trace = traced(case)
+    m, trace = traced(case)
     assert set(trace.exceptional_rays) == set(hj_rays(order, a))
     assert len(trace.exceptional_rays) == len(hj_rays(order, a))
+    (cone,) = m.fan.cones
+    assert sorted(r.entries for r in hj_cone_rays(cone)) == sorted(
+        r.entries for r in hj_rays(order, a)
+    )
+
+
+def _env(extra=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(extra or {})
+    return env
 
 
 def _run(args, env_extra=None, flags=()):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(env_extra or {})
     return subprocess.run(
         [sys.executable, *flags, "-c", *args],
-        env=env,
+        env=_env(env_extra),
         capture_output=True,
         text=True,
         timeout=120,
@@ -178,3 +227,27 @@ def test_resolve_command_succeeds(tmp_path, capsys):
 def test_glue_check_rejects_negative_samples(capsys):
     assert cli.main(["glue-check", "1/7(1,3,1)", "--samples", "-3"]) == 2
     assert "--samples" in capsys.readouterr().err
+
+
+def test_oracle_check_passes_on_a_rank2_fan(tmp_path, capsys):
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(
+        fanfile.emit_fan(marked_fan_from_characters(101, (37, 1))), encoding="utf-8"
+    )
+    assert cli.main(["resolve", str(fan_file), "--oracle-check"]) == 0
+    out = capsys.readouterr().out
+    assert f"oracle check: ok ({len(hj_rays(101, 37))} rays verified)" in out
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qres.cli", "hj", "1000003", "999", "--rays"],
+        env=_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    # with no reader left, the first write fails with a broken pipe
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
