@@ -45,7 +45,6 @@ from .exact_lattice import IntegerVector
 from .hj_oracle import hj_cone_rays, hj_expansion, hj_rays
 from .quotient_classifier import (
     CyclicQuotientType,
-    cone_characters,
     cone_descriptor,
     parse_quotient_literal,
     unit_weights,
@@ -105,7 +104,7 @@ def _cmd_classify(args) -> int:
             "cyclic": desc.cyclic,
         }
         if desc.cyclic and desc.cqs is not None:
-            order, chars = cone_characters(cone)
+            order, chars = desc.order, desc.characters
             entry["type"] = str(desc.cqs)
             entry["tame"] = p == 0 or order % p != 0
             entry["faithful_rays"] = [

@@ -16,6 +16,16 @@ numerators ``C_j . v`` directly.  Lower-dimensional cones, which only come
 from parsed fan files and :func:`faces`, have no cofactor matrix; they keep
 the rational elimination of :func:`~qres.exact_lattice.span_coordinates` and
 the Smith normal form for their multiplicity.
+
+Fan check.  :func:`validate_fan` asks of every pair of cones whether they
+meet in the face they share.  A cofactor row ``C_j`` of a full-dimensional
+cone at a generator the other cone lacks vanishes on the shared rays and is
+nonnegative on its own cone; when it is strictly negative on every ray only
+the other cone has, no point of the other cone outside the shared face lies
+in this one, so the pair is settled by one row (a facet certificate).  Only
+pairs that no single row of either cone settles, and pairs of two
+lower-dimensional cones, go to the exact integer Fourier-Motzkin
+elimination, which decides whether a separating functional exists.
 """
 
 from __future__ import annotations
@@ -248,23 +258,15 @@ def star_subdivide(f: Fan, u: IntegerVector) -> Fan:
     return Fan(f.rank, new_cones)
 
 
-def _normalized_inequality(
-    coeffs: Sequence[Fraction], rhs: Fraction
-) -> tuple[tuple[int, ...], int]:
-    # Scale by the positive lcm of denominators, then divide by the gcd.
-    denoms = [c.denominator for c in coeffs] + [rhs.denominator]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // math.gcd(scale, d)
-    ints = [int(c * scale) for c in coeffs] + [int(rhs * scale)]
-    g = math.gcd(*[abs(x) for x in ints]) or 1
-    ints = [x // g for x in ints]
-    return tuple(ints[:-1]), ints[-1]
-
-
 def _fm_feasible(num_vars: int, constraints: list[tuple[tuple[int, ...], int]]) -> bool:
-    """Feasibility of ``coeffs . w >= rhs`` systems by Fourier-Motzkin."""
-    system = {c for c in constraints}
+    """Feasibility of ``coeffs . w >= rhs`` systems by Fourier-Motzkin.
+
+    Integer throughout: eliminating ``w_k`` adds positive integer multiples
+    of two inequalities, and each result is divided by the gcd of its
+    coefficients and right-hand side, which keeps the system small without
+    changing its solutions.
+    """
+    system = set(constraints)
     for k in range(num_vars):
         pos, neg, rest = [], [], set()
         for coeffs, rhs in system:
@@ -278,27 +280,58 @@ def _fm_feasible(num_vars: int, constraints: list[tuple[tuple[int, ...], int]]) 
             for (cn, rn) in neg:
                 # cp[k] * cn - cn[k] * cp eliminates w_k with a positive combination
                 a, b = cp[k], -cn[k]
-                coeffs = tuple(
-                    Fraction(b * x + a * y) for x, y in zip(cp, cn)
-                )
-                rhs = Fraction(b * rp + a * rn)
-                rest.add(_normalized_inequality(coeffs, rhs))
+                coeffs = tuple(b * x + a * y for x, y in zip(cp, cn))
+                rhs = b * rp + a * rn
+                g = math.gcd(*coeffs, rhs) or 1
+                rest.add((tuple(x // g for x in coeffs), rhs // g))
         system = rest
     return all(rhs <= 0 for _, rhs in system)
+
+
+def _row_certificate(
+    sigma: Cone, common: set[IntegerVector], others: Sequence[IntegerVector]
+) -> bool:
+    """Whether one cofactor row of ``sigma`` at a ray it does not share is
+    strictly negative on every ray in ``others``.
+
+    Such a row ``C_j`` vanishes on the shared rays and is nonnegative on
+    ``sigma``; see :func:`_meet_in_common_face`.  Always ``False`` for a
+    lower-dimensional ``sigma``, which has no cofactor rows.
+    """
+    if sigma.cofactors is None:
+        return False
+    ents = [t.entries for t in others]
+    return any(
+        all(sum(a * b for a, b in zip(row, e)) < 0 for e in ents)
+        for g, row in zip(sigma.generators, sigma.cofactors)
+        if g not in common
+    )
 
 
 def _meet_in_common_face(sigma: Cone, tau: Cone) -> bool:
     """Whether two cones intersect exactly in the face they share.
 
-    A certificate is a linear functional vanishing on the common rays,
-    strictly positive on the remaining rays of one cone and strictly
-    negative on those of the other; such a functional exists precisely when
-    the intersection is a common face.
+    Facet certificate first.  Let ``C_j`` be the cofactor row of a
+    full-dimensional ``sigma`` at a generator ``g_j`` that ``tau`` lacks.
+    ``C_j`` vanishes on the shared rays and is nonnegative on ``sigma``.  If
+    it is strictly negative on every ray only ``tau`` has, a point of
+    ``tau`` lying in ``sigma`` has zero weight on those rays, so it lies in
+    the common face.  Every such row of ``sigma`` is tried, then every such
+    row of ``tau`` against the rays only ``sigma`` has.
+
+    Fallback, for pairs no single row settles and for pairs of two
+    lower-dimensional cones: a separating functional vanishing on the common
+    rays, strictly positive on the remaining rays of one cone and strictly
+    negative on those of the other, exists precisely when the intersection
+    is a common face; its existence is decided exactly by integer
+    Fourier-Motzkin elimination.
     """
     common = set(sigma.generators) & set(tau.generators)
     s_only = [g for g in sigma.generators if g not in common]
     t_only = [g for g in tau.generators if g not in common]
     if not s_only and not t_only:
+        return True
+    if _row_certificate(sigma, common, t_only) or _row_certificate(tau, common, s_only):
         return True
     n = sigma.rank
     constraints: list[tuple[tuple[int, ...], int]] = []
@@ -313,7 +346,12 @@ def _meet_in_common_face(sigma: Cone, tau: Cone) -> bool:
 
 
 def validate_fan(f: Fan) -> bool:
-    """True iff every pairwise intersection of cones is a common face."""
+    """True iff every pairwise intersection of cones is a common face.
+
+    Each pair is settled by one integer cofactor row of either cone when
+    such a row exists (a facet certificate), and otherwise by exact integer
+    Fourier-Motzkin elimination; see :func:`_meet_in_common_face`.
+    """
     cones = f.sorted_cones()
     for a, b in itertools.combinations(cones, 2):
         if not _meet_in_common_face(a, b):

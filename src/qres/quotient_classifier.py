@@ -21,7 +21,13 @@ from .errors import (
     QresError,
     UnsupportedInputError,
 )
-from .exact_lattice import IntegerMatrix, IntegerVector, primitive, smith_normal_form
+from .exact_lattice import (
+    IntegerMatrix,
+    IntegerVector,
+    SmithDecomposition,
+    primitive,
+    smith_normal_form,
+)
 
 
 def _canonical_characters(order: int, chars: Sequence[int]) -> tuple[int, ...]:
@@ -62,15 +68,7 @@ class CyclicQuotientType:
 
     def __init__(self, order: int, characters: Iterable[int]):
         order = int(order)
-        chars = tuple(int(c) for c in characters)
-        if order < 1:
-            raise QresError(f"order must be positive, got {order}")
-        if not chars:
-            raise DimensionError("a quotient type needs at least one coordinate")
-        if math.gcd(order, *chars) != 1:
-            raise QresError(
-                f"characters {chars} mod {order} do not generate a faithful action"
-            )
+        chars = _checked_characters(order, tuple(int(c) for c in characters))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "characters", _canonical_characters(order, chars))
 
@@ -106,8 +104,14 @@ def parse_quotient_literal(text: str) -> tuple[int, tuple[int, ...]]:
         chars = tuple(int(p) for p in inner.split(",")) if inner else ()
     except ValueError as exc:
         raise QresError(f"cannot parse quotient type {text!r}") from exc
+    return order, _checked_characters(order, chars)
+
+
+def _checked_characters(order: int, chars: tuple[int, ...]) -> tuple[int, ...]:
+    """``chars`` reduced mod ``order``, after the checks every quotient type
+    needs: at least one coordinate, a positive order and a faithful action."""
     if not chars:
-        raise QresError("a quotient type needs at least one coordinate")
+        raise DimensionError("a quotient type needs at least one coordinate")
     if order < 1:
         raise QresError(f"order must be positive, got {order}")
     chars = tuple(c % order for c in chars)
@@ -115,16 +119,21 @@ def parse_quotient_literal(text: str) -> tuple[int, tuple[int, ...]]:
         raise QresError(
             f"characters {chars} mod {order} do not generate a faithful action"
         )
-    return order, chars
+    return chars
 
 
 @dataclass(frozen=True)
 class QuotientDescriptor:
-    """Quotient group of a cone: divisor chain plus the cyclic type if any."""
+    """Quotient group of a cone: divisor chain plus the cyclic type if any.
+
+    ``characters`` are the generator-aligned characters that
+    :func:`cone_characters` returns, or ``()`` when the group is not cyclic.
+    """
 
     invariants: tuple[int, ...]
     cyclic: bool
     cqs: Optional[CyclicQuotientType]
+    characters: tuple[int, ...] = ()
 
     @property
     def order(self) -> int:
@@ -138,6 +147,23 @@ class QuotientDescriptor:
         return tuple(d for d in self.invariants if d > 1)
 
 
+def _snf_characters(snf: SmithDecomposition) -> tuple[int, tuple[int, ...]]:
+    """Order and generator-aligned characters read off a Smith transform of
+    the generator matrix; raises :class:`UnsupportedInputError` when the
+    quotient group is not cyclic."""
+    heavy = [i for i, d in enumerate(snf.diagonal) if d > 1]
+    if len(heavy) > 1:
+        raise UnsupportedInputError(
+            f"cone quotient has invariants {snf.nontrivial}, not cyclic"
+        )
+    if not heavy:
+        return 1, tuple(0 for _ in snf.diagonal)
+    k = heavy[0]
+    order = snf.diagonal[k]
+    row = snf.left.rows[k]
+    return order, tuple(e % order for e in row.entries)
+
+
 @lru_cache(maxsize=None)
 def cone_characters(c: Cone) -> tuple[int, tuple[int, ...]]:
     """Order and characters of a cone's cyclic quotient, generator-aligned.
@@ -149,32 +175,20 @@ def cone_characters(c: Cone) -> tuple[int, tuple[int, ...]]:
     """
     if not c.generators:
         return 1, ()
-    snf = smith_normal_form(IntegerMatrix(c.generators))
-    heavy = [i for i, d in enumerate(snf.diagonal) if d > 1]
-    if len(heavy) > 1:
-        raise UnsupportedInputError(
-            f"cone quotient has invariants {snf.nontrivial}, not cyclic"
-        )
-    if not heavy:
-        return 1, tuple(0 for _ in c.generators)
-    k = heavy[0]
-    order = snf.diagonal[k]
-    row = snf.left.rows[k]
-    return order, tuple(e % order for e in row.entries)
+    return _snf_characters(smith_normal_form(IntegerMatrix(c.generators)))
 
 
 def cone_descriptor(c: Cone) -> QuotientDescriptor:
-    """Divisor-chain descriptor of any simplicial cone (saturation-relative)."""
+    """Divisor-chain descriptor of any simplicial cone (saturation-relative),
+    from one Smith normal form."""
     if not c.generators:
         return QuotientDescriptor((), True, None)
     snf = smith_normal_form(IntegerMatrix(c.generators))
-    chain = snf.diagonal
-    cyclic = sum(1 for d in chain if d > 1) <= 1
-    cqs = None
-    if cyclic:
-        order, chars = cone_characters(c)
-        cqs = CyclicQuotientType(order, chars) if chars else CyclicQuotientType(1, (0,))
-    return QuotientDescriptor(chain, cyclic, cqs)
+    try:
+        order, chars = _snf_characters(snf)
+    except UnsupportedInputError:
+        return QuotientDescriptor(snf.diagonal, False, None)
+    return QuotientDescriptor(snf.diagonal, True, CyclicQuotientType(order, chars), chars)
 
 
 def cone_to_quotient(c: Cone) -> QuotientDescriptor:

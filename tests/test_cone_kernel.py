@@ -1,19 +1,33 @@
 """The integer cone kernel against the rational reference it replaced.
 
 Full-dimensional cones answer ``contains``, ``coordinates``, ``multiplicity``
-and star subdivision from one cached determinant and cofactor matrix; these
-tests compare every answer with ``span_coordinates`` elimination, the Smith
-normal form and the all-pairs maximality rule written out below.
+and star subdivision from one cached determinant and cofactor matrix, and
+settle most pairs of the fan check with one cofactor row; these tests compare
+every answer with ``span_coordinates`` elimination, the Smith normal form,
+the all-pairs maximality rule and the ``Fraction`` Fourier-Motzkin fan check
+written out below.
 """
 
 import itertools
 import math
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qres.cones_fans import Cone, Fan, _subdivide_cone, faces, multiplicity, star_subdivide
+from qres import cones_fans
+from qres.cones_fans import (
+    Cone,
+    Fan,
+    _meet_in_common_face,
+    _subdivide_cone,
+    faces,
+    multiplicity,
+    star_subdivide,
+    validate_fan,
+)
 from qres.errors import DegenerateInputError, MeasureError
 from qres.exact_lattice import (
     IntegerMatrix,
@@ -252,3 +266,87 @@ class TestStarSubdivide:
             fan = star_subdivide(fan, u)
             expected = reference_star(expected, u)
             assert fan.cones == expected
+
+
+def reference_meet(sigma, tau):
+    """Whether two cones meet in their common face: a separating functional
+    (zero on the shared rays, >= 1 on the rays of ``sigma`` only, <= -1 on
+    those of ``tau`` only) by ``Fraction`` Fourier-Motzkin elimination, each
+    derived inequality scaled to coprime integers."""
+    common = set(sigma.generators) & set(tau.generators)
+    rows = [(g.entries, 0) for g in common]
+    rows += [(tuple(-e for e in g.entries), 0) for g in common]
+    rows += [(g.entries, 1) for g in sigma.generators if g not in common]
+    rows += [(tuple(-e for e in g.entries), 1) for g in tau.generators if g not in common]
+    system = set(rows)
+    for k in range(sigma.rank):
+        pos = [(c, r) for c, r in system if c[k] > 0]
+        neg = [(c, r) for c, r in system if c[k] < 0]
+        rest = {(c, r) for c, r in system if c[k] == 0}
+        for cp, rp in pos:
+            for cn, rn in neg:
+                a, b = cp[k], -cn[k]
+                row = [Fraction(b * x + a * y) for x, y in zip(cp, cn)] + [Fraction(b * rp + a * rn)]
+                scale = math.lcm(*(x.denominator for x in row))
+                ints = [int(x * scale) for x in row]
+                g = math.gcd(*ints) or 1
+                rest.add((tuple(x // g for x in ints[:-1]), ints[-1] // g))
+        system = rest
+    return all(r <= 0 for _, r in system)
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two cones of rank 2-4 sharing some rays: the first a full cone of
+    either determinant sign or one of its faces, the second spanned by some
+    of those rays plus random primitive rays, full or lower-dimensional."""
+    sigma = draw(full_cones())
+    n = sigma.rank
+    shared = draw(st.lists(st.sampled_from(sigma.generators), max_size=n - 1, unique=True))
+    extra = draw(
+        st.lists(primitive_vectors(n, 4), min_size=1, max_size=n - len(shared), unique=True)
+    )
+    try:
+        tau = Cone(n, shared + extra)
+    except DegenerateInputError:
+        tau = Cone(n, extra[:1])
+    if draw(st.booleans()):
+        kept = set(shared) | set(draw(st.lists(st.sampled_from(sigma.generators), unique=True)))
+        sigma = Cone(n, sorted(kept, key=lambda g: g.entries) or sigma.generators[:1])
+    return draw(st.permutations([sigma, tau]))
+
+
+class TestFacetCertificate:
+    def test_matches_fraction_fourier_motzkin(self):
+        seen = set()
+
+        @given(cone_pairs())
+        @settings(max_examples=400, deadline=None)
+        def check(pair):
+            sigma, tau = pair
+            with mock.patch.object(
+                cones_fans, "_fm_feasible", wraps=cones_fans._fm_feasible
+            ) as fm:
+                got = _meet_in_common_face(sigma, tau)
+            want = reference_meet(sigma, tau)
+            assert got == want == reference_meet(tau, sigma)
+            assert validate_fan(Fan(sigma.rank, [sigma, tau])) == want
+            full = sigma.is_full_dimensional() and tau.is_full_dimensional()
+            seen.add((want, fm.called, full))
+
+        check()
+        # a row only ever proves a pair valid: invalid pairs, also of two
+        # full cones, and some valid ones must have reached the fallback
+        assert (False, True, True) in seen
+        assert (True, True) in {(want, fallback) for want, fallback, _ in seen}
+
+    def test_pair_no_row_settles_validates(self):
+        # two cones of the resolved 1/97(1,13,41) fan
+        sigma = Cone(3, [(-51, -36, 70), (-44, -31, 61), (-34, -24, 47)])
+        tau = Cone(3, [(-34, -24, 47), (-24, -17, 33), (-17, -12, 24)])
+        with mock.patch.object(
+            cones_fans, "_fm_feasible", wraps=cones_fans._fm_feasible
+        ) as fm:
+            assert _meet_in_common_face(sigma, tau)
+            assert validate_fan(Fan(3, [sigma, tau]))
+        assert fm.call_count == 2

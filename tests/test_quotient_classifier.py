@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qres.cones_fans import Cone, multiplicity
+from qres.cones_fans import Cone, faces, multiplicity
 from qres.errors import DimensionError, NotRepresentableError, QresError, UnsupportedInputError
 from qres.quotient_classifier import (
     CyclicQuotientType,
@@ -13,6 +13,7 @@ from qres.quotient_classifier import (
     _is_prime,
     _prime_factors,
     cone_characters,
+    cone_descriptor,
     cone_to_quotient,
     faithful_rays,
     is_tame,
@@ -45,6 +46,18 @@ class TestCanonicalForm:
     def test_rejects_unfaithful(self):
         with pytest.raises(QresError):
             Q(4, 2, 2)
+
+    @pytest.mark.parametrize(
+        "order, chars",
+        [(0, ()), (0, (1,)), (-3, (1, 2)), (4, ()), (4, (2, 2)), (4, (6, 2)), (6, (3, -3))],
+    )
+    def test_constructor_and_literal_reject_alike(self, order, chars):
+        with pytest.raises(QresError) as from_literal:
+            parse_quotient_literal(f"1/{order}({','.join(map(str, chars))})")
+        with pytest.raises(QresError) as from_constructor:
+            CyclicQuotientType(order, chars)
+        assert type(from_literal.value) is type(from_constructor.value)
+        assert str(from_literal.value) == str(from_constructor.value)
 
     @given(valid_type, st.integers(1, 23), st.randoms())
     @settings(max_examples=200)
@@ -133,8 +146,19 @@ class TestConeToQuotient:
         c = Cone(4, [(1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1)])
         d = cone_to_quotient(c)
         assert not d.cyclic and d.nontrivial == (2, 2) and d.cqs is None
+        assert d.characters == ()
         with pytest.raises(UnsupportedInputError):
             cone_characters(c)
+
+    @given(valid_type)
+    def test_descriptor_carries_the_cone_characters(self, lt):
+        l, chars = lt
+        assume(any(math.gcd(c, l) == 1 for c in chars))
+        for c in faces(quotient_to_cone(Q(l, *chars))):
+            d = cone_descriptor(c)
+            if c.generators:
+                assert (d.order, d.characters) == cone_characters(c)
+                assert d.cqs == CyclicQuotientType(*cone_characters(c))
 
     def test_order_equals_multiplicity(self):
         for gens in [

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from qres import cli, fanfile, resolution_engine
+from qres import cli, fanfile, quotient_classifier, resolution_engine
 from qres.cones_fans import multiplicity, validate_fan
 from qres.hj_oracle import hj_cone_rays, hj_rays
 from qres.resolution_engine import (
@@ -222,6 +222,42 @@ def test_resolve_command_succeeds(tmp_path, capsys):
     )
     assert cli.main(["resolve", str(fan_file), "--json"]) == 0
     assert '"smooth":true' in capsys.readouterr().out
+
+
+OVERLAPPING_FAN = "\n".join(
+    [
+        '{"characteristic":"0","rank":"3","record":"fan"}',
+        '{"id":"0","record":"ray","v":["1","0","0"]}',
+        '{"id":"1","record":"ray","v":["0","1","0"]}',
+        '{"id":"2","record":"ray","v":["0","0","1"]}',
+        '{"id":"3","record":"ray","v":["1","1","1"]}',
+        '{"rays":["0","1","2"],"record":"cone"}',
+        '{"rays":["0","2","3"],"record":"cone"}',
+    ]
+) + "\n"
+
+
+def test_classify_rejects_overlapping_cones(tmp_path, capsys):
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(OVERLAPPING_FAN, encoding="utf-8")
+    assert cli.main(["classify", str(fan_file), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cones do not intersect along common faces" in captured.err
+
+
+def test_classify_runs_one_smith_normal_form_per_cone(tmp_path, monkeypatch):
+    final = traced(CASES[0])[1].final
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(fanfile.emit_fan(final), encoding="utf-8")
+    real = quotient_classifier.smith_normal_form
+    calls = []
+    monkeypatch.setattr(
+        quotient_classifier, "smith_normal_form", lambda m: calls.append(m) or real(m)
+    )
+    quotient_classifier.cone_characters.cache_clear()
+    assert cli.main(["classify", str(fan_file), "--json"]) == 0
+    assert len(calls) == len(final.fan.cones)
 
 
 def test_glue_check_rejects_negative_samples(capsys):
