@@ -56,6 +56,7 @@ from .weighted_filtration import (
     glue_check,
     invariant_generators_raw,
     sample_divisor_fixing_automorphism,
+    smallest_prime_with_roots,
 )
 
 
@@ -294,10 +295,11 @@ def _cmd_glue_check(args) -> int:
         )
     w = WeightedFiltration(order, unit_weights(order, chars, len(chars) - 1))
     bound = args.kmax if args.kmax is not None else _max_degree()
+    modulus = smallest_prime_with_roots(w.order)
     rng = Random(args.seed)
     passed = 0
     for _ in range(args.samples):
-        phi = sample_divisor_fixing_automorphism(w, rng, truncation=bound)
+        phi = sample_divisor_fixing_automorphism(w, rng, modulus=modulus, truncation=bound)
         if glue_check(w, phi, bound):
             passed += 1
     ok = passed == args.samples

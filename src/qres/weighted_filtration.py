@@ -1,10 +1,12 @@
 """Weighted monomial filtrations, invariant algebras and the gluing test.
 
-The filtration ideal ``I_k`` is spanned by monomials of weighted degree at
-least ``k``.  Automorphism invariance of the filtration is tested with
-truncated polynomial substitutions over a prime field chosen so that roots
-of unity of the right order exist; power series statements are checked up
-to a finite total degree bound.
+The filtration is the one of the monomial valuation ``v`` with weights
+``a``: ``v(f)`` is the least weighted degree ``sum a_j e_j`` over the terms
+of ``f``, and ``I_k = {f : v(f) >= k}`` is spanned by the monomials of
+weighted degree at least ``k``.  Automorphism invariance of the filtration
+is tested on truncated polynomial substitutions over a prime field chosen
+so that roots of unity of the right order exist; power series statements
+are checked up to a finite total degree bound.
 """
 
 from __future__ import annotations
@@ -294,12 +296,37 @@ def substitute(phi: TruncatedAutomorphism, exponents: tuple[int, ...]) -> tuple:
 
 
 def glue_check(w: WeightedFiltration, phi: TruncatedAutomorphism, k_max: int) -> bool:
-    """Whether the substitution preserves every ``I_k`` up to truncation.
+    """Whether the substitution preserves every ``I_k``, ``k <= k_max``, up
+    to truncation.
 
-    Requires a divisor-fixing substitution and a divisor coordinate of
+    Requires a divisor-fixing local substitution and a divisor coordinate of
     weight 1 (hence unit character); monomials of total degree beyond the
-    truncation bound are ignored.  Returns False as soon as some generator
-    of some ``I_k`` maps outside ``I_k``.
+    truncation bound ``T`` are ignored.
+
+    Criterion: with weights ``a``, the answer is True iff for every
+    coordinate ``i`` every term of ``phi(x_i)`` of total degree at most
+    ``T`` has weighted degree at least ``min(a_i, k_max)`` (vacuous when
+    ``a_i = 0`` or ``k_max <= 0``).  Write ``v_i`` for the least weighted
+    degree of those terms.
+
+    Sufficient: a local substitution has no constant terms, so a term of
+    total degree at most ``T`` in the image of ``x^alpha`` is a product of
+    image terms of total degree at most ``T``; truncation and cancellation
+    mod p only drop terms, so each surviving term has weighted degree at
+    least ``sum alpha_i v_i``.  A minimal generator ``x^alpha`` of ``I_k``
+    with ``1 <= k <= k_max`` uses only coordinates with ``a_i >= 1``.  If it
+    uses some ``i`` with ``a_i >= k_max``, that factor alone gives weight
+    ``v_i >= k_max >= k``; otherwise ``v_i >= a_i`` on every coordinate it
+    uses and the weight is at least ``sum alpha_i a_i >= k``.
+
+    Necessary: if a term of ``phi(x_i)`` of total degree at most ``T`` has
+    weight ``v < min(a_i, k_max)``, take ``k = v + 1``.  Then
+    ``1 <= k <= min(a_i, k_max)``, so ``x_i`` is a minimal generator of
+    ``I_k`` (its only proper divisor is 1); :func:`substitute` of ``x_i`` is
+    exactly the truncated image, which has that term, so ``phi(x_i)`` is
+    not in ``I_k``.
+
+    This costs one pass over the image terms, with no polynomial products.
     """
     if w.rank != phi.rank:
         raise DimensionError("filtration and substitution rank differ")
@@ -311,11 +338,14 @@ def glue_check(w: WeightedFiltration, phi: TruncatedAutomorphism, k_max: int) ->
         raise GluePreconditionError("substitution does not fix the divisor ideal")
     if not phi.is_local():
         raise GluePreconditionError("substitution is not a local automorphism")
-    for k in range(1, k_max + 1):
-        for gen in sorted(ideal_generators(w, k), key=lambda m: m.exponents):
-            for exps, _coeff in substitute(phi, gen.exponents):
-                if sum(a * e for a, e in zip(w.weights, exps)) < k:
-                    return False
+    for a, image in zip(w.weights, phi.images):
+        need = min(a, k_max)
+        if any(
+            sum(x * e for x, e in zip(w.weights, exps)) < need
+            for exps, _coeff in image
+            if sum(exps) <= phi.truncation
+        ):
+            return False
     return True
 
 

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from qres.cones_fans import Cone, faces, multiplicity
 from qres.errors import DimensionError, NotRepresentableError, QresError, UnsupportedInputError
+from qres.exact_lattice import IntegerMatrix, smith_normal_form
 from qres.quotient_classifier import (
     CyclicQuotientType,
+    QuotientDescriptor,
     _canonical_characters,
     _is_prime,
     _prime_factors,
+    _snf_characters,
     cone_characters,
     cone_descriptor,
     cone_to_quotient,
@@ -159,6 +162,32 @@ class TestConeToQuotient:
             if c.generators:
                 assert (d.order, d.characters) == cone_characters(c)
                 assert d.cqs == CyclicQuotientType(*cone_characters(c))
+
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=150)
+    def test_smooth_cone_shortcut_matches_smith_normal_form(self, n, data):
+        # a random unimodular matrix: the identity under elementary row
+        # operations (add a multiple of one row to another, swap, negate)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(data.draw(st.integers(0, 12))):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            op = data.draw(st.sampled_from(["add", "swap", "negate"]))
+            if op == "add" and i != j:
+                f = data.draw(st.integers(-4, 4))
+                rows[i] = [a + f * b for a, b in zip(rows[i], rows[j])]
+            elif op == "swap":
+                rows[i], rows[j] = rows[j], rows[i]
+            elif op == "negate":
+                rows[i] = [-a for a in rows[i]]
+        c = Cone(n, rows)
+        assert c.det == 1
+        snf = smith_normal_form(IntegerMatrix(c.generators))
+        order, chars = _snf_characters(snf)
+        cone_characters.cache_clear()
+        assert cone_characters(c) == (order, chars)
+        assert cone_descriptor(c) == QuotientDescriptor(
+            snf.diagonal, True, CyclicQuotientType(order, chars), chars
+        )
 
     def test_order_equals_multiplicity(self):
         for gens in [

@@ -246,18 +246,31 @@ def test_classify_rejects_overlapping_cones(tmp_path, capsys):
     assert "cones do not intersect along common faces" in captured.err
 
 
-def test_classify_runs_one_smith_normal_form_per_cone(tmp_path, monkeypatch):
-    final = traced(CASES[0])[1].final
-    fan_file = tmp_path / "fan.jsonl"
-    fan_file.write_text(fanfile.emit_fan(final), encoding="utf-8")
+def test_classify_runs_one_smith_normal_form_per_singular_cone(tmp_path, monkeypatch):
+    # a smooth cone (det 1) is answered without a Smith normal form; the
+    # fans after one and two blow-ups of 1/31(1,5,11) mix both kinds
+    m = marked_fan_from_characters(*CASES[0])
+    fans = []
+    for _ in range(2):
+        m = resolution_engine.blowup_step(m)[0]
+        fans.append(m)
+    fans.append(traced(CASES[0])[1].final)
     real = quotient_classifier.smith_normal_form
     calls = []
     monkeypatch.setattr(
         quotient_classifier, "smith_normal_form", lambda m: calls.append(m) or real(m)
     )
-    quotient_classifier.cone_characters.cache_clear()
-    assert cli.main(["classify", str(fan_file), "--json"]) == 0
-    assert len(calls) == len(final.fan.cones)
+    fan_file = tmp_path / "fan.jsonl"
+    singular = []
+    for m in fans:
+        fan_file.write_text(fanfile.emit_fan(m), encoding="utf-8")
+        calls.clear()
+        quotient_classifier.cone_characters.cache_clear()
+        assert cli.main(["classify", str(fan_file), "--json"]) == 0
+        singular.append(sum(c.det != 1 for c in m.fan.cones))
+        assert len(calls) == singular[-1]
+    assert 0 < singular[0] < len(fans[0].fan.cones)
+    assert singular[-1] == 0
 
 
 def test_glue_check_rejects_negative_samples(capsys):

@@ -6,13 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qres import cli
 from qres.errors import DimensionError, GluePreconditionError
-from qres.quotient_classifier import CyclicQuotientType, quotient_to_cone
+from qres.quotient_classifier import (
+    CyclicQuotientType,
+    parse_quotient_literal,
+    quotient_to_cone,
+    unit_weights,
+)
 from qres.weighted_filtration import (
     Monomial,
     TruncatedAutomorphism,
     WeightedFiltration,
     _cartify_raw,
+    _image_power,
     cartify,
     dual_cone_points,
     glue_check,
@@ -177,6 +184,107 @@ class TestGlueCheck:
         )
         image = dict(substitute(phi, (2, 0)))
         assert all(sum(e) <= 4 for e in image)
+
+
+def brute_force_glue_check(w, phi, k_max):
+    """Reference verdict: substitute every minimal generator of every I_k,
+    k <= k_max, and compare the weighted degrees of the image terms."""
+    for k in range(1, k_max + 1):
+        for gen in sorted(ideal_generators(w, k), key=lambda m: m.exponents):
+            for exps, _coeff in substitute(phi, gen.exponents):
+                if sum(a * e for a, e in zip(w.weights, exps)) < k:
+                    return False
+    return True
+
+
+def random_glue_case(rng):
+    """A filtration with divisor weight 1 (other weights may be 0) and a
+    divisor-fixing local substitution whose correction terms need not be
+    action-compatible and may exceed the truncation degree."""
+    n = rng.randint(1, 4)
+    order = rng.randint(2, 13)
+    w = WeightedFiltration(order, [rng.randrange(order) for _ in range(n - 1)] + [1])
+    truncation = rng.randint(0, 7)
+    modulus = rng.choice((2, 3, 5, 7, 11))
+    images = []
+    for i in range(n):
+        unit = tuple(int(j == i) for j in range(n))
+        img = {unit: rng.randrange(1, modulus)}
+        for _ in range(rng.randint(0, 3)):
+            exps = [0] * n
+            for _ in range(rng.randint(1, truncation + 2)):
+                exps[rng.randrange(n)] += 1
+            if i == n - 1 and exps[-1] == 0:
+                exps[-1] = 1
+            img[tuple(exps)] = img.get(tuple(exps), 0) + rng.randrange(1, modulus)
+        images.append(img)
+    phi = TruncatedAutomorphism(images, modulus, truncation)
+    return w, phi, rng.randint(-1, 9)
+
+
+class TestGlueCriterion:
+    """The valuation criterion of ``glue_check`` against the brute-force
+    substitution of every generator of every ``I_k``."""
+
+    def teardown_method(self):
+        substitute.cache_clear()
+        _image_power.cache_clear()
+
+    def test_random_filtrations_and_substitutions(self):
+        rng = Random(1)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            w, phi, k_max = random_glue_case(rng)
+            if not (phi.fixes_divisor() and phi.is_local()):
+                continue
+            got = glue_check(w, phi, k_max)
+            assert got == brute_force_glue_check(w, phi, k_max), (w, phi, k_max)
+            verdicts[got] += 1
+        assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
+
+    @pytest.mark.parametrize("literal", ["1/11(2,5,3,1)", "1/7(1,3,1)"])
+    def test_sampled_substitutions(self, literal):
+        order, chars = parse_quotient_literal(literal)
+        w = WeightedFiltration(order, unit_weights(order, chars, len(chars) - 1))
+        # adding the divisor coordinate (weight 1) to the image of the
+        # heaviest coordinate is divisor-fixing but not action-compatible
+        heavy = max(range(w.rank), key=lambda i: w.weights[i])
+        divisor = tuple(int(j == w.rank - 1) for j in range(w.rank))
+        rng = Random(literal)
+        verdicts = set()
+        for k_max, truncation in [(3, 12), (12, 12), (14, 6)]:
+            for _ in range(6):
+                phi = sample_divisor_fixing_automorphism(w, rng, truncation=truncation)
+                images = [phi.image_poly(i) for i in range(phi.rank)]
+                images[heavy][divisor] = 1
+                moved = TruncatedAutomorphism(images, phi.modulus, phi.truncation)
+                for psi in (phi, moved):
+                    got = glue_check(w, psi, k_max)
+                    assert got == brute_force_glue_check(w, psi, k_max)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+# JSON reports of `glue-check` at seeds 0-2 as produced by the brute-force
+# substitution of every generator; sampling with the modulus computed once
+# and the valuation criterion must reproduce them byte for byte
+GLUE_REPORTS = {
+    ("1/11(2,5,3,1)", "--samples", "40", "--kmax", "12"): (
+        '{"ok":true,"passed":"40","samples":"40","seed":"%d","truncation":"12",'
+        '"type":"1/11(2,5,3,1)"}\n'
+    ),
+    ("1/7(1,3,1)", "--kmax", "14"): (
+        '{"ok":true,"passed":"100","samples":"100","seed":"%d","truncation":"14",'
+        '"type":"1/7(1,3,1)"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("argv", sorted(GLUE_REPORTS))
+def test_glue_check_report_bytes(argv, seed, capsys):
+    assert cli.main(["glue-check", *argv, "--seed", str(seed), "--json"]) == 0
+    assert capsys.readouterr().out == GLUE_REPORTS[argv] % seed
 
 
 class TestCartify:
