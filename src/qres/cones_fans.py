@@ -17,6 +17,18 @@ from parsed fan files and :func:`faces`, have no cofactor matrix; they keep
 the rational elimination of :func:`~qres.exact_lattice.span_coordinates` and
 the Smith normal form for their multiplicity.
 
+Star subdivision.  :func:`star_subdivide` applies a batch of rays over one
+dict from each ray of the fan to the cones it generates and builds one
+:class:`Fan` at the end.  Each point of a fan lies in the relative interior
+of exactly one of its cones, so the cones containing a ray are exactly those
+having that cone as a face: given a hint cone that is checked to contain the
+ray, the generators of positive weight name that face, and intersecting
+their index sets finds its star without testing any other cone.  Without a
+usable hint every cone is scanned.  The pieces of a full-dimensional cone
+take their determinant and cofactor rows from the parent's by one exact
+rank-one update each (see :func:`_subdivide_cone`), so a subdivision runs no
+elimination; cones hash once, in their constructor.
+
 Fan check.  :func:`validate_fan` asks of every pair of cones whether they
 meet in the face they share.  A cofactor row ``C_j`` of a full-dimensional
 cone at a generator the other cone lacks vanishes on the shared rays and is
@@ -89,10 +101,39 @@ class Cone:
             det = abs(det)
         elif gens and matrix_rank(IntegerMatrix(gens)) != len(gens):
             raise DegenerateInputError("generators are linearly dependent")
-        object.__setattr__(self, "rank", int(rank))
+        self._set(int(rank), gens, det, cofactors)
+
+    def _set(
+        self,
+        rank: int,
+        gens: tuple[IntegerVector, ...],
+        det: Optional[int],
+        cofactors: Optional[tuple[tuple[int, ...], ...]],
+    ) -> None:
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "cofactors", cofactors)
+        object.__setattr__(self, "_hash", hash((rank, gens)))
+
+    @classmethod
+    def _from_parts(
+        cls,
+        rank: int,
+        gens: tuple[IntegerVector, ...],
+        det: int,
+        cofactors: tuple[tuple[int, ...], ...],
+    ) -> "Cone":
+        """A full-dimensional cone whose sorted generators, ``det`` and
+        cofactor rows the caller has already established; see
+        :func:`_subdivide_cone`, the only caller."""
+        cone = object.__new__(cls)
+        cone._set(rank, gens, det, cofactors)
+        return cone
+
+    def __hash__(self) -> int:
+        # computed once: cones are hashed on every set insert and cache lookup
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -213,12 +254,23 @@ def faces(c: Cone) -> frozenset[Cone]:
 
 
 def _subdivide_cone(c: Cone, u: IntegerVector) -> tuple[Cone, ...]:
-    """Star subdivision of a single cone containing ``u``.
+    """Star subdivision of a single cone containing the primitive ``u``.
 
     Every generator of the minimal face containing ``u`` (the positive
     coordinates) is replaced in turn by ``u``; if ``u`` already is a
     generator the cone is returned unchanged.  Raises :class:`MeasureError`
     when ``u`` is not in ``c``: callers only pass cones that contain it.
+
+    A full-dimensional piece is built from the parent's kernel, with no
+    elimination.  Let ``D = det`` and ``n = C . u``, so ``C_j . g_k = D``
+    when ``j = k`` and 0 otherwise.  The piece replacing ``g_i`` by ``u`` has
+    determinant ``n_i``; its row for ``u`` is ``C_i`` and its row for
+    ``j != i`` is ``(n_i C_j - n_j C_i) / D``.  Each satisfies the defining
+    equations of the piece's row, which determine it, so the division is
+    exact and equals what the constructor computes.  The constructor's
+    checks hold by construction: ``u`` is primitive (callers check it once
+    per ray), the other generators are the parent's, and ``n_i > 0`` makes
+    them independent.
     """
     nd = c.numerators(u)
     if nd is None or any(x < 0 for x in nd[0]):
@@ -227,35 +279,106 @@ def _subdivide_cone(c: Cone, u: IntegerVector) -> tuple[Cone, ...]:
     slots = [i for i, x in enumerate(nums) if x > 0]
     if len(slots) == 1 and nums[slots[0]] == den:
         return (c,)
+    if c.cofactors is None:
+        pieces = []
+        for i in slots:
+            gens = list(c.generators)
+            gens[i] = u
+            pieces.append(Cone(c.rank, gens))
+        return tuple(pieces)
+    rows = c.cofactors
     pieces = []
     for i in slots:
+        ni, ci = nums[i], rows[i]
         gens = list(c.generators)
         gens[i] = u
-        pieces.append(Cone(c.rank, gens))
+        new_rows = [
+            ci if j == i else tuple((ni * a - nj * b) // den for a, b in zip(rows[j], ci))
+            for j, nj in enumerate(nums)
+        ]
+        perm = sorted(range(c.rank), key=lambda j: gens[j].entries)
+        pieces.append(
+            Cone._from_parts(
+                c.rank,
+                tuple(gens[j] for j in perm),
+                ni,
+                tuple(new_rows[j] for j in perm),
+            )
+        )
     return tuple(pieces)
 
 
-def star_subdivide(f: Fan, u: IntegerVector) -> Fan:
-    """Star subdivision of ``f`` at the primitive lattice point ``u``.
+def _face_star(
+    index: dict[IntegerVector, set[Cone]], hint: Cone, u: IntegerVector
+) -> set[Cone]:
+    """The cones having as a face the minimal face of ``hint`` containing
+    ``u``, which ``hint`` must contain; empty when that face is not a cone
+    of the indexed fan."""
+    nums, _ = hint.numerators(u)
+    stars = [index.get(g) for g, x in zip(hint.generators, nums) if x > 0]
+    if not all(stars):
+        return set()
+    stars.sort(key=len)
+    return stars[0].intersection(*stars[1:])
 
-    Cones not containing ``u`` are untouched; every cone containing ``u``
+
+def star_subdivide(
+    f: Fan, *rays: IntegerVector, hints: Sequence[Optional[Cone]] = ()
+) -> Fan:
+    """Star subdivision of ``f`` at the primitive lattice points ``rays``,
+    applied in order.
+
+    Cones not containing a ray are untouched; every cone containing it
     (necessarily in the relative interior of one of its faces) is replaced
-    by its star subdivision.  Raises :class:`SupportError` when ``u`` lies
-    outside the support of ``f``.
+    by its star subdivision.  Raises :class:`SupportError` when a ray lies
+    outside the support of the fan as subdivided by the rays before it.
+
+    Locality.  A dict from each ray of the fan to the cones it generates is
+    kept up to date as the rays are applied, and one :class:`Fan` is built
+    at the end.  ``hints[k]``, when given, is a cone believed to contain
+    ``rays[k]``; it need not be a cone of the fan.  If it does contain the
+    ray, the generators of positive weight span the minimal face ``F`` of
+    the hint containing it, the ray lies in the relative interior of ``F``,
+    and the cones subdivided are those having every generator of ``F``,
+    found by intersecting their index sets.  This is sound for a fan: a
+    simplicial cone having every generator of ``F`` has ``F`` as a face, so
+    then ``F`` is a cone of the fan with the ray in its relative interior;
+    each point of a fan lies in the relative interior of exactly one of its
+    cones, so the cones containing the ray are exactly those having ``F`` as
+    a face.  When the intersection is empty (``F`` was split by an earlier
+    ray) or the hint does not contain the ray, every cone is scanned and
+    each one containing the ray is subdivided.  A wrong, missing or hostile
+    hint therefore costs only the scan, and without hints the result is the
+    one-ray-at-a-time subdivision of any cone collection, fan or not.
     """
-    if not is_primitive(u):
-        raise DegenerateInputError(f"subdivision ray {u} must be primitive")
-    new_cones: list[Cone] = []
-    touched = False
-    for c in f.cones:
-        if c.contains(u):
-            touched = True
-            new_cones.extend(_subdivide_cone(c, u))
-        else:
-            new_cones.append(c)
-    if not touched:
-        raise SupportError(f"{u} lies outside the support of the fan")
-    return Fan(f.rank, new_cones)
+    cones = set(f.cones)
+    index: dict[IntegerVector, set[Cone]] = {}
+    for c in cones:
+        for g in c.generators:
+            index.setdefault(g, set()).add(c)
+    for k, u in enumerate(rays):
+        if not is_primitive(u):
+            raise DegenerateInputError(f"subdivision ray {u} must be primitive")
+        hint = hints[k] if k < len(hints) else None
+        star: Iterable[Cone] = ()
+        if hint is not None and hint.rank == u.rank and hint.contains(u):
+            star = _face_star(index, hint, u)
+        if not star:
+            star = [c for c in cones if c.contains(u)]
+            if not star:
+                raise SupportError(f"{u} lies outside the support of the fan")
+        for c in star:
+            pieces = _subdivide_cone(c, u)
+            if pieces[0] is c:
+                continue
+            cones.remove(c)
+            for g in c.generators:
+                index[g].discard(c)
+            for piece in pieces:
+                cones.add(piece)
+                for g in piece.generators:
+                    index.setdefault(g, set()).add(piece)
+    return Fan(f.rank, cones)
 
 
 def _fm_feasible(num_vars: int, constraints: list[tuple[tuple[int, ...], int]]) -> bool:

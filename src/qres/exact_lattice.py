@@ -35,6 +35,11 @@ class IntegerVector:
         if not ent:
             raise DimensionError("a lattice vector needs at least one entry")
         object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "_hash", hash((ent,)))
+
+    def __hash__(self) -> int:
+        # computed once: vectors are hashed on every set insert and cache lookup
+        return self._hash
 
     @property
     def rank(self) -> int:

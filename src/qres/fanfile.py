@@ -250,11 +250,17 @@ def emit_trace(trace: ResolutionTrace) -> str:
 
 @dataclass(frozen=True)
 class TraceDocument:
-    """Replayable view of a trace file (digest, ray groups, final state)."""
+    """Replayable view of a trace file (digest, ray groups, final state).
+
+    ``hint_groups`` holds, for each added ray, the first recorded center
+    cone whose ray it is (``None`` when no center names it); replay checks
+    each hint before using it, so they only save it a scan.
+    """
 
     input_digest: str
     ray_groups: tuple[tuple[IntegerVector, ...], ...]
     final: MarkedFan
+    hint_groups: tuple[tuple[Optional[Cone], ...], ...] = ()
 
 
 def parse_trace(text: str) -> TraceDocument:
@@ -297,11 +303,15 @@ def parse_trace(text: str) -> TraceDocument:
     rank = _parse_int(header.get("rank"), header_line, "rank")
     characteristic = _parse_int(header.get("characteristic", "0"), header_line, "characteristic")
     groups = []
+    hint_groups = []
     for lineno, obj in sorted(steps, key=lambda t: _parse_int(t[1].get("index", "0"), t[0], "step index")):
         added = obj.get("added")
         if not isinstance(added, list):
             raise FanParseError("step record needs an 'added' list", lineno)
-        groups.append(tuple(_parse_vector(v, lineno, "added ray") for v in added))
+        group = tuple(_parse_vector(v, lineno, "added ray") for v in added)
+        cone_of = _parse_center_cones(obj.get("centers"), rank, lineno)
+        groups.append(group)
+        hint_groups.append(tuple(cone_of.get(u) for u in group))
     lineno, obj = final_record
     cones_payload = obj.get("cones")
     if not isinstance(cones_payload, list) or not cones_payload:
@@ -321,4 +331,25 @@ def parse_trace(text: str) -> TraceDocument:
         final = MarkedFan(Fan(rank, cones), marked, characteristic)
     except (PreconditionError, QresError) as exc:
         raise FanParseError(str(exc), lineno)
-    return TraceDocument(digest, tuple(groups), final)
+    return TraceDocument(digest, tuple(groups), final, tuple(hint_groups))
+
+
+def _parse_center_cones(centers: Any, rank: int, lineno: int) -> dict[IntegerVector, Cone]:
+    """Each center ray of a step record with the first center cone naming it."""
+    if not isinstance(centers, list):
+        raise FanParseError("step record needs a 'centers' list", lineno)
+    out: dict[IntegerVector, Cone] = {}
+    for center in centers:
+        if not isinstance(center, dict):
+            raise FanParseError("step center must be a JSON object", lineno)
+        ray = _parse_vector(center.get("ray"), lineno, "center ray")
+        payload = center.get("cone")
+        if not isinstance(payload, list):
+            raise FanParseError("step center needs a 'cone' list of rays", lineno)
+        gens = [_parse_vector(v, lineno, "center cone ray") for v in payload]
+        try:
+            cone = Cone(rank, gens)
+        except QresError as exc:
+            raise FanParseError(f"invalid center cone: {exc}", lineno)
+        out.setdefault(ray, cone)
+    return out

@@ -297,6 +297,34 @@ def pseudoreflections(q: CyclicQuotientType) -> tuple[int, ...]:
     )
 
 
+def _pseudoreflection_gcd(q: CyclicQuotientType) -> int:
+    """``gcd(l, k)`` over the pseudoreflections ``k``, or ``l`` if none.
+
+    ``k * c_j = 0 (mod l)`` iff ``e_j = l / gcd(l, c_j)`` divides ``k``, so
+    ``k`` fixes all but coordinate ``i`` iff ``m_i = lcm_{j != i} e_j``
+    divides ``k`` and ``e_i`` does not.  Such ``k`` exist iff ``e_i`` does
+    not divide ``m_i``, and then ``m_i`` itself is one (it is below ``l``,
+    the lcm of all ``e_j``) and divides the others, so their gcd is the
+    gcd of those ``m_i``.  :func:`pseudoreflections` is the scan this
+    replaces.
+    """
+    l = q.order
+    exps = [l // math.gcd(l, c) for c in q.characters]
+    n = len(exps)
+    # prefix and suffix lcms give every m_i in O(n)
+    before, after = [1] * (n + 1), [1] * (n + 1)
+    for i, e in enumerate(exps):
+        before[i + 1] = math.lcm(before[i], e)
+    for i in range(n - 1, -1, -1):
+        after[i] = math.lcm(after[i + 1], exps[i])
+    d = l
+    for i, e in enumerate(exps):
+        m = math.lcm(before[i], after[i + 1])
+        if m % e:
+            d = math.gcd(d, m)
+    return d
+
+
 def pseudoreflection_reduce(q: CyclicQuotientType) -> CyclicQuotientType:
     """Quotient by the subgroup generated by all pseudoreflections.
 
@@ -306,10 +334,9 @@ def pseudoreflection_reduce(q: CyclicQuotientType) -> CyclicQuotientType:
     idempotent.
     """
     l = q.order
-    refl = pseudoreflections(q)
-    if not refl:
+    d = _pseudoreflection_gcd(q)
+    if d == l:
         return q
-    d = math.gcd(l, *refl)
     sub_order = l // d
     exps = [l // math.gcd(l, d * c) for c in q.characters]
     prod = 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .cones_fans import Cone, Fan, _subdivide_cone, multiplicity, star_subdivide
@@ -49,11 +49,18 @@ _STEP_BUDGET = 100_000
 
 @dataclass(frozen=True)
 class MarkedFan:
-    """Fan with ordered marked divisor rays and a base characteristic."""
+    """Fan with ordered marked divisor rays and a base characteristic.
+
+    ``marked_position`` maps each marked ray to its last position in the
+    marking, its creation index.
+    """
 
     fan: Fan
     marked_rays: tuple[IntegerVector, ...]
     characteristic: int
+    marked_position: dict[IntegerVector, int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(
         self,
@@ -70,6 +77,9 @@ class MarkedFan:
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "marked_rays", marked)
         object.__setattr__(self, "characteristic", int(characteristic))
+        object.__setattr__(
+            self, "marked_position", {ray: i for i, ray in enumerate(marked)}
+        )
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,15 @@ class ResolutionTrace:
         return tuple(step.added_rays for step in self.steps)
 
     @property
+    def hint_groups(self) -> tuple[tuple[Cone, ...], ...]:
+        """For each added ray, the first center cone it was computed in."""
+        groups = []
+        for step in self.steps:
+            cone_of = _center_cones(step.centers)
+            groups.append(tuple(cone_of[u] for u in step.added_rays))
+        return tuple(groups)
+
+    @property
     def all_smooth(self) -> bool:
         return all(multiplicity(c) == 1 for c in self.final.fan.cones)
 
@@ -173,16 +192,19 @@ def _center_for(m: MarkedFan, cone: Cone) -> Center:
     if order == 1:
         raise PreconditionError(f"{cone} is already smooth")
     gens = cone.generators
-    unit_marked = []
-    for idx, ray in enumerate(m.marked_rays):
-        if ray in gens and math.gcd(chars[gens.index(ray)], order) == 1:
-            unit_marked.append((idx, ray))
+    position = m.marked_position
+    unit_marked = [
+        (position[ray], k)
+        for k, ray in enumerate(gens)
+        if ray in position and math.gcd(chars[k], order) == 1
+    ]
     if not unit_marked:
         raise NoFaithfulDivisorError(
             f"no marked ray of {cone} (order {order}) carries a unit character"
         )
-    divisor_index, divisor_ray = max(unit_marked, key=lambda t: t[0])
-    weights = unit_weights(order, chars, gens.index(divisor_ray))
+    divisor_index, k = max(unit_marked)
+    divisor_ray = gens[k]
+    weights = unit_weights(order, chars, k)
     num = [0] * cone.rank
     for w, g in zip(weights, gens):
         for j in range(cone.rank):
@@ -223,6 +245,15 @@ def _local_charts(center: Center, characteristic: int) -> tuple[ChartRecord, ...
     return tuple(records)
 
 
+def _center_cones(centers: Iterable[Center]) -> dict[IntegerVector, Cone]:
+    """Each center ray with the first center cone it was computed in, the
+    hint :func:`~qres.cones_fans.star_subdivide` takes for that ray."""
+    out: dict[IntegerVector, Cone] = {}
+    for center in centers:
+        out.setdefault(center.ray, center.cone)
+    return out
+
+
 def _targets(m: MarkedFan, order: int) -> list[Cone]:
     """Cones of multiplicity ``order``, in sorted order."""
     return [c for c in m.fan.sorted_cones() if multiplicity(c) == order]
@@ -241,10 +272,9 @@ def _apply_step(
     """
     top = nt_before[0] if phase == PHASE_NON_TAME else inv_before[0]
     centers = tuple(_center_for(m, c) for c in _targets(m, top))
-    added = tuple(sorted({c.ray for c in centers}, key=lambda v: v.entries))
-    fan = m.fan
-    for u in added:
-        fan = star_subdivide(fan, u)
+    cone_of = _center_cones(centers)
+    added = tuple(sorted(cone_of, key=lambda v: v.entries))
+    fan = star_subdivide(m.fan, *added, hints=[cone_of[u] for u in added])
     new_m = MarkedFan(fan, m.marked_rays + added, m.characteristic)
     charts = tuple(_local_charts(center, m.characteristic) for center in centers)
     record = StepRecord(
@@ -322,16 +352,22 @@ def resolve(m: MarkedFan) -> ResolutionTrace:
 def replay(m: MarkedFan, trace) -> Fan:
     """Re-apply the recorded subdivisions; exact agreement is enforced.
 
-    Accepts anything exposing ``input_digest``, ``ray_groups`` and
-    ``final`` the way :class:`ResolutionTrace` does.
+    Accepts anything exposing ``input_digest``, ``ray_groups``,
+    ``hint_groups`` and ``final`` the way :class:`ResolutionTrace` does.
+    Each ray group is one :func:`~qres.cones_fans.star_subdivide` call, with
+    the group's hint cones (the recorded center cones) when there are any.
+    The hints only choose where to look: a hint is used only after checking
+    that it contains its ray, and a missing, misplaced or stale one costs a
+    scan of the fan, so the replayed fan never depends on them.
     """
     if fan_digest(m) != trace.input_digest:
         raise ReplayError("trace was produced from a different input")
     fan = m.fan
+    hint_groups = trace.hint_groups
     try:
-        for group in trace.ray_groups:
-            for u in group:
-                fan = star_subdivide(fan, u)
+        for k, group in enumerate(trace.ray_groups):
+            hints = hint_groups[k] if k < len(hint_groups) else ()
+            fan = star_subdivide(fan, *group, hints=hints)
     except (SupportError, DegenerateInputError) as exc:
         raise ReplayError(f"recorded ray cannot be applied: {exc}") from exc
     if fan != trace.final.fan:

@@ -1,13 +1,16 @@
 """The integer cone kernel against the rational reference it replaced.
 
 Full-dimensional cones answer ``contains``, ``coordinates``, ``multiplicity``
-and star subdivision from one cached determinant and cofactor matrix, and
-settle most pairs of the fan check with one cofactor row; these tests compare
-every answer with ``span_coordinates`` elimination, the Smith normal form,
-the all-pairs maximality rule and the ``Fraction`` Fourier-Motzkin fan check
-written out below.
+and star subdivision from one cached determinant and cofactor matrix, build
+the pieces of a subdivision from the parent's rows, and settle most pairs of
+the fan check with one cofactor row; these tests compare every answer with
+``span_coordinates`` elimination, the constructor's own elimination, the
+Smith normal form, the all-pairs maximality rule, the one-ray-at-a-time
+reference subdivision and the ``Fraction`` Fourier-Motzkin fan check written
+out below.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -200,6 +203,53 @@ class TestSubdivideCone:
         c = Cone(2, [(1, 0), (-1, 3)])
         assert _subdivide_cone(c, IntegerVector((-1, 3))) == (c,)
 
+    def test_pieces_from_parent_rows_equal_the_constructor(self):
+        seen = set()
+
+        @given(cone_and_ray())
+        @settings(max_examples=200, deadline=None)
+        def check(data):
+            c, u, support = data
+            pieces = _subdivide_cone(c, u)
+            if len(support) == 1:
+                assert pieces == (c,)
+                return
+            expected = []
+            for i in support:
+                gens = list(c.generators)
+                gens[i] = u
+                expected.append(Cone(c.rank, gens))
+            assert len(pieces) == len(expected)
+            for got, want in zip(pieces, expected):
+                assert got.generators == want.generators
+                assert got.det == want.det
+                assert got.cofactors == want.cofactors
+                assert got == want and hash(got) == hash(want)
+            seen.add((len(support) == c.rank, determinant(IntegerMatrix(c.generators)) > 0))
+
+        check()
+        # interior rays and rays on proper faces, under both determinant signs
+        assert seen == {(a, b) for a in (True, False) for b in (True, False)}
+
+    def test_lower_dimensional_pieces_use_the_constructor(self):
+        c = Cone(3, [(1, 0, 0), (-1, 2, 0)])
+        pieces = _subdivide_cone(c, IntegerVector((0, 1, 0)))
+        assert set(pieces) == {Cone(3, [(0, 1, 0), (-1, 2, 0)]), Cone(3, [(1, 0, 0), (0, 1, 0)])}
+        assert all(p.det is None for p in pieces)
+
+
+@st.composite
+def cone_and_ray(draw):
+    """A full cone of rank 2-4, a primitive ray in the relative interior of a
+    drawn face (the whole cone or a proper face), and that face's generator
+    positions."""
+    c = draw(full_cones())
+    n = c.rank
+    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    coeffs = [draw(st.integers(1, 5)) if i in support else 0 for i in range(n)]
+    v = [sum(k * g.entries[j] for k, g in zip(coeffs, c.generators)) for j in range(n)]
+    return c, primitive(IntegerVector(v)), support
+
 
 @st.composite
 def mixed_cone_lists(draw):
@@ -229,10 +279,26 @@ class TestFanMaximality:
 
 
 @st.composite
+def subdivided_fans(draw):
+    """A valid fan: one full cone star-subdivided by the reference at up to
+    three rays inside it."""
+    c = draw(full_cones())
+    n = c.rank
+    cones = frozenset([c])
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        v = [sum(k * g.entries[i] for k, g in zip(coeffs, c.generators)) for i in range(n)]
+        cones = reference_star(cones, primitive(IntegerVector(v)))
+    return n, list(cones)
+
+
+@st.composite
 def fan_and_rays(draw):
-    """A fan (full cones plus stray lower cones) and rays inside its cones."""
-    n, cones = draw(mixed_cone_lists())
-    rays = []
+    """A cone collection and rays inside its cones, each with the cone it was
+    drawn in.  The collection is either full cones plus stray lower cones,
+    which may overlap, or a valid fan from :func:`subdivided_fans`."""
+    n, cones = draw(st.one_of(mixed_cone_lists(), subdivided_fans()))
+    rays, sources = [], []
     for _ in range(draw(st.integers(1, 4))):
         c = draw(st.sampled_from(sorted(cones, key=Cone.sort_key)))
         coeffs = draw(
@@ -240,22 +306,50 @@ def fan_and_rays(draw):
         )
         v = [sum(k * g.entries[i] for k, g in zip(coeffs, c.generators)) for i in range(n)]
         rays.append(primitive(IntegerVector(v)))
-    return n, cones, rays
+        sources.append(c)
+    return n, cones, rays, sources
 
 
 class TestStarSubdivide:
     @given(fan_and_rays())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=160, deadline=None)
     def test_matches_reference_subdivision(self, data):
-        n, cones, rays = data
+        n, cones, rays, sources = data
         fan = Fan(n, cones)
         expected = fan.cones
-        for u in rays:
+        applied, hints = [], []
+        for u, source in zip(rays, sources):
             if not any(reference_contains(c, u) for c in expected):
                 continue  # the ray left the support after an earlier step
             fan = star_subdivide(fan, u)
             expected = reference_star(expected, u)
             assert fan.cones == expected
+            applied.append(u)
+            hints.append(source)
+        # the same rays in one call, without hints and, on a valid fan, with
+        # each ray's source cone (which may be stale by then) as its hint
+        start = Fan(n, cones)
+        assert star_subdivide(start, *applied).cones == expected
+        if validate_fan(start):
+            assert star_subdivide(start, *applied, hints=hints).cones == expected
+
+    def test_hinted_batch_takes_the_local_path(self, monkeypatch):
+        c = Cone(3, [(1, 0, 0), (0, 1, 0), (-1, -5, 31)])
+        # e1 + e2 and e2 + w lie on faces of c; e1 + e2 + w inside it, whose
+        # minimal face (c itself) the first ray has split by then
+        rays = [IntegerVector(v) for v in [(1, 1, 0), (-1, -4, 31), (0, -4, 31)]]
+        found = []
+        real = cones_fans._face_star
+
+        def recording(index, hint, u):
+            out = real(index, hint, u)
+            found.append(len(out))
+            return out
+
+        monkeypatch.setattr(cones_fans, "_face_star", recording)
+        out = star_subdivide(Fan(3, [c]), *rays, hints=[c, c, c])
+        assert out.cones == functools.reduce(reference_star, rays, frozenset([c]))
+        assert found == [1, 1, 0]
 
     def test_iterated_subdivision_of_a_rank3_cone(self):
         c = Cone(3, [(1, 0, 0), (0, 1, 0), (-1, -5, 31)])

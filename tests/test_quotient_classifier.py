@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,6 +15,7 @@ from qres.quotient_classifier import (
     _canonical_characters,
     _is_prime,
     _prime_factors,
+    _pseudoreflection_gcd,
     _snf_characters,
     cone_characters,
     cone_descriptor,
@@ -279,6 +281,50 @@ class TestPseudoreflections:
         assert reduced.order <= q.order
         assert pseudoreflection_reduce(reduced) == reduced
         assert not pseudoreflections(reduced)
+
+
+def scan_reduce(q):
+    """The reduction with ``d`` taken from the scan over all group elements."""
+    refl = pseudoreflections(q)
+    if not refl:
+        return q
+    l = q.order
+    d = math.gcd(l, *refl)
+    exps = [l // math.gcd(l, d * c) for c in q.characters]
+    return Q(d, *[(c * e) % l // (l // d) for c, e in zip(q.characters, exps)])
+
+
+class TestPseudoreflectionFormula:
+    def test_gcd_matches_the_scan_on_every_gcd_pattern(self):
+        # the pseudoreflections of 1/l(c) depend on c only through the gcds
+        # g_i = gcd(l, c_i), so one type per pattern checks d for every type
+        # of order below 200 and rank at most 3; the reduced type, which
+        # also depends on the units, on the representatives and at random
+        patterns = 0
+        for l in range(1, 200):
+            divisors = [g for g in range(1, l + 1) if l % g == 0]
+            for r in (1, 2, 3):
+                for gcds in itertools.combinations_with_replacement(divisors, r):
+                    if math.gcd(l, *gcds) != 1:
+                        continue
+                    q = Q(l, *gcds)
+                    refl = pseudoreflections(q)
+                    assert _pseudoreflection_gcd(q) == (math.gcd(l, *refl) if refl else l)
+                    assert pseudoreflection_reduce(q) == scan_reduce(q)
+                    patterns += 1
+        assert patterns > 9000
+
+    @given(
+        st.integers(1, 199).flatmap(
+            lambda l: st.lists(st.integers(0, l - 1), min_size=1, max_size=3)
+            .filter(lambda chars: math.gcd(l, *chars) == 1)
+            .map(lambda chars: (l, tuple(chars)))
+        )
+    )
+    @settings(max_examples=300)
+    def test_reduced_type_matches_the_scan(self, lt):
+        l, chars = lt
+        assert pseudoreflection_reduce(Q(l, *chars)) == scan_reduce(Q(l, *chars))
 
 
 class TestFaithfulRays:

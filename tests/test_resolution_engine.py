@@ -2,24 +2,35 @@
 
 Covers the paper's main claim on a few ladder types in characteristic 0, 2,
 3 and 5, the chart orders of every step, one evaluation of the measure per
-fan state, the fan and trace round trips, independence of the trace bytes
-from the hash seed, and the command-line checks that must survive
-``python -O``.
+fan state, the fan and trace round trips, replay with missing, wrong and
+stale hints, a pinned trace and a bound on the containment tests of a larger
+type, functoriality under lattice automorphisms and permutations of the
+characters, independence of the trace bytes from the hash seed, and the
+command-line checks that must survive ``python -O``.
 """
 
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qres import cli, fanfile, quotient_classifier, resolution_engine
-from qres.cones_fans import multiplicity, validate_fan
+from qres.cones_fans import Cone, Fan, multiplicity, star_subdivide, validate_fan
+from qres.errors import FanParseError, ReplayError
+from qres.exact_lattice import IntegerVector
+from qres.fanfile import TraceDocument
 from qres.hj_oracle import hj_cone_rays, hj_rays
 from qres.resolution_engine import (
     PHASE_NON_TAME,
+    MarkedFan,
+    fan_digest,
     marked_fan_from_characters,
     replay,
     resolve,
@@ -134,6 +145,171 @@ def test_trace_round_trips(case):
     assert doc.final == trace.final
     assert replay(m, doc) == trace.final.fan
     assert '"measure_decreasing":true' in text
+
+
+def _document(trace, ray_groups=None, hint_groups=None):
+    return TraceDocument(
+        trace.input_digest,
+        trace.ray_groups if ray_groups is None else ray_groups,
+        trace.final,
+        trace.hint_groups if hint_groups is None else hint_groups,
+    )
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_replay_does_not_depend_on_hints(case):
+    m, trace = traced(case)
+    doc = fanfile.parse_trace(fanfile.emit_trace(trace))
+    assert doc.hint_groups == trace.hint_groups
+    assert all(h is not None for group in doc.hint_groups for h in group)
+    # no hints at all, and every hint replaced by a cone not containing its ray
+    outside = Cone(m.fan.rank, [-g for g in next(iter(m.fan.cones)).generators])
+    wrong = tuple(tuple(outside for _ in group) for group in trace.ray_groups)
+    assert not any(outside.contains(u) for u in trace.exceptional_rays)
+    for hints in ((), wrong):
+        assert replay(m, _document(trace, hint_groups=hints)) == trace.final.fan
+
+
+@pytest.mark.parametrize(
+    "centers",
+    [
+        None,
+        "x",
+        ["x"],
+        [{"cone": [["1", "0", "0"]]}],
+        [{"ray": ["1", "1", "1"]}],
+        [{"ray": ["1", "1", "1"], "cone": [["1", "0", "0"], ["2", "0", "0"]]}],
+        [{"ray": ["1", "1", "1"], "cone": [["1", "0"]]}],
+        [{"ray": ["1", "y", "1"], "cone": [["1", "0", "0"]]}],
+    ],
+)
+def test_malformed_center_is_a_parse_error(centers):
+    _, trace = traced(CASES[0])
+    lines = fanfile.emit_trace(trace).splitlines()
+    step = json.loads(lines[1])
+    if centers is None:
+        del step["centers"]
+    else:
+        step["centers"] = centers
+    lines[1] = json.dumps(step)
+    with pytest.raises(FanParseError):
+        fanfile.parse_trace("\n".join(lines))
+
+
+def test_replay_falls_back_when_a_hint_face_was_split_in_the_group():
+    m = marked_fan_from_characters(31, (1, 5, 11))
+    (sigma,) = m.fan.cones
+    e1, e2, w = sigma.generators
+    # e1 + e2 splits the face of e1, e2 and w that the next ray lies inside
+    group = (e1 + e2, e1 + e2 + w)
+    assert all(sigma.contains(u) for u in group)
+    final = m.fan
+    for u in group:
+        final = star_subdivide(final, u)
+    doc = TraceDocument(
+        fan_digest(m), (group,), MarkedFan(final, m.marked_rays), ((sigma, sigma),)
+    )
+    assert replay(m, doc) == final
+
+
+def test_replay_rejects_a_ray_outside_the_support_despite_a_hint():
+    m, trace = traced(CASES[0])
+    outside = -trace.exceptional_rays[0]
+    groups = ((outside,) + trace.ray_groups[0],) + trace.ray_groups[1:]
+    hints = ((trace.hint_groups[0][0],) + trace.hint_groups[0],) + trace.hint_groups[1:]
+    with pytest.raises(ReplayError, match="cannot be applied"):
+        replay(m, _document(trace, groups, hints))
+
+
+def test_replay_rejects_a_group_with_a_ray_dropped():
+    m, trace = traced(CASES[0])
+    k = next(i for i, g in enumerate(trace.ray_groups) if len(g) > 1)
+    for hints in (trace.hint_groups, ()):
+        groups = list(trace.ray_groups)
+        groups[k] = groups[k][1:]
+        with pytest.raises(ReplayError):
+            replay(m, _document(trace, tuple(groups), hints))
+
+
+PINNED_TRACE_SHA256 = "69382e548bce858accc1476909e55b6a498c087527a30c84338d9c2ee1591dbf"
+
+
+def test_larger_type_is_pinned_and_tests_few_cones(monkeypatch):
+    # one blow-up step touches only the star of its centers: the scan over
+    # every cone for every ray made 310,249 contains calls on this type
+    calls = []
+    for name in ("contains", "numerators"):
+        real = getattr(Cone, name)
+        monkeypatch.setattr(
+            Cone, name, lambda self, v, real=real: calls.append(1) or real(self, v)
+        )
+    trace = resolve(marked_fan_from_characters(211, (1, 37, 101)))
+    assert len(calls) <= 5000
+    assert (len(trace.steps), len(trace.final.fan.cones)) == (56, 1115)
+    text = fanfile.emit_trace(trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TRACE_SHA256
+
+
+@st.composite
+def quotient_types(draw, max_order=(60, 24, 12)):
+    """Type ``1/l(c)`` of rank 2-4 whose last character is a unit, with a
+    characteristic in 0, 2, 3, 5."""
+    n = draw(st.integers(2, 4))
+    order = draw(st.integers(2, max_order[n - 2]))
+    chars = draw(st.lists(st.integers(0, order - 1), min_size=n - 1, max_size=n - 1))
+    last = draw(st.integers(1, order - 1).filter(lambda c: math.gcd(c, order) == 1))
+    return order, tuple(chars) + (last,), draw(st.sampled_from([0, 2, 3, 5]))
+
+
+@st.composite
+def unimodular_matrices(draw, n):
+    """A product of elementary operations and a row permutation."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        k = draw(st.sampled_from([-2, -1, 1, 2]))
+        g[dst] = [a + k * b for a, b in zip(g[dst], g[src])]
+    return [g[i] for i in draw(st.permutations(range(n)))]
+
+
+def _map(g, v):
+    return IntegerVector(sum(a * x for a, x in zip(row, v.entries)) for row in g)
+
+
+def _map_fan(g, fan):
+    return Fan(fan.rank, [Cone(fan.rank, [_map(g, v) for v in c.generators]) for c in fan.cones])
+
+
+def _assert_equivariant(g, trace, moved):
+    assert moved.final.fan == _map_fan(g, trace.final.fan)
+    assert len(moved.steps) == len(trace.steps)
+    for a, b in zip(trace.steps, moved.steps):
+        assert (a.phase, a.invariant_after, a.nontame_after) == (
+            b.phase, b.invariant_after, b.nontame_after
+        )
+        assert {_map(g, u) for u in a.added_rays} == set(b.added_rays)
+
+
+@given(quotient_types(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_resolution_commutes_with_lattice_automorphisms(case, data):
+    order, chars, p = case
+    m = marked_fan_from_characters(order, chars, p)
+    g = data.draw(unimodular_matrices(m.fan.rank))
+    gm = MarkedFan(_map_fan(g, m.fan), [_map(g, r) for r in m.marked_rays], p)
+    _assert_equivariant(g, resolve(m), resolve(gm))
+
+
+@given(quotient_types(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_resolution_commutes_with_permuting_non_divisor_characters(case, data):
+    order, chars, p = case
+    n = len(chars)
+    perm = data.draw(st.permutations(range(n - 1))) + [n - 1]
+    moved = marked_fan_from_characters(order, [chars[i] for i in perm], p)
+    # coordinate perm[i] of the original lands on coordinate i
+    g = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    _assert_equivariant(g, resolve(marked_fan_from_characters(order, chars, p)), resolve(moved))
 
 
 @pytest.mark.parametrize("case", RANK2, ids=case_id)
