@@ -5,17 +5,17 @@ canonical (lexicographic) order, so equal cones compare equal and fans can
 be compared as sets.  Star subdivision and the shared-face fan check are
 exact; no floating point is used anywhere.
 
-Kernel.  A full-dimensional cone computes, once in its constructor, the
-absolute determinant ``det`` of its generator matrix ``G`` and the rows
-``C_j`` of ``sign(det G)`` times the cofactor matrix of ``G`` (one
-fraction-free elimination, :func:`~qres.exact_lattice.adjugate`).  By
-Cramer's rule the coordinates of ``v`` in the generators are
-``C_j . v / det``, so containment is ``n`` sign tests of integer dot
-products, the multiplicity is ``det`` and star subdivision reads the integer
-numerators ``C_j . v`` directly.  Lower-dimensional cones, which only come
-from parsed fan files and :func:`faces`, have no cofactor matrix; they keep
-the rational elimination of :func:`~qres.exact_lattice.span_coordinates` and
-the Smith normal form for their multiplicity.
+Kernel.  Every cone computes once in its constructor, by one fraction-free
+elimination (:func:`~qres.exact_lattice.adjugate`) of its ``k x n``
+generator matrix ``G``, its first column basis ``P``, ``det = |det G_P|``
+and ``k`` cofactor rows ``C_j``: ``sign(det G_P)`` times the columns of
+``adj(G_P)``, zero off ``P``, so ``C_j . g_l`` is ``det`` if ``j = l`` and
+0 otherwise.  By Cramer's rule on ``P`` a vector ``v`` of the span has
+coordinates ``C_j . v / det``, and ``v`` is in the span exactly when
+``sum_j (C_j . v) g_j = det v``, which only a lower-dimensional cone can
+miss.  Containment is sign tests of integer dot products and star
+subdivision reads the numerators ``C_j . v``.  For a full-dimensional cone
+``P`` is every coordinate and ``det`` the multiplicity.
 
 Star subdivision.  :func:`star_subdivide` applies a batch of rays over one
 dict from each ray of the fan to the cones it generates and builds one
@@ -24,20 +24,20 @@ of exactly one of its cones, so the cones containing a ray are exactly those
 having that cone as a face: given a hint cone that is checked to contain the
 ray, the generators of positive weight name that face, and intersecting
 their index sets finds its star without testing any other cone.  Without a
-usable hint every cone is scanned.  The pieces of a full-dimensional cone
-take their determinant and cofactor rows from the parent's by one exact
-rank-one update each (see :func:`_subdivide_cone`), so a subdivision runs no
-elimination; cones hash once, in their constructor.
+usable hint every cone is scanned.  The pieces of a cone take their
+``det`` and cofactor rows from the parent's by one exact rank-one update
+each (see :func:`_subdivide_cone`), so a subdivision runs no elimination;
+cones hash once, in their constructor.
 
 Fan check.  :func:`validate_fan` asks of every pair of cones whether they
-meet in the face they share.  A cofactor row ``C_j`` of a full-dimensional
-cone at a generator the other cone lacks vanishes on the shared rays and is
+meet in the face they share.  A cofactor row ``C_j`` of a cone at a
+generator the other cone lacks vanishes on the shared rays and is
 nonnegative on its own cone; when it is strictly negative on every ray only
 the other cone has, no point of the other cone outside the shared face lies
 in this one, so the pair is settled by one row (a facet certificate).  Only
-pairs that no single row of either cone settles, and pairs of two
-lower-dimensional cones, go to the exact integer Fourier-Motzkin
-elimination, which decides whether a separating functional exists.
+pairs that no single row of either cone settles go to the exact integer
+Fourier-Motzkin elimination, which decides whether a separating functional
+exists.
 """
 
 from __future__ import annotations
@@ -55,9 +55,7 @@ from .exact_lattice import (
     IntegerVector,
     adjugate,
     is_primitive,
-    matrix_rank,
     smith_normal_form,
-    span_coordinates,
 )
 
 
@@ -65,18 +63,18 @@ from .exact_lattice import (
 class Cone:
     """Simplicial cone spanned by primitive, independent lattice vectors.
 
-    The zero cone of a given ambient rank has an empty generator tuple.
-    For a full-dimensional cone ``det`` is ``|det G|`` of the generator
-    matrix and ``cofactors[j] . v / det`` is the ``j``-th coordinate of
-    ``v``; both are ``None`` for lower-dimensional cones.
+    ``det`` is ``|det G_P|`` on the first column basis ``P`` of the
+    generator matrix and ``cofactors[j] . v / det`` is the ``j``-th
+    coordinate of any ``v`` in the span of the generators (see the module
+    docstring).  Below full dimension ``det`` is one maximal minor, a
+    multiple of the multiplicity.  The zero cone of a given ambient rank has
+    an empty generator tuple, ``det`` 1 and no cofactor rows.
     """
 
     rank: int
     generators: tuple[IntegerVector, ...]
-    det: Optional[int] = field(init=False, repr=False, compare=False)
-    cofactors: Optional[tuple[tuple[int, ...], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    det: int = field(init=False, repr=False, compare=False)
+    cofactors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, rank: int, generators: Iterable[Iterable[int] | IntegerVector]):
         gens = tuple(
@@ -90,25 +88,25 @@ class Cone:
             if not is_primitive(g):
                 raise DegenerateInputError(f"ray generator {g} is not primitive")
         gens = tuple(sorted(set(gens), key=lambda g: g.entries))
-        det = cofactors = None
-        if len(gens) == rank:
-            det, adj = adjugate([g.entries for g in gens])
-            if det == 0:
-                raise DegenerateInputError("generators are linearly dependent")
-            # column j of adj(G), times sign(det), is the cofactor row C_j
-            s = 1 if det > 0 else -1
-            cofactors = tuple(tuple(s * x for x in col) for col in zip(*adj))
-            det = abs(det)
-        elif gens and matrix_rank(IntegerMatrix(gens)) != len(gens):
+        pivots, det, adj = adjugate([g.entries for g in gens])
+        if adj is None:
             raise DegenerateInputError("generators are linearly dependent")
-        self._set(int(rank), gens, det, cofactors)
+        # column j of adj(G_P), times sign(det), spread onto P is the row C_j
+        s = 1 if det > 0 else -1
+        cofactors = []
+        for col in zip(*adj):
+            row = [0] * rank
+            for i, x in zip(pivots, col):
+                row[i] = s * x
+            cofactors.append(tuple(row))
+        self._set(int(rank), gens, abs(det), tuple(cofactors))
 
     def _set(
         self,
         rank: int,
         gens: tuple[IntegerVector, ...],
-        det: Optional[int],
-        cofactors: Optional[tuple[tuple[int, ...], ...]],
+        det: int,
+        cofactors: tuple[tuple[int, ...], ...],
     ) -> None:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "generators", gens)
@@ -124,9 +122,9 @@ class Cone:
         det: int,
         cofactors: tuple[tuple[int, ...], ...],
     ) -> "Cone":
-        """A full-dimensional cone whose sorted generators, ``det`` and
-        cofactor rows the caller has already established; see
-        :func:`_subdivide_cone`, the only caller."""
+        """A cone whose sorted generators, ``det`` and cofactor rows the
+        caller has already established; see :func:`_subdivide_cone`, the
+        only caller."""
         cone = object.__new__(cls)
         cone._set(rank, gens, det, cofactors)
         return cone
@@ -143,18 +141,20 @@ class Cone:
         return self.dim == self.rank
 
     def numerators(self, v: IntegerVector) -> Optional[tuple[tuple[int, ...], int]]:
-        """Integer numerators and positive common denominator of the
-        coordinates of ``v`` in the generators, or ``None`` off their span."""
+        """Integer numerators ``n_j = C_j . v`` and common denominator
+        ``det`` (not always the least) of the coordinates of ``v`` in the
+        generators, or ``None`` when ``sum_j n_j g_j != det v``, that is off
+        their span, which only a lower-dimensional cone can miss."""
         if v.rank != self.rank:
             raise DimensionError("vector rank does not match the cone")
-        if self.cofactors is not None:
-            e = v.entries
-            return tuple(sum(a * b for a, b in zip(row, e)) for row in self.cofactors), self.det
-        coords = span_coordinates(self.generators, v)
-        if coords is None:
+        e = v.entries
+        nums = tuple(sum(a * b for a, b in zip(row, e)) for row in self.cofactors)
+        if self.dim < self.rank and any(
+            sum(x * g.entries[i] for x, g in zip(nums, self.generators)) != self.det * ei
+            for i, ei in enumerate(e)
+        ):
             return None
-        den = math.lcm(*(x.denominator for x in coords))
-        return tuple(x.numerator * (den // x.denominator) for x in coords), den
+        return nums, self.det
 
     def coordinates(self, v: IntegerVector) -> Optional[tuple[Fraction, ...]]:
         """Barycentric coordinates of ``v`` in the generators, or ``None``."""
@@ -165,9 +165,6 @@ class Cone:
         return tuple(Fraction(x, den) for x in nums)
 
     def contains(self, v: IntegerVector) -> bool:
-        if self.cofactors is not None and v.rank == self.rank:
-            e = v.entries
-            return all(sum(a * b for a, b in zip(row, e)) >= 0 for row in self.cofactors)
         nd = self.numerators(v)
         return nd is not None and all(x >= 0 for x in nd[0])
 
@@ -225,19 +222,14 @@ class Fan:
 def multiplicity(c: Cone) -> int:
     """Index of the generator sublattice inside its saturation.
 
-    For a full-dimensional cone this is ``|det|`` of the generator matrix and
-    equals 1 exactly when the affine chart is smooth.  Lower-dimensional
-    cones are measured inside the saturated sublattice they span.
+    For a full-dimensional cone this is ``det`` and equals 1 exactly when
+    the affine chart is smooth.  Lower-dimensional cones are measured inside
+    the saturated sublattice they span, by the gcd of the maximal minors: 1
+    when the minor ``det`` is, else the product of the Smith invariants.
     """
-    if c.det is not None:
+    if c.det == 1 or c.is_full_dimensional():
         return c.det
-    if not c.generators:
-        return 1
-    diag = smith_normal_form(IntegerMatrix(c.generators)).diagonal
-    prod = 1
-    for d in diag:
-        prod *= d
-    return prod
+    return math.prod(smith_normal_form(IntegerMatrix(c.generators)).diagonal)
 
 
 def is_smooth(c: Cone) -> bool:
@@ -261,16 +253,17 @@ def _subdivide_cone(c: Cone, u: IntegerVector) -> tuple[Cone, ...]:
     generator the cone is returned unchanged.  Raises :class:`MeasureError`
     when ``u`` is not in ``c``: callers only pass cones that contain it.
 
-    A full-dimensional piece is built from the parent's kernel, with no
-    elimination.  Let ``D = det`` and ``n = C . u``, so ``C_j . g_k = D``
-    when ``j = k`` and 0 otherwise.  The piece replacing ``g_i`` by ``u`` has
-    determinant ``n_i``; its row for ``u`` is ``C_i`` and its row for
-    ``j != i`` is ``(n_i C_j - n_j C_i) / D``.  Each satisfies the defining
-    equations of the piece's row, which determine it, so the division is
-    exact and equals what the constructor computes.  The constructor's
-    checks hold by construction: ``u`` is primitive (callers check it once
-    per ray), the other generators are the parent's, and ``n_i > 0`` makes
-    them independent.
+    Each piece is built from the parent's kernel, with no elimination.  Let
+    ``D = det`` and ``n = C . u``, so ``C_j . g_k = D`` when ``j = k`` and 0
+    otherwise.  The piece replacing ``g_i`` by ``u`` spans the parent's
+    space (``n_i > 0``), hence has its column basis ``P``, which depends
+    only on that space; its ``det`` is ``n_i``, its row for ``u`` is ``C_i``
+    and its row for ``j != i`` is ``(n_i C_j - n_j C_i) / D``.  Each is zero
+    off ``P`` and satisfies the defining equations of the piece's row, which
+    determine it, so the division is exact and equals what the constructor
+    computes.  The constructor's checks hold by construction: ``u`` is
+    primitive (callers check it once per ray), the other generators are the
+    parent's, and ``n_i > 0`` makes them independent.
     """
     nd = c.numerators(u)
     if nd is None or any(x < 0 for x in nd[0]):
@@ -279,13 +272,6 @@ def _subdivide_cone(c: Cone, u: IntegerVector) -> tuple[Cone, ...]:
     slots = [i for i, x in enumerate(nums) if x > 0]
     if len(slots) == 1 and nums[slots[0]] == den:
         return (c,)
-    if c.cofactors is None:
-        pieces = []
-        for i in slots:
-            gens = list(c.generators)
-            gens[i] = u
-            pieces.append(Cone(c.rank, gens))
-        return tuple(pieces)
     rows = c.cofactors
     pieces = []
     for i in slots:
@@ -296,7 +282,7 @@ def _subdivide_cone(c: Cone, u: IntegerVector) -> tuple[Cone, ...]:
             ci if j == i else tuple((ni * a - nj * b) // den for a, b in zip(rows[j], ci))
             for j, nj in enumerate(nums)
         ]
-        perm = sorted(range(c.rank), key=lambda j: gens[j].entries)
+        perm = sorted(range(c.dim), key=lambda j: gens[j].entries)
         pieces.append(
             Cone._from_parts(
                 c.rank,
@@ -418,11 +404,8 @@ def _row_certificate(
     strictly negative on every ray in ``others``.
 
     Such a row ``C_j`` vanishes on the shared rays and is nonnegative on
-    ``sigma``; see :func:`_meet_in_common_face`.  Always ``False`` for a
-    lower-dimensional ``sigma``, which has no cofactor rows.
+    ``sigma``, of any dimension; see :func:`_meet_in_common_face`.
     """
-    if sigma.cofactors is None:
-        return False
     ents = [t.entries for t in others]
     return any(
         all(sum(a * b for a, b in zip(row, e)) < 0 for e in ents)
@@ -434,20 +417,19 @@ def _row_certificate(
 def _meet_in_common_face(sigma: Cone, tau: Cone) -> bool:
     """Whether two cones intersect exactly in the face they share.
 
-    Facet certificate first.  Let ``C_j`` be the cofactor row of a
-    full-dimensional ``sigma`` at a generator ``g_j`` that ``tau`` lacks.
-    ``C_j`` vanishes on the shared rays and is nonnegative on ``sigma``.  If
-    it is strictly negative on every ray only ``tau`` has, a point of
-    ``tau`` lying in ``sigma`` has zero weight on those rays, so it lies in
-    the common face.  Every such row of ``sigma`` is tried, then every such
-    row of ``tau`` against the rays only ``sigma`` has.
+    Facet certificate first.  Let ``C_j`` be the cofactor row of ``sigma``
+    at a generator ``g_j`` that ``tau`` lacks.  ``C_j`` vanishes on the
+    shared rays and is nonnegative on ``sigma``.  If it is strictly negative
+    on every ray only ``tau`` has, a point of ``tau`` lying in ``sigma`` has
+    zero weight on those rays, so it lies in the common face.  Every such
+    row of ``sigma`` is tried, then every such row of ``tau`` against the
+    rays only ``sigma`` has.
 
-    Fallback, for pairs no single row settles and for pairs of two
-    lower-dimensional cones: a separating functional vanishing on the common
-    rays, strictly positive on the remaining rays of one cone and strictly
-    negative on those of the other, exists precisely when the intersection
-    is a common face; its existence is decided exactly by integer
-    Fourier-Motzkin elimination.
+    Fallback, for pairs no single row settles: a separating functional
+    vanishing on the common rays, strictly positive on the remaining rays of
+    one cone and strictly negative on those of the other, exists precisely
+    when the intersection is a common face; its existence is decided exactly
+    by integer Fourier-Motzkin elimination.
     """
     common = set(sigma.generators) & set(tau.generators)
     s_only = [g for g in sigma.generators if g not in common]

@@ -5,13 +5,13 @@ and Smith normal forms, primitivity and exact rational solving.  All values
 are immutable and every operation is a pure function; Python's native
 integers provide the arbitrary precision.
 
-Two solvers coexist.  :func:`adjugate` is the integer kernel behind every
-full-dimensional :class:`~qres.cones_fans.Cone`: one fraction-free (Bareiss)
-Gauss-Jordan elimination gives the determinant and adjugate, after which
-coordinates are integer dot products over one denominator (Cramer's rule).
+One solver serves every cone.  :func:`adjugate` is one fraction-free
+(Bareiss) Gauss-Jordan elimination of ``k`` integer rows; from its pivot
+columns ``P``, ``det A_P`` and ``adj(A_P)`` every
+:class:`~qres.cones_fans.Cone`, of any dimension, reads coordinates as
+integer dot products over one denominator (Cramer's rule).
 :func:`span_coordinates` and :func:`matrix_rank` eliminate over ``Fraction``
-and serve the rest: lower-dimensional cones, which may be non-square, and
-:func:`rational_coordinates`.
+and are only the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegenerateInputError, DimensionError, MeasureError
+from .errors import DegenerateInputError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -157,40 +157,57 @@ def determinant(m: IntegerMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if m.nrows != m.ncols:
         raise DimensionError(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    return adjugate(m.to_lists())[0]
+    return adjugate(m.to_lists())[1]
 
 
-def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, Optional[list[list[int]]]]:
-    """Determinant and adjugate of a square integer matrix given as int lists.
+def adjugate(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], int, Optional[list[list[int]]]]:
+    """Pivot columns ``P``, ``det A_P`` and ``adj(A_P)`` of ``k`` integer
+    rows ``A`` of length ``n``, given as int lists.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination of ``[A | I]``: after
-    step ``k`` every entry is, up to sign, a ``(k+1)``-minor of ``[A | I]``, so
-    each division by the previous pivot is exact and no ``Fraction`` is
-    built.  It ends at ``[d*I | d*A^-1]`` with ``d = +-det A``.  Returns
-    ``(0, None)`` for a singular matrix.
+    Fraction-free (Bareiss) Gauss-Jordan elimination of ``[A | I_k]``,
+    pivoting on the first nonzero entry of each column among the unused
+    rows, so ``P`` is the lexicographically first column basis.  After ``r``
+    pivots every entry is, up to sign, an ``(r+1)``-minor of ``[A | I_k]``,
+    so each division by the previous pivot is exact.  It ends at ``d*I`` on
+    ``P`` and ``d*A_P^-1`` on the right, ``d = +-det A_P``.  Fewer than
+    ``k`` pivots (always when ``k > n``) means the rows are dependent; then
+    ``(P, 0, None)`` is returned.
     """
-    n = len(rows)
+    k = len(rows)
+    n = len(rows[0]) if rows else 0
     if any(len(r) != n for r in rows):
-        raise DimensionError(f"adjugate of a non-square {n}-row matrix")
-    a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+        raise DimensionError("adjugate of rows of unequal length")
+    a = [list(r) + [1 if i == j else 0 for j in range(k)] for i, r in enumerate(rows)]
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0, None
-            a[k], a[pivot] = a[pivot], a[k]
+    c = 0
+    for r in range(k):
+        # the first nonzero entry, in rows r and below, of the first column having one
+        pivot = r
+        while c < n and a[pivot][c] == 0:
+            pivot += 1
+            if pivot == k:
+                pivot = r
+                c += 1
+        if c == n:
+            return tuple(pivots), 0, None
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
             sign = -sign
-        rk = a[k]
-        piv = rk[k]
-        for i in range(n):
-            if i != k:
+        rr = a[r]
+        piv = rr[c]
+        for i in range(k):
+            if i != r:
                 ri = a[i]
-                f = ri[k]
-                a[i] = [(piv * x - f * y) // prev for x, y in zip(ri, rk)]
+                f = ri[c]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(ri, rr)]
         prev = piv
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+        pivots.append(c)
+        c += 1
+    return tuple(pivots), sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 def _swap_rows(a: list[list[int]], i: int, j: int) -> None:
@@ -397,19 +414,3 @@ def span_coordinates(
         if aug[i][m] != 0:
             return None
     return tuple(aug[i][m] for i in pivot_rows)
-
-
-def rational_coordinates(basis: IntegerMatrix, target: IntegerVector) -> tuple[Fraction, ...]:
-    """Unique rational ``x`` with ``sum_i x_i * basis.rows[i] = target``.
-
-    ``Fraction`` keeps every coordinate as a normalized numerator/denominator
-    pair with positive denominator.
-    """
-    if basis.nrows != basis.ncols:
-        raise DimensionError("basis must be square")
-    if determinant(basis) == 0:
-        raise DimensionError("basis is singular")
-    coords = span_coordinates(basis.rows, target)
-    if coords is None:
-        raise MeasureError("a nonsingular square basis does not span its target")
-    return coords

@@ -170,26 +170,25 @@ def cone_characters(c: Cone) -> tuple[int, tuple[int, ...]]:
 
     The characters are read off the distinguished quotient generator that
     the Smith transform provides, so the result is deterministic; it is well
-    defined up to a unit rescaling.  A smooth full-dimensional cone
-    (``det`` 1) has the trivial group and skips the Smith normal form.  Raises
+    defined up to a unit rescaling.  A cone with ``det`` 1 (every smooth
+    full-dimensional cone, and the zero cone) has the trivial group, one
+    zero character per generator, and skips the Smith normal form.  Raises
     :class:`UnsupportedInputError` when the quotient group is not cyclic.
     """
-    if not c.generators:
-        return 1, ()
     if c.det == 1:
-        return 1, (0,) * c.rank
+        return 1, (0,) * c.dim
     return _snf_characters(smith_normal_form(IntegerMatrix(c.generators)))
 
 
 def cone_descriptor(c: Cone) -> QuotientDescriptor:
     """Divisor-chain descriptor of any simplicial cone (saturation-relative),
-    from one Smith normal form; a smooth full-dimensional cone (``det`` 1)
-    needs none."""
+    from one Smith normal form; a cone with ``det`` 1 needs none and has
+    ``dim`` trivial invariants and characters."""
     if not c.generators:
         return QuotientDescriptor((), True, None)
     if c.det == 1:
-        trivial = (0,) * c.rank
-        return QuotientDescriptor((1,) * c.rank, True, CyclicQuotientType(1, trivial), trivial)
+        trivial = (0,) * c.dim
+        return QuotientDescriptor((1,) * c.dim, True, CyclicQuotientType(1, trivial), trivial)
     snf = smith_normal_form(IntegerMatrix(c.generators))
     try:
         order, chars = _snf_characters(snf)

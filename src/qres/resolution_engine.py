@@ -166,13 +166,17 @@ def fan_digest(m: MarkedFan) -> str:
 
 
 def invariant(m: MarkedFan) -> tuple[int, int]:
-    """Maximal cone multiplicity and how many maximal cones attain it."""
-    mults = []
-    for cone in m.fan.sorted_cones():
-        cone_characters(cone)  # raises UnsupportedInputError when not cyclic
-        mults.append(multiplicity(cone))
-    top = max(mults)
-    return top, sum(1 for x in mults if x == top)
+    """Maximal cone multiplicity and how many maximal cones attain it.
+
+    Raises :class:`~qres.errors.UnsupportedInputError` at the first cone in
+    sorted order whose quotient is not cyclic; only singular cones are
+    checked, since a smooth cone's quotient is trivial.
+    """
+    mults = {cone: multiplicity(cone) for cone in m.fan.cones}
+    for cone in sorted((c for c, x in mults.items() if x > 1), key=Cone.sort_key):
+        cone_characters(cone)
+    top = max(mults.values())
+    return top, sum(1 for x in mults.values() if x == top)
 
 
 def _nontame_invariant(m: MarkedFan) -> Optional[tuple[int, int]]:
@@ -256,7 +260,7 @@ def _center_cones(centers: Iterable[Center]) -> dict[IntegerVector, Cone]:
 
 def _targets(m: MarkedFan, order: int) -> list[Cone]:
     """Cones of multiplicity ``order``, in sorted order."""
-    return [c for c in m.fan.sorted_cones() if multiplicity(c) == order]
+    return sorted((c for c in m.fan.cones if multiplicity(c) == order), key=Cone.sort_key)
 
 
 def _apply_step(

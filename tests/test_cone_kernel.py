@@ -1,13 +1,15 @@
 """The integer cone kernel against the rational reference it replaced.
 
-Full-dimensional cones answer ``contains``, ``coordinates``, ``multiplicity``
-and star subdivision from one cached determinant and cofactor matrix, build
-the pieces of a subdivision from the parent's rows, and settle most pairs of
-the fan check with one cofactor row; these tests compare every answer with
-``span_coordinates`` elimination, the constructor's own elimination, the
-Smith normal form, the all-pairs maximality rule, the one-ray-at-a-time
-reference subdivision and the ``Fraction`` Fourier-Motzkin fan check written
-out below.
+Every cone, full-dimensional or not, answers ``numerators``, ``contains``,
+``coordinates``, ``multiplicity`` and star subdivision from one cached
+minor ``det`` on its first column basis and its cofactor rows, builds the
+pieces of a subdivision from the parent's rows, and settles most pairs of
+the fan check with one cofactor row.  These tests compare every answer with
+the ``Fraction`` elimination of ``span_coordinates`` and ``matrix_rank``, the
+constructor's own elimination, the Smith normal form, the all-pairs
+maximality rule, the one-ray-at-a-time reference subdivision and the
+``Fraction`` Fourier-Motzkin fan check written out below, on cones of rank
+2-5 and of every dimension.
 """
 
 import functools
@@ -37,6 +39,7 @@ from qres.exact_lattice import (
     IntegerVector,
     adjugate,
     determinant,
+    matrix_rank,
     primitive,
     smith_normal_form,
     span_coordinates,
@@ -72,19 +75,50 @@ def full_cones(draw, rank=None):
 
 
 @st.composite
+def lower_cones(draw):
+    """A face of dimension 1 to rank-1 of a full cone of rank 3-5, and the
+    generators of the full cone it leaves out (so off its span)."""
+    full = draw(full_cones(draw(st.integers(3, 5))))
+    kept = draw(st.permutations(range(full.rank)))[: draw(st.integers(1, full.rank - 1))]
+    c = Cone(full.rank, [g for i, g in enumerate(full.generators) if i in kept])
+    return c, [g for i, g in enumerate(full.generators) if i not in kept]
+
+
+@st.composite
+def any_cones(draw):
+    """A full cone of rank 2-4 or a lower-dimensional one of rank 3-5."""
+    return draw(st.one_of(full_cones(), lower_cones().map(lambda d: d[0])))
+
+
+def combine(c, coeffs):
+    return [sum(k * g.entries[i] for k, g in zip(coeffs, c.generators)) for i in range(c.rank)]
+
+
+@st.composite
 def cone_and_points(draw):
-    """A full cone with probe points: interior, on faces and outside."""
-    c = draw(full_cones())
-    n = c.rank
+    """A full or lower-dimensional cone with probe points: in the relative
+    interior, on faces, in the span but outside, off the span, and lattice
+    points of the span with fractional coordinates."""
+    if draw(st.booleans()):
+        c, off = draw(full_cones()), []
+    else:
+        c, off = draw(lower_cones())
+    n, k = c.rank, c.dim
     points = []
     for _ in range(6):
-        coeffs = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any))
-        v = [sum(k * g.entries[i] for k, g in zip(coeffs, c.generators)) for i in range(n)]
-        points.append(IntegerVector(v))  # in the cone; on a face when some k = 0
+        coeffs = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+        v = combine(c, coeffs)
+        points.append(IntegerVector(v))  # in the cone; on a face when a coefficient is 0
+        points.append(primitive(IntegerVector(v)))
         points.append(IntegerVector([-x for x in v]))  # outside
         points.append(IntegerVector(v[:-1] + [v[-1] + draw(st.integers(-3, 3))]))
+        if off:
+            w = draw(st.sampled_from(off))
+            t = draw(st.sampled_from([-2, -1, 1, 2]))
+            points.append(IntegerVector([x + t * y for x, y in zip(v, w.entries)]))
     points.extend(draw(st.lists(primitive_vectors(n), min_size=1, max_size=4)))
     points.extend(c.generators)
+    points.append(IntegerVector([0] * n))
     return c, points
 
 
@@ -122,6 +156,33 @@ def reference_star(cones, u):
     return reference_maximal(out)
 
 
+def first_column_basis(rows):
+    """The lexicographically first column basis, greedily by ``matrix_rank``."""
+    basis = []
+    for c in range(len(rows[0])):
+        cols = [[r[j] for r in rows] for j in basis + [c]]
+        if matrix_rank(IntegerMatrix(cols)) > len(basis):
+            basis.append(c)
+    return tuple(basis)
+
+
+@st.composite
+def integer_rows(draw):
+    """``k`` rows of length ``n``, ``k <= n + 1``; with small entries and
+    optionally a row made a combination of others, often rank-deficient."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n + 1))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=k, max_size=k
+        )
+    )
+    if k > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+    return rows
+
+
 class TestAdjugate:
     @given(st.integers(1, 5).flatmap(
         lambda n: st.lists(
@@ -131,30 +192,81 @@ class TestAdjugate:
     @settings(max_examples=200)
     def test_adjugate_inverts(self, rows):
         n = len(rows)
-        det, adj = adjugate(rows)
+        pivots, det, adj = adjugate(rows)
         assert det == determinant(IntegerMatrix(rows))
         if det == 0:
             assert adj is None
             return
+        assert pivots == tuple(range(n))
         prod = [[sum(rows[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         assert prod == [[det if i == j else 0 for j in range(n)] for i in range(n)]
 
+    def test_non_square_and_rank_deficient(self):
+        shapes = set()
+
+        @given(integer_rows())
+        @settings(max_examples=300, deadline=None)
+        def check(rows):
+            k = len(rows)
+            pivots, det, adj = adjugate(rows)
+            assert pivots == first_column_basis(rows)
+            assert len(pivots) == matrix_rank(IntegerMatrix(rows))
+            shapes.add((k == len(rows[0]), len(pivots) == k))
+            if len(pivots) < k:
+                assert det == 0 and adj is None
+                return
+            sub = [[r[j] for j in pivots] for r in rows]
+            assert det == determinant(IntegerMatrix(sub)) != 0
+            prod = [[sum(adj[i][t] * sub[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+            assert prod == [[det if i == j else 0 for j in range(k)] for i in range(k)]
+
+        check()
+        assert shapes == {(a, b) for a in (True, False) for b in (True, False)}
+
+
+def assert_kernel(c):
+    """``det`` and the cofactor rows are the kernel's defining data: rows
+    zero off the first column basis ``P`` of the generators, dual to them."""
+    pivots = first_column_basis([g.entries for g in c.generators]) if c.dim else ()
+    assert c.det > 0 and len(c.cofactors) == c.dim
+    for j, row in enumerate(c.cofactors):
+        assert len(row) == c.rank
+        assert all(x == 0 for i, x in enumerate(row) if i not in pivots)
+        for l, g in enumerate(c.generators):
+            assert sum(a * b for a, b in zip(row, g.entries)) == (c.det if j == l else 0)
+    if c.dim:
+        minor = [[g.entries[i] for i in pivots] for g in c.generators]
+        assert c.det == abs(determinant(IntegerMatrix(minor)))
+
 
 class TestFullDimensionalKernel:
+    """The kernel of full-dimensional cones, and of the lower-dimensional
+    cones that share it."""
+
     @given(cone_and_points())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_contains_and_coordinates_match_elimination(self, data):
         c, points = data
-        assert c.det is not None and c.det > 0
+        assert_kernel(c)
         for v in points:
-            assert c.coordinates(v) == span_coordinates(c.generators, v)
+            want = span_coordinates(c.generators, v)
+            nd = c.numerators(v)
+            assert (nd is None) == (want is None)
+            if nd is not None:
+                assert nd[1] == c.det
+                assert tuple(Fraction(x, nd[1]) for x in nd[0]) == want
+            assert c.coordinates(v) == want
             assert c.contains(v) == reference_contains(c, v)
 
-    @given(full_cones())
-    @settings(max_examples=100, deadline=None)
+    @given(any_cones())
+    @settings(max_examples=150, deadline=None)
     def test_multiplicity_is_snf_product(self, c):
         diag = smith_normal_form(IntegerMatrix(c.generators)).diagonal
-        assert multiplicity(c) == c.det == math.prod(diag)
+        assert multiplicity(c) == math.prod(diag)
+        if c.is_full_dimensional():
+            assert multiplicity(c) == c.det
+        if c.det == 1:
+            assert set(diag) == {1}
 
     def test_both_determinant_signs_are_drawn(self):
         signs = set()
@@ -184,13 +296,32 @@ class TestFullDimensionalKernel:
         with pytest.raises(DegenerateInputError):
             Cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
 
-    def test_lower_dimensional_cones_keep_rational_path(self):
+    def test_lower_dimensional_cones_use_the_cofactor_rows(self):
         c = Cone(3, [(1, 0, 0), (-1, 2, 0)])
-        assert c.det is None and c.cofactors is None
+        # sorted rows (-1,2,0),(1,0,0); P = (0, 1) with minor -2
+        assert c.det == 2 and c.cofactors == ((0, 1, 0), (2, 1, 0))
         assert multiplicity(c) == 2
         assert c.contains(IntegerVector((0, 1, 0)))
         assert not c.contains(IntegerVector((0, 1, 1)))
         assert c.numerators(IntegerVector((0, 1, 0))) == ((1, 1), 2)
+        assert c.numerators(IntegerVector((0, 1, 1))) is None
+        # the minor on P is not always the multiplicity, nor the least denominator
+        d = Cone(3, [(1, 0, 0), (1, 2, 2)])
+        assert d.det == 2 and multiplicity(d) == 2
+        e = Cone(3, [(1, 0, 1), (1, 2, 3)])
+        assert e.det == 2 and multiplicity(e) == 2
+        f = Cone(3, [(2, 0, 1), (0, 2, 1)])
+        assert f.det == 4 and multiplicity(f) == 2
+        assert f.numerators(IntegerVector((1, 1, 1))) == ((2, 2), 4)
+
+    def test_zero_cone(self):
+        z = Cone(3, [])
+        assert z.det == 1 and z.cofactors == ()
+        assert multiplicity(z) == 1
+        assert z.numerators(IntegerVector((0, 0, 0))) == ((), 1)
+        assert z.numerators(IntegerVector((0, 1, 0))) is None
+        assert z.contains(IntegerVector((0, 0, 0)))
+        assert not z.contains(IntegerVector((1, 0, 0)))
 
 
 class TestSubdivideCone:
@@ -207,7 +338,7 @@ class TestSubdivideCone:
         seen = set()
 
         @given(cone_and_ray())
-        @settings(max_examples=200, deadline=None)
+        @settings(max_examples=300, deadline=None)
         def check(data):
             c, u, support = data
             pieces = _subdivide_cone(c, u)
@@ -225,30 +356,41 @@ class TestSubdivideCone:
                 assert got.det == want.det
                 assert got.cofactors == want.cofactors
                 assert got == want and hash(got) == hash(want)
-            seen.add((len(support) == c.rank, determinant(IntegerMatrix(c.generators)) > 0))
+                diag = smith_normal_form(IntegerMatrix(got.generators)).diagonal
+                assert multiplicity(got) == math.prod(diag)
+                if got.det == 1:
+                    assert set(diag) == {1}
+            _, det, _ = adjugate([g.entries for g in c.generators])
+            seen.add((c.is_full_dimensional(), len(support) == c.dim, det > 0))
 
         check()
-        # interior rays and rays on proper faces, under both determinant signs
-        assert seen == {(a, b) for a in (True, False) for b in (True, False)}
+        # interior rays and rays on proper faces, under both signs of the
+        # minor, of full-dimensional cones; each kind for lower-dimensional ones
+        both = {True, False}
+        assert {(b, d) for a, b, d in seen if a} == {(b, d) for b in both for d in both}
+        assert {b for a, b, _ in seen if not a} == {d for a, _, d in seen if not a} == both
 
-    def test_lower_dimensional_pieces_use_the_constructor(self):
+    def test_lower_dimensional_pieces_take_the_rank_one_update(self):
         c = Cone(3, [(1, 0, 0), (-1, 2, 0)])
         pieces = _subdivide_cone(c, IntegerVector((0, 1, 0)))
-        assert set(pieces) == {Cone(3, [(0, 1, 0), (-1, 2, 0)]), Cone(3, [(1, 0, 0), (0, 1, 0)])}
-        assert all(p.det is None for p in pieces)
+        want = {Cone(3, [(0, 1, 0), (-1, 2, 0)]), Cone(3, [(1, 0, 0), (0, 1, 0)])}
+        assert set(pieces) == want
+        for p in pieces:
+            (q,) = [w for w in want if w == p]
+            assert p.det == q.det == 1
+            assert p.cofactors == q.cofactors
 
 
 @st.composite
 def cone_and_ray(draw):
-    """A full cone of rank 2-4, a primitive ray in the relative interior of a
-    drawn face (the whole cone or a proper face), and that face's generator
-    positions."""
-    c = draw(full_cones())
-    n = c.rank
-    support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    coeffs = [draw(st.integers(1, 5)) if i in support else 0 for i in range(n)]
-    v = [sum(k * g.entries[j] for k, g in zip(coeffs, c.generators)) for j in range(n)]
-    return c, primitive(IntegerVector(v)), support
+    """A full cone of rank 2-4 or a lower-dimensional one of rank 3-5, a
+    primitive ray in the relative interior of a drawn face (the whole cone
+    or a proper face), and that face's generator positions."""
+    c = draw(any_cones())
+    k = c.dim
+    support = sorted(draw(st.permutations(range(k)))[: draw(st.integers(1, k))])
+    coeffs = [draw(st.integers(1, 5)) if i in support else 0 for i in range(k)]
+    return c, primitive(IntegerVector(combine(c, coeffs))), support
 
 
 @st.composite

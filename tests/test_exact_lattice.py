@@ -13,7 +13,6 @@ from qres.exact_lattice import (
     is_primitive,
     matrix_rank,
     primitive,
-    rational_coordinates,
     smith_normal_form,
     span_coordinates,
 )
@@ -132,27 +131,29 @@ class TestPrimitive:
 
 
 class TestRationalCoordinates:
+    """Coordinates in a square basis, by ``span_coordinates``."""
+
     def test_skew_basis(self):
         basis = IntegerMatrix([[1, 0], [-1, 2]])
-        assert rational_coordinates(basis, IntegerVector([0, 1])) == (
+        assert span_coordinates(basis.rows, IntegerVector([0, 1])) == (
             Fraction(1, 2),
             Fraction(1, 2),
         )
 
     def test_identity_basis(self):
         basis = IntegerMatrix.identity(2)
-        assert rational_coordinates(basis, IntegerVector([7, -2])) == (7, -2)
+        assert span_coordinates(basis.rows, IntegerVector([7, -2])) == (7, -2)
 
     def test_weighted_basis(self):
         basis = IntegerMatrix([[1, 0], [-2, 5]])
-        assert rational_coordinates(basis, IntegerVector([0, 1])) == (
+        assert span_coordinates(basis.rows, IntegerVector([0, 1])) == (
             Fraction(2, 5),
             Fraction(1, 5),
         )
 
     def test_singular_rejected(self):
         with pytest.raises(DimensionError):
-            rational_coordinates(IntegerMatrix([[1, 1], [2, 2]]), IntegerVector([1, 0]))
+            span_coordinates(IntegerMatrix([[1, 1], [2, 2]]).rows, IntegerVector([1, 0]))
 
     @given(
         st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=3, max_size=3),
@@ -162,7 +163,7 @@ class TestRationalCoordinates:
         m = IntegerMatrix(rows)
         if determinant(m) == 0:
             return
-        coords = rational_coordinates(m, IntegerVector(target))
+        coords = span_coordinates(m.rows, IntegerVector(target))
         recombined = [
             sum(c * r for c, r in zip(coords, (row.entries[j] for row in m.rows)))
             for j in range(3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qres import cli, cones_fans
 from qres.cones_fans import Cone, faces, multiplicity
 from qres.errors import DimensionError, NotRepresentableError, QresError, UnsupportedInputError
 from qres.exact_lattice import IntegerMatrix, smith_normal_form
@@ -183,13 +184,17 @@ class TestConeToQuotient:
                 rows[i] = [-a for a in rows[i]]
         c = Cone(n, rows)
         assert c.det == 1
-        snf = smith_normal_form(IntegerMatrix(c.generators))
-        order, chars = _snf_characters(snf)
         cone_characters.cache_clear()
-        assert cone_characters(c) == (order, chars)
-        assert cone_descriptor(c) == QuotientDescriptor(
-            snf.diagonal, True, CyclicQuotientType(order, chars), chars
-        )
+        # every face is smooth too; those with det 1 take the shortcut, whose
+        # trivial tuples have one entry per generator, not per coordinate
+        for f in faces(c) - {Cone(n, [])}:
+            snf = smith_normal_form(IntegerMatrix(f.generators))
+            order, chars = _snf_characters(snf)
+            assert cone_characters(f) == (order, chars)
+            assert cone_descriptor(f) == QuotientDescriptor(
+                snf.diagonal, True, CyclicQuotientType(order, chars), chars
+            )
+            assert len(chars) == len(cone_descriptor(f).invariants) == f.dim
 
     def test_order_equals_multiplicity(self):
         for gens in [
@@ -338,3 +343,129 @@ class TestFaithfulRays:
 
     def test_trivial_group(self):
         assert faithful_rays(Q(1, 0, 0, 0)) == {0, 1, 2}
+
+
+# Fans with smooth and singular lower-dimensional cones, and a non-cyclic
+# one, with the classify output recorded before lower-dimensional cones took
+# the integer kernel: the det-1 shortcut must give tuples of length dim.
+RANK3_FAN = (
+    '{"characteristic":"0","rank":"3","record":"fan"}\n'
+    '{"id":"0","record":"ray","v":["1","0","0"]}\n'
+    '{"id":"1","record":"ray","v":["0","1","0"]}\n'
+    '{"id":"2","record":"ray","v":["1","2","5"]}\n'
+    '{"id":"3","record":"ray","v":["-1","0","0"]}\n'
+    '{"id":"4","record":"ray","v":["0","-1","0"]}\n'
+    '{"id":"5","record":"ray","v":["0","0","-1"]}\n'
+    '{"id":"6","record":"ray","v":["1","-1","-1"]}\n'
+    '{"id":"7","record":"ray","v":["1","1","-1"]}\n'
+    '{"rays":["0","1","2"],"record":"cone"}\n'
+    '{"rays":["3","4"],"record":"cone"}\n'
+    '{"rays":["5"],"record":"cone"}\n'
+    '{"rays":["6","7"],"record":"cone"}\n'
+    '{"ray":"2","record":"marked"}\n'
+)
+RANK3_JSON = (
+    '{"characteristic":"0","cones":[{"cone":["(-1,0,0)","(0,-1,0)"],"cyclic":true'
+    ',"faithful_rays":["(-1,0,0)","(0,-1,0)"],"invariants":[],"multiplicity":"1"'
+    ',"tame":true,"type":"1/1(0,0)"}'
+    ',{"cone":["(0,0,-1)"],"cyclic":true,"faithful_rays":["(0,0,-1)"]'
+    ',"invariants":[],"multiplicity":"1","tame":true,"type":"1/1(0)"}'
+    ',{"cone":["(0,1,0)","(1,0,0)","(1,2,5)"],"cyclic":true'
+    ',"faithful_rays":["(0,1,0)","(1,0,0)","(1,2,5)"],"invariants":["5"]'
+    ',"multiplicity":"5","tame":true,"type":"1/5(1,2,3)"}'
+    ',{"cone":["(1,-1,-1)","(1,1,-1)"],"cyclic":true,"faithful_rays":["(1,-1,-1)"'
+    ',"(1,1,-1)"],"invariants":["2"],"multiplicity":"2","tame":true'
+    ',"type":"1/2(1,1)"}],"rank":"3"}\n'
+)
+RANK3_TEXT = (
+    'fan: rank 3, characteristic 0, 4 cone(s)\n'
+    'cone 1: <(-1,0,0), (0,-1,0)>\n'
+    '  multiplicity: 1\n'
+    '  type: 1/1(0,0)\n'
+    '  tame: yes\n'
+    '  faithful rays: (-1,0,0), (0,-1,0)\n'
+    'cone 2: <(0,0,-1)>\n'
+    '  multiplicity: 1\n'
+    '  type: 1/1(0)\n'
+    '  tame: yes\n'
+    '  faithful rays: (0,0,-1)\n'
+    'cone 3: <(0,1,0), (1,0,0), (1,2,5)>\n'
+    '  multiplicity: 5\n'
+    '  type: 1/5(1,2,3)\n'
+    '  tame: yes\n'
+    '  faithful rays: (0,1,0), (1,0,0), (1,2,5)\n'
+    'cone 4: <(1,-1,-1), (1,1,-1)>\n'
+    '  multiplicity: 2\n'
+    '  type: 1/2(1,1)\n'
+    '  tame: yes\n'
+    '  faithful rays: (1,-1,-1), (1,1,-1)\n'
+)
+RANK4_FAN = (
+    '{"characteristic":"0","rank":"4","record":"fan"}\n'
+    '{"id":"0","record":"ray","v":["1","0","0","0"]}\n'
+    '{"id":"1","record":"ray","v":["1","2","0","0"]}\n'
+    '{"id":"2","record":"ray","v":["1","0","2","0"]}\n'
+    '{"id":"3","record":"ray","v":["-1","0","0","0"]}\n'
+    '{"id":"4","record":"ray","v":["0","-1","0","0"]}\n'
+    '{"id":"5","record":"ray","v":["0","0","-1","0"]}\n'
+    '{"id":"6","record":"ray","v":["0","0","0","-1"]}\n'
+    '{"id":"7","record":"ray","v":["0","0","0","1"]}\n'
+    '{"id":"8","record":"ray","v":["0","1","1","1"]}\n'
+    '{"id":"9","record":"ray","v":["0","1","0","1"]}\n'
+    '{"id":"10","record":"ray","v":["0","1","0","-1"]}\n'
+    '{"rays":["0","1","2"],"record":"cone"}\n'
+    '{"rays":["3","4","5","6"],"record":"cone"}\n'
+    '{"rays":["7","8"],"record":"cone"}\n'
+    '{"rays":["9","10"],"record":"cone"}\n'
+    '{"ray":"7","record":"marked"}\n'
+)
+RANK4_JSON = (
+    '{"characteristic":"0","cones":[{"cone":["(-1,0,0,0)","(0,-1,0,0)","(0,0,-1,0)"'
+    ',"(0,0,0,-1)"],"cyclic":true,"faithful_rays":["(-1,0,0,0)","(0,-1,0,0)"'
+    ',"(0,0,-1,0)","(0,0,0,-1)"],"invariants":[],"multiplicity":"1","tame":true'
+    ',"type":"1/1(0,0,0,0)"}'
+    ',{"cone":["(0,0,0,1)","(0,1,1,1)"],"cyclic":true,"faithful_rays":["(0,0,0,1)"'
+    ',"(0,1,1,1)"],"invariants":[],"multiplicity":"1","tame":true,"type":"1/1(0,0)"}'
+    ',{"cone":["(0,1,0,-1)","(0,1,0,1)"],"cyclic":true'
+    ',"faithful_rays":["(0,1,0,-1)","(0,1,0,1)"],"invariants":["2"]'
+    ',"multiplicity":"2","tame":true,"type":"1/2(1,1)"}'
+    ',{"cone":["(1,0,0,0)","(1,0,2,0)","(1,2,0,0)"],"cyclic":false'
+    ',"invariants":["2","2"],"multiplicity":"4"}],"rank":"4"}\n'
+)
+RANK4_TEXT = (
+    'fan: rank 4, characteristic 0, 4 cone(s)\n'
+    'cone 1: <(-1,0,0,0), (0,-1,0,0), (0,0,-1,0), (0,0,0,-1)>\n'
+    '  multiplicity: 1\n'
+    '  type: 1/1(0,0,0,0)\n'
+    '  tame: yes\n'
+    '  faithful rays: (-1,0,0,0), (0,-1,0,0), (0,0,-1,0), (0,0,0,-1)\n'
+    'cone 2: <(0,0,0,1), (0,1,1,1)>\n'
+    '  multiplicity: 1\n'
+    '  type: 1/1(0,0)\n'
+    '  tame: yes\n'
+    '  faithful rays: (0,0,0,1), (0,1,1,1)\n'
+    'cone 3: <(0,1,0,-1), (0,1,0,1)>\n'
+    '  multiplicity: 2\n'
+    '  type: 1/2(1,1)\n'
+    '  tame: yes\n'
+    '  faithful rays: (0,1,0,-1), (0,1,0,1)\n'
+    'cone 4: <(1,0,0,0), (1,0,2,0), (1,2,0,0)>\n'
+    '  multiplicity: 4\n'
+    '  not cyclic: invariant factors 2 | 2\n'
+)
+
+
+@pytest.mark.parametrize(
+    "fan, as_json, as_text",
+    [(RANK3_FAN, RANK3_JSON, RANK3_TEXT), (RANK4_FAN, RANK4_JSON, RANK4_TEXT)],
+    ids=["rank3", "rank4"],
+)
+def test_classify_bytes_with_lower_dimensional_cones(tmp_path, capsys, fan, as_json, as_text):
+    cone_characters.cache_clear()
+    cones_fans.multiplicity.cache_clear()
+    path = tmp_path / "fan.jsonl"
+    path.write_text(fan, encoding="utf-8")
+    assert cli.main(["classify", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == as_json
+    assert cli.main(["classify", str(path)]) == 0
+    assert capsys.readouterr().out == as_text

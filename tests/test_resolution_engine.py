@@ -3,10 +3,11 @@
 Covers the paper's main claim on a few ladder types in characteristic 0, 2,
 3 and 5, the chart orders of every step, one evaluation of the measure per
 fan state, the fan and trace round trips, replay with missing, wrong and
-stale hints, a pinned trace and a bound on the containment tests of a larger
-type, functoriality under lattice automorphisms and permutations of the
-characters, independence of the trace bytes from the hash seed, and the
-command-line checks that must survive ``python -O``.
+stale hints, a pinned trace and a bound on the containment tests and sorts
+of a larger type, functoriality under lattice automorphisms, permutations of
+the characters and restriction to the cones after one step, independence
+of the trace bytes from the hash seed, and the command-line checks that
+must survive ``python -O``.
 """
 
 import hashlib
@@ -236,15 +237,20 @@ PINNED_TRACE_SHA256 = "69382e548bce858accc1476909e55b6a498c087527a30c84338d9c2ee
 
 def test_larger_type_is_pinned_and_tests_few_cones(monkeypatch):
     # one blow-up step touches only the star of its centers: the scan over
-    # every cone for every ray made 310,249 contains calls on this type
-    calls = []
+    # every cone for every ray made 310,249 contains calls on this type;
+    # sorting every cone for the measure and the targets of each step made
+    # 20,197 sort_key calls, where only the singular cones need an order
+    calls, sorts = [], []
     for name in ("contains", "numerators"):
         real = getattr(Cone, name)
         monkeypatch.setattr(
             Cone, name, lambda self, v, real=real: calls.append(1) or real(self, v)
         )
+    real_key = Cone.sort_key
+    monkeypatch.setattr(Cone, "sort_key", lambda self: sorts.append(1) or real_key(self))
     trace = resolve(marked_fan_from_characters(211, (1, 37, 101)))
     assert len(calls) <= 5000
+    assert len(sorts) <= 8000
     assert (len(trace.steps), len(trace.final.fan.cones)) == (56, 1115)
     text = fanfile.emit_trace(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TRACE_SHA256
@@ -310,6 +316,35 @@ def test_resolution_commutes_with_permuting_non_divisor_characters(case, data):
     # coordinate perm[i] of the original lands on coordinate i
     g = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
     _assert_equivariant(g, resolve(marked_fan_from_characters(order, chars, p)), resolve(moved))
+
+
+RESTRICTION_CASES = [
+    (31, (1, 5, 11), 0),
+    (13, (1, 3, 5, 7), 0),
+    (97, (1, 13, 41), 0),
+    (61, (1, 11, 23), 0),
+    (7, (1, 3, 1), 0),
+    (12, (1, 5, 7), 2),
+    (18, (10, 15, 11), 3),
+    (45, (19, 17, 32), 5),
+]
+
+
+@pytest.mark.parametrize("case", RESTRICTION_CASES, ids=case_id)
+def test_resolution_restricts_to_each_cone_after_the_first_step(case):
+    # compatibility with open immersions: resolving a cone of the fan after
+    # the first step on its own, with its marked rays in marking order,
+    # gives exactly the cones of the full resolution that lie inside it
+    m, trace = traced(case)
+    first = trace.ray_groups[0]
+    fan = star_subdivide(m.fan, *first)
+    marking = m.marked_rays + first
+    final = trace.final.fan.cones
+    for sigma in fan.sorted_cones():
+        marked = [r for r in marking if r in sigma.generators]
+        alone = resolve(MarkedFan(Fan(fan.rank, [sigma]), marked, m.characteristic))
+        inside = {c for c in final if all(sigma.contains(g) for g in c.generators)}
+        assert alone.final.fan.cones == inside
 
 
 @pytest.mark.parametrize("case", RANK2, ids=case_id)
