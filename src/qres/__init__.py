@@ -1,84 +1,1 @@
 """Exact classification and resolution of diagonal cyclic quotient cones."""
-
-from .cones_fans import Cone, Fan, faces, is_smooth, multiplicity, star_subdivide, validate_fan
-from .exact_lattice import (
-    IntegerMatrix,
-    IntegerVector,
-    SmithDecomposition,
-    determinant,
-    hermite_normal_form,
-    primitive,
-    smith_normal_form,
-)
-from .hj_oracle import HJExpansion, brute_quotient, hj_expansion, hj_rays
-from .quotient_classifier import (
-    CyclicQuotientType,
-    QuotientDescriptor,
-    cone_to_quotient,
-    faithful_rays,
-    is_tame,
-    pseudoreflection_reduce,
-    quotient_to_cone,
-)
-from .resolution_engine import (
-    MarkedFan,
-    ResolutionTrace,
-    StepRecord,
-    blowup_step,
-    invariant,
-    replay,
-    resolve,
-)
-from .weighted_filtration import (
-    Monomial,
-    TruncatedAutomorphism,
-    WeightedFiltration,
-    cartify,
-    dual_cone_points,
-    glue_check,
-    ideal_generators,
-    invariant_generators,
-)
-
-__all__ = [
-    "Cone",
-    "CyclicQuotientType",
-    "Fan",
-    "HJExpansion",
-    "IntegerMatrix",
-    "IntegerVector",
-    "MarkedFan",
-    "Monomial",
-    "QuotientDescriptor",
-    "ResolutionTrace",
-    "SmithDecomposition",
-    "StepRecord",
-    "TruncatedAutomorphism",
-    "WeightedFiltration",
-    "blowup_step",
-    "brute_quotient",
-    "cartify",
-    "cone_to_quotient",
-    "determinant",
-    "dual_cone_points",
-    "faces",
-    "faithful_rays",
-    "glue_check",
-    "hermite_normal_form",
-    "hj_expansion",
-    "hj_rays",
-    "ideal_generators",
-    "invariant",
-    "invariant_generators",
-    "is_smooth",
-    "is_tame",
-    "multiplicity",
-    "primitive",
-    "pseudoreflection_reduce",
-    "quotient_to_cone",
-    "replay",
-    "resolve",
-    "smith_normal_form",
-    "star_subdivide",
-    "validate_fan",
-]

@@ -34,8 +34,13 @@ meet in the face they share.  A cofactor row ``C_j`` of a cone at a
 generator the other cone lacks vanishes on the shared rays and is
 nonnegative on its own cone; when it is strictly negative on every ray only
 the other cone has, no point of the other cone outside the shared face lies
-in this one, so the pair is settled by one row (a facet certificate).  Only
-pairs that no single row of either cone settles go to the exact integer
+in this one, so the pair is settled by one row (a facet certificate).  The
+integer work is done per cone, not per pair: each row is dotted once with
+every ray of the fan, ``k * R`` dot products for a cone of dimension ``k``
+in a fan of ``R`` rays (fewer where the cones on the two sides of a facet
+share the row up to sign), and kept as the bit mask of the rays where it is
+negative; a pair then costs a few ``&`` of ray masks per row.  Only pairs
+that no single row of either cone settles go to the exact integer
 Fourier-Motzkin elimination, which decides whether a separating functional
 exists.
 """
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -453,12 +459,46 @@ def _meet_in_common_face(sigma: Cone, tau: Cone) -> bool:
 def validate_fan(f: Fan) -> bool:
     """True iff every pairwise intersection of cones is a common face.
 
-    Each pair is settled by one integer cofactor row of either cone when
-    such a row exists (a facet certificate), and otherwise by exact integer
-    Fourier-Motzkin elimination; see :func:`_meet_in_common_face`.
+    The facet certificate of :func:`_meet_in_common_face` runs as bit tests.
+    Each of the ``R`` rays of the fan has one bit and each cone the mask
+    ``M`` of its rays.  Each cofactor row ``C_j``, scaled to a primitive
+    row, is dotted once with every ray, giving the mask ``N_j`` of the rays
+    with ``C_j . r < 0`` (and that of its negative, the row the cone across
+    the facet has): at most ``k * R`` integer dot products per cone of
+    dimension ``k``.  A pair ``(sigma, tau)`` is settled by a row of
+    ``sigma`` when ``tau`` lacks its generator ``g_j`` and ``N_j`` covers
+    ``M_tau & ~M_sigma``, the rays only ``tau`` has; that is
+    :func:`_row_certificate` for the pair, decided by one ``&`` of ``M_tau``
+    with the block ``~(N_j | M_sigma) | bit(g_j)``.  The same test is tried
+    from ``tau``'s side, so a pair costs a few bit operations per row.  Only
+    pairs that neither side settles go to :func:`_meet_in_common_face`,
+    which tries the rows again and decides the rest exactly.
     """
     cones = f.sorted_cones()
-    for a, b in itertools.combinations(cones, 2):
-        if not _meet_in_common_face(a, b):
-            return False
+    rays = f.rays()
+    bit = {r: 1 << i for i, r in enumerate(rays)}
+    full = (1 << len(rays)) - 1
+    high_to_low = [r.entries for r in reversed(rays)]
+    negative: dict[tuple[int, ...], int] = {}
+    masks, blocks = [], []
+    for c in cones:
+        m = sum(bit[g] for g in c.generators)
+        own = []
+        for g, row in zip(c.generators, c.cofactors):
+            d = math.gcd(*row)
+            key = tuple(x // d for x in row)
+            if key not in negative:
+                dots = [sum(map(operator.mul, key, e)) for e in high_to_low]
+                negative[key] = int("".join(["01"[x < 0] for x in dots]), 2)
+                negative[tuple(-x for x in key)] = int("".join(["01"[x > 0] for x in dots]), 2)
+            own.append(full & ~(negative[key] | m) | bit[g])
+        masks.append(m)
+        blocks.append(own)
+    for i, (ms, own) in enumerate(zip(masks, blocks)):
+        pending = range(i + 1, len(cones))
+        for z in own:
+            pending = [j for j in pending if masks[j] & z]
+        for j in pending:
+            if all(ms & z for z in blocks[j]) and not _meet_in_common_face(cones[i], cones[j]):
+                return False
     return True

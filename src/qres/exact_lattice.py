@@ -228,8 +228,8 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """
     a = m.to_lists()
     nr, nc = m.nrows, m.ncols
-    left = IntegerMatrix.identity(nr).to_lists()
-    right = IntegerMatrix.identity(nc).to_lists()
+    left = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def add_row(src: int, dst: int, q: int) -> None:
         # row_dst -= q * row_src

@@ -4,12 +4,13 @@ Every cone, full-dimensional or not, answers ``numerators``, ``contains``,
 ``coordinates``, ``multiplicity`` and star subdivision from one cached
 minor ``det`` on its first column basis and its cofactor rows, builds the
 pieces of a subdivision from the parent's rows, and settles most pairs of
-the fan check with one cofactor row.  These tests compare every answer with
-the ``Fraction`` elimination of ``span_coordinates`` and ``matrix_rank``, the
-constructor's own elimination, the Smith normal form, the all-pairs
-maximality rule, the one-ray-at-a-time reference subdivision and the
-``Fraction`` Fourier-Motzkin fan check written out below, on cones of rank
-2-5 and of every dimension.
+the fan check with one cofactor row, run as bit masks of its signs on the
+rays of the fan.  These tests compare every answer with the ``Fraction``
+elimination of ``span_coordinates`` and ``matrix_rank``, the constructor's
+own elimination, the Smith normal form, the all-pairs maximality rule, the
+one-ray-at-a-time reference subdivision and the ``Fraction``
+Fourier-Motzkin fan check written out below, on cones of rank 2-5 and of
+every dimension.
 """
 
 import functools
@@ -19,7 +20,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qres import cones_fans
@@ -44,6 +45,7 @@ from qres.exact_lattice import (
     smith_normal_form,
     span_coordinates,
 )
+from qres.resolution_engine import marked_fan_from_characters, resolve
 
 
 def primitive_vectors(rank, bound=6):
@@ -586,3 +588,35 @@ class TestFacetCertificate:
             assert _meet_in_common_face(sigma, tau)
             assert validate_fan(Fan(3, [sigma, tau]))
         assert fm.call_count == 2
+
+
+ORTHANT = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+class TestSignMaskFanCheck:
+    # rays on a facet hyperplane of the orthant, through its 2-face: a row
+    # that is only nonpositive there must not settle the pair
+    @example((3, [ORTHANT, Cone(3, [(1, 1, 0)])]))
+    @example((3, [ORTHANT, Cone(3, [(1, 1, 0), (0, 0, -1)])]))
+    @given(st.one_of(mixed_cone_lists(), subdivided_fans()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_reference(self, data):
+        n, cones = data
+        fan = Fan(n, cones)
+        pairs = itertools.combinations(fan.sorted_cones(), 2)
+        assert validate_fan(fan) == all(reference_meet(a, b) for a, b in pairs)
+
+    def test_few_pairs_reach_the_exact_check(self, monkeypatch):
+        # the 103-cone fan has 5,253 pairs; the ray masks settle all but 6
+        fan = resolve(marked_fan_from_characters(97, (1, 13, 41))).final.fan
+        calls = []
+        real = cones_fans._meet_in_common_face
+
+        def counting(sigma, tau):
+            calls.append((sigma, tau))
+            return real(sigma, tau)
+
+        monkeypatch.setattr(cones_fans, "_meet_in_common_face", counting)
+        assert len(fan.cones) == 103
+        assert validate_fan(fan)
+        assert len(calls) <= 50

@@ -5,9 +5,9 @@ Covers the paper's main claim on a few ladder types in characteristic 0, 2,
 fan state, the fan and trace round trips, replay with missing, wrong and
 stale hints, a pinned trace and a bound on the containment tests and sorts
 of a larger type, functoriality under lattice automorphisms, permutations of
-the characters and restriction to the cones after one step, independence
-of the trace bytes from the hash seed, and the command-line checks that
-must survive ``python -O``.
+the characters, restriction to the cones after one step and smooth base
+change (the product with a ray), independence of the trace bytes from the
+hash seed, and the command-line checks that must survive ``python -O``.
 """
 
 import hashlib
@@ -345,6 +345,51 @@ def test_resolution_restricts_to_each_cone_after_the_first_step(case):
         alone = resolve(MarkedFan(Fan(fan.rank, [sigma]), marked, m.characteristic))
         inside = {c for c in final if all(sigma.contains(g) for g in c.generators)}
         assert alone.final.fan.cones == inside
+
+
+BASE_CHANGE_CASES = [
+    (31, (1, 5, 11), 0),
+    (97, (1, 13, 41), 0),
+    (13, (1, 3, 5, 7), 0),
+    (12, (1, 5, 7), 2),
+    (18, (10, 15, 11), 3),
+    (45, (19, 17, 32), 5),
+    (7, (1, 3, 1), 0),
+    (61, (1, 11, 23), 0),
+    (5, (1, 2), 0),
+    (25, (1, 7), 5),
+]
+
+
+def _pad(v):
+    return IntegerVector(v.entries + (0,))
+
+
+def _times_ray(fan):
+    """The product of ``fan`` with the ray of a new last coordinate."""
+    e = IntegerVector((0,) * fan.rank + (1,))
+    return Fan(
+        fan.rank + 1,
+        [Cone(fan.rank + 1, [_pad(g) for g in c.generators] + [e]) for c in fan.cones],
+    )
+
+
+@pytest.mark.parametrize("case", BASE_CHANGE_CASES, ids=case_id)
+def test_resolution_commutes_with_smooth_base_change(case):
+    # F x A^1: every ray gains a 0 coordinate and every cone the new unit
+    # ray, which is left unmarked; resolving the product is the product of
+    # the resolution, step by step
+    order, chars, p = case
+    m = marked_fan_from_characters(order, chars, p)
+    trace = resolve(m)
+    moved = resolve(
+        MarkedFan(_times_ray(m.fan), [_pad(r) for r in m.marked_rays], p)
+    )
+    assert moved.final.fan == _times_ray(trace.final.fan)
+    assert moved.ray_groups == tuple(
+        tuple(_pad(u) for u in group) for group in trace.ray_groups
+    )
+    assert [s.phase for s in moved.steps] == [s.phase for s in trace.steps]
 
 
 @pytest.mark.parametrize("case", RANK2, ids=case_id)
