@@ -5,8 +5,9 @@ Exit codes:
 
 - 0: success.
 - 1: ``glue-check`` ran, but some sampled substitution broke the filtration.
-- 2: precondition violation, for example ``--samples`` below 0, a ray
-  outside the fan or a singular cone without a faithful marked ray.
+- 2: precondition violation, for example ``--samples`` below 0, a
+  ``hilbert`` degree bound below 1, a ray outside the fan or a singular
+  cone without a faithful marked ray.
   argparse also exits 2 on malformed arguments.
 - 3: parse error or other invalid input.
 - 4: internal check failed, which certifies a bug.  This covers a measure
@@ -237,6 +238,8 @@ def _cmd_blowup(args) -> int:
 def _cmd_hilbert(args) -> int:
     order, chars = parse_quotient_literal(args.type)
     bound = args.bound if args.bound is not None else _max_degree()
+    if bound < 1:
+        raise PreconditionError(f"degree bound must be at least 1, got {bound}")
     gens = invariant_generators_raw(order, chars, bound)
     ordered = sorted(gens, key=lambda mn: (mn.total_degree, mn.exponents))
     if args.json:

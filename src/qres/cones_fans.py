@@ -17,17 +17,23 @@ miss.  Containment is sign tests of integer dot products and star
 subdivision reads the numerators ``C_j . v``.  For a full-dimensional cone
 ``P`` is every coordinate and ``det`` the multiplicity.
 
-Star subdivision.  :func:`star_subdivide` applies a batch of rays over one
-dict from each ray of the fan to the cones it generates and builds one
-:class:`Fan` at the end.  Each point of a fan lies in the relative interior
-of exactly one of its cones, so the cones containing a ray are exactly those
-having that cone as a face: given a hint cone that is checked to contain the
-ray, the generators of positive weight name that face, and intersecting
-their index sets finds its star without testing any other cone.  Without a
-usable hint every cone is scanned.  The pieces of a cone take their
-``det`` and cofactor rows from the parent's by one exact rank-one update
-each (see :func:`_subdivide_cone`), so a subdivision runs no elimination;
-cones hash once, in their constructor.
+Star subdivision.  Every :class:`Fan` owns a dict from each of its rays to
+the cones it generates (:attr:`Fan.ray_index`), built once from its cones
+when first read.  :func:`star_subdivide` applies a batch of rays starting
+from the input fan's index, copying only the sets of the rays it touches,
+builds one :class:`Fan` at the end and hands it the updated index, so a
+step costs the star of its rays, not a pass over every cone.  Each point of
+a fan lies in the relative interior of exactly one of its cones, so the
+cones containing a ray are exactly those having that cone as a face: given a
+hint cone that is checked to contain the ray, the generators of positive
+weight name that face, and intersecting their index sets finds its star
+without testing any other cone.  Without a usable hint every cone is
+scanned.  The pieces of a cone take their ``det`` and cofactor rows from the
+parent's by one exact rank-one update each (see :func:`_subdivide_cone`), so
+a subdivision runs no elimination; cones hash once, in their constructor.
+On request a :class:`Subdivision` records the cones removed and added and
+the pieces of every cone split, so a caller can update what it derives from
+the fan instead of recomputing it.
 
 Fan check.  :func:`validate_fan` asks of every pair of cones whether they
 meet in the face they share.  A cofactor row ``C_j`` of a cone at a
@@ -52,7 +58,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInputError, DimensionError, MeasureError, SupportError
@@ -189,6 +195,8 @@ class Fan:
     cone's, so only maximal cones are stored; their faces are implied.  Only
     cones below the top dimension are tested: a full-dimensional cone is
     never a proper face of another, and equal cones meet in the set.
+
+    :attr:`ray_index` is derived data, not part of equality or hash.
     """
 
     rank: int
@@ -209,6 +217,19 @@ class Fan:
         }
         object.__setattr__(self, "rank", int(rank))
         object.__setattr__(self, "cones", frozenset(cs - absorbed))
+
+    @cached_property
+    def ray_index(self) -> dict[IntegerVector, set[Cone]]:
+        """Each ray of the fan with the set of cones it generates; no ray
+        maps to an empty set.  Built once, on first read, or handed over by
+        :func:`star_subdivide`; fans derived from this one share the sets of
+        the rays their subdivision did not touch, so neither the dict nor
+        its sets may be mutated."""
+        index: dict[IntegerVector, set[Cone]] = {}
+        for c in self.cones:
+            for g in c.generators:
+                index.setdefault(g, set()).add(c)
+        return index
 
     def sorted_cones(self) -> tuple[Cone, ...]:
         return tuple(sorted(self.cones, key=Cone.sort_key))
@@ -314,8 +335,30 @@ def _face_star(
     return stars[0].intersection(*stars[1:])
 
 
+@dataclass
+class Subdivision:
+    """What one :func:`star_subdivide` call did, filled in when passed as its
+    ``record``.
+
+    ``removed`` are the cones of the input fan not in the result and
+    ``added`` those of the result not in the input; a piece made by one ray
+    and split again by a later ray of the same call is in neither.
+    ``pieces`` maps each ``(cone, ray)`` that was split to its pieces, as
+    :func:`_subdivide_cone` returns them.
+    """
+
+    removed: frozenset[Cone] = frozenset()
+    added: frozenset[Cone] = frozenset()
+    pieces: dict[tuple[Cone, IntegerVector], tuple[Cone, ...]] = field(
+        default_factory=dict
+    )
+
+
 def star_subdivide(
-    f: Fan, *rays: IntegerVector, hints: Sequence[Optional[Cone]] = ()
+    f: Fan,
+    *rays: IntegerVector,
+    hints: Sequence[Optional[Cone]] = (),
+    record: Optional[Subdivision] = None,
 ) -> Fan:
     """Star subdivision of ``f`` at the primitive lattice points ``rays``,
     applied in order.
@@ -324,30 +367,38 @@ def star_subdivide(
     (necessarily in the relative interior of one of its faces) is replaced
     by its star subdivision.  Raises :class:`SupportError` when a ray lies
     outside the support of the fan as subdivided by the rays before it.
+    When ``record`` is given it is filled in with what the call did (see
+    :class:`Subdivision`).
 
-    Locality.  A dict from each ray of the fan to the cones it generates is
-    kept up to date as the rays are applied, and one :class:`Fan` is built
-    at the end.  ``hints[k]``, when given, is a cone believed to contain
-    ``rays[k]``; it need not be a cone of the fan.  If it does contain the
-    ray, the generators of positive weight span the minimal face ``F`` of
-    the hint containing it, the ray lies in the relative interior of ``F``,
-    and the cones subdivided are those having every generator of ``F``,
-    found by intersecting their index sets.  This is sound for a fan: a
-    simplicial cone having every generator of ``F`` has ``F`` as a face, so
-    then ``F`` is a cone of the fan with the ray in its relative interior;
-    each point of a fan lies in the relative interior of exactly one of its
-    cones, so the cones containing the ray are exactly those having ``F`` as
-    a face.  When the intersection is empty (``F`` was split by an earlier
-    ray) or the hint does not contain the ray, every cone is scanned and
-    each one containing the ray is subdivided.  A wrong, missing or hostile
-    hint therefore costs only the scan, and without hints the result is the
+    Locality.  The ray index of ``f`` (see :attr:`Fan.ray_index`) is kept
+    up to date as the rays are applied: the dict is copied, and the set of a
+    ray is copied the first time the call changes it, so ``f`` and every fan
+    sharing its sets are left as they were.  One :class:`Fan` is built at
+    the end and takes the updated index, unless its constructor absorbed a
+    cone, which only a collection that is not a fan can give.
+
+    ``hints[k]``, when given, is a cone believed to contain ``rays[k]``; it
+    need not be a cone of the fan.  If it does contain the ray, the
+    generators of positive weight span the minimal face ``F`` of the hint
+    containing it, the ray lies in the relative interior of ``F``, and the
+    cones subdivided are those having every generator of ``F``, found by
+    intersecting their index sets.  This is sound for a fan: a simplicial
+    cone having every generator of ``F`` has ``F`` as a face, so then ``F``
+    is a cone of the fan with the ray in its relative interior; each point
+    of a fan lies in the relative interior of exactly one of its cones, so
+    the cones containing the ray are exactly those having ``F`` as a face.
+    When the intersection is empty (``F`` was split by an earlier ray) or
+    the hint does not contain the ray, every cone is scanned and each one
+    containing the ray is subdivided.  A wrong, missing or hostile hint
+    therefore costs only the scan, and without hints the result is the
     one-ray-at-a-time subdivision of any cone collection, fan or not.
     """
     cones = set(f.cones)
-    index: dict[IntegerVector, set[Cone]] = {}
-    for c in cones:
-        for g in c.generators:
-            index.setdefault(g, set()).add(c)
+    index = dict(f.ray_index)
+    owned: dict[IntegerVector, set[Cone]] = {}  # the sets this call has copied
+    gone: set[Cone] = set()
+    made: set[Cone] = set()
+    split: dict[tuple[Cone, IntegerVector], tuple[Cone, ...]] = {}
     for k, u in enumerate(rays):
         if not is_primitive(u):
             raise DegenerateInputError(f"subdivision ray {u} must be primitive")
@@ -363,14 +414,39 @@ def star_subdivide(
             pieces = _subdivide_cone(c, u)
             if pieces[0] is c:
                 continue
+            split[(c, u)] = pieces
             cones.remove(c)
+            gone.add(c)
             for g in c.generators:
-                index[g].discard(c)
+                cs = owned.get(g)
+                if cs is None:
+                    cs = owned[g] = index[g] = set(index[g])
+                cs.discard(c)
             for piece in pieces:
                 cones.add(piece)
+                made.add(piece)
                 for g in piece.generators:
-                    index.setdefault(g, set()).add(piece)
-    return Fan(f.rank, cones)
+                    cs = owned.get(g)
+                    if cs is None:
+                        cs = owned[g] = index[g] = set(index.get(g, ()))
+                    cs.add(piece)
+    for g, cs in owned.items():
+        if not cs:
+            del index[g]
+    fan = Fan(f.rank, cones)
+    before, after = f.cones, fan.cones
+    absorbed = len(after) != len(cones)
+    if not absorbed:
+        # the constructor kept every cone, so the index is exactly the fan's
+        fan.__dict__["ray_index"] = index
+    if record is not None:
+        if absorbed:
+            record.removed, record.added = before - after, after - before
+        else:
+            record.removed = frozenset(c for c in gone if c in before and c not in after)
+            record.added = frozenset(c for c in made if c in after and c not in before)
+        record.pieces = split
+    return fan
 
 
 def _fm_feasible(num_vars: int, constraints: list[tuple[tuple[int, ...], int]]) -> bool:

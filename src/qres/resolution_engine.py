@@ -13,17 +13,37 @@ freshest marked ray with unit character (largest creation index) as the
 divisor.  Both measures decrease strictly; that and every other invariant
 of the loop is checked explicitly and a failure raises
 :class:`~qres.errors.MeasureError`, so the checks survive ``python -O``.
+
+A blow-up changes only the stars of its centers, so each step passes its
+state to the next instead of rebuilding it from the fan.  The fan carries
+its ray index (:attr:`~qres.cones_fans.Fan.ray_index`) and the marked fan
+its singular cones grouped by multiplicity (:attr:`MarkedFan.singular`),
+from which the measures and the targets are read.  The step's
+:func:`~qres.cones_fans.star_subdivide` records the cones it removed and
+added and the pieces of each cone it split: the child's groups are the
+parent's less the removed cones plus the singular added ones, only those
+are checked for a cyclic quotient, and each center's charts are the pieces
+the subdivision made of it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .cones_fans import Cone, Fan, _subdivide_cone, multiplicity, star_subdivide
+from .cones_fans import (
+    Cone,
+    Fan,
+    Subdivision,
+    _subdivide_cone,
+    multiplicity,
+    star_subdivide,
+)
 from .errors import (
     DegenerateInputError,
     MeasureError,
@@ -52,7 +72,9 @@ class MarkedFan:
     """Fan with ordered marked divisor rays and a base characteristic.
 
     ``marked_position`` maps each marked ray to its last position in the
-    marking, its creation index.
+    marking, its creation index.  :attr:`singular` groups the singular cones
+    of the fan by multiplicity; like ``marked_position`` it is derived data,
+    not part of equality.
     """
 
     fan: Fan
@@ -70,16 +92,88 @@ class MarkedFan:
     ):
         marked = tuple(marked_rays)
         _validate_characteristic(characteristic)
-        rays = set(fan.rays())
+        rays = fan.ray_index
         for ray in marked:
             if ray not in rays:
                 raise PreconditionError(f"marked ray {ray} is not a ray of the fan")
+        self._set(
+            fan, marked, int(characteristic), {ray: i for i, ray in enumerate(marked)}
+        )
+
+    def _set(
+        self,
+        fan: Fan,
+        marked: tuple[IntegerVector, ...],
+        characteristic: int,
+        position: dict[IntegerVector, int],
+    ) -> None:
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "marked_rays", marked)
-        object.__setattr__(self, "characteristic", int(characteristic))
-        object.__setattr__(
-            self, "marked_position", {ray: i for i, ray in enumerate(marked)}
-        )
+        object.__setattr__(self, "characteristic", characteristic)
+        object.__setattr__(self, "marked_position", position)
+
+    @cached_property
+    def singular(self) -> dict[int, frozenset[Cone]]:
+        """The singular cones of the fan by multiplicity; no multiplicity
+        maps to an empty set.  One scan of the fan, on first read, for a
+        constructed marked fan; a blow-up step derives it from its parent's
+        (see :meth:`_subdivided`)."""
+        groups: dict[int, set[Cone]] = {}
+        for c in self.fan.cones:
+            x = multiplicity(c)
+            if x > 1:
+                groups.setdefault(x, set()).add(c)
+        return {x: frozenset(cs) for x, cs in groups.items()}
+
+    @cached_property
+    def _unchecked(self) -> tuple[Cone, ...]:
+        """The singular cones whose quotient :func:`invariant` checks to be
+        cyclic, in sorted order: all of them for a constructed marked fan,
+        only those a blow-up step added for its result."""
+        return tuple(sorted(itertools.chain(*self.singular.values()), key=Cone.sort_key))
+
+    def _subdivided(
+        self, fan: Fan, added_rays: tuple[IntegerVector, ...], done: Subdivision
+    ) -> "MarkedFan":
+        """The marked fan after a step that subdivided ``self.fan`` into
+        ``fan``, as ``done`` records, and marked ``added_rays``.
+
+        Only what the step changed is computed: the groups of
+        :attr:`singular` lose the removed cones and gain the singular added
+        ones, which alone are left for :func:`invariant` to check, and only
+        the added rays are checked against the fan, since star subdivision
+        keeps every ray.
+        """
+        rays = fan.ray_index
+        for ray in added_rays:
+            if ray not in rays:
+                raise PreconditionError(f"marked ray {ray} is not a ray of the fan")
+        changes: dict[int, tuple[list[Cone], list[Cone]]] = {}
+        for c in done.removed:
+            x = multiplicity(c)
+            if x > 1:
+                changes.setdefault(x, ([], []))[0].append(c)
+        fresh = []
+        for c in done.added:
+            x = multiplicity(c)
+            if x > 1:
+                changes.setdefault(x, ([], []))[1].append(c)
+                fresh.append(c)
+        groups = dict(self.singular)
+        for x, (drop, add) in changes.items():
+            group = groups.get(x, frozenset()).difference(drop).union(add)
+            if group:
+                groups[x] = group
+            else:
+                del groups[x]
+        n = len(self.marked_rays)
+        position = dict(self.marked_position)
+        position.update((ray, n + i) for i, ray in enumerate(added_rays))
+        child = object.__new__(MarkedFan)
+        child._set(fan, self.marked_rays + added_rays, self.characteristic, position)
+        child.__dict__["singular"] = groups
+        child.__dict__["_unchecked"] = tuple(sorted(fresh, key=Cone.sort_key))
+        return child
 
 
 @dataclass(frozen=True)
@@ -169,26 +263,29 @@ def invariant(m: MarkedFan) -> tuple[int, int]:
     """Maximal cone multiplicity and how many maximal cones attain it.
 
     Raises :class:`~qres.errors.UnsupportedInputError` at the first cone in
-    sorted order whose quotient is not cyclic; only singular cones are
-    checked, since a smooth cone's quotient is trivial.
+    sorted order whose quotient is not cyclic.  Only singular cones are
+    checked, since a smooth cone's quotient is trivial, and of a blow-up
+    step's result only those the step added: the rest were checked in its
+    parent, so the first failure is the same.
     """
-    mults = {cone: multiplicity(cone) for cone in m.fan.cones}
-    for cone in sorted((c for c, x in mults.items() if x > 1), key=Cone.sort_key):
+    for cone in m._unchecked:
         cone_characters(cone)
-    top = max(mults.values())
-    return top, sum(1 for x in mults.values() if x == top)
+    groups = m.singular
+    if not groups:
+        return 1, len(m.fan.cones)
+    top = max(groups)
+    return top, len(groups[top])
 
 
 def _nontame_invariant(m: MarkedFan) -> Optional[tuple[int, int]]:
     p = m.characteristic
     if p == 0:
         return None
-    mults = (multiplicity(c) for c in m.fan.cones)
-    bad = [x for x in mults if x > 1 and x % p == 0]
+    bad = [x for x in m.singular if x % p == 0]
     if not bad:
         return None
     top = max(bad)
-    return top, sum(1 for x in bad if x == top)
+    return top, len(m.singular[top])
 
 
 def _center_for(m: MarkedFan, cone: Cone) -> Center:
@@ -221,8 +318,13 @@ def _center_for(m: MarkedFan, cone: Cone) -> Center:
     return Center(cone, ray, divisor_ray, divisor_index, order, weights)
 
 
-def _local_charts(center: Center, characteristic: int) -> tuple[ChartRecord, ...]:
-    pieces = _subdivide_cone(center.cone, center.ray)
+def _local_charts(
+    center: Center, characteristic: int, done: Subdivision
+) -> tuple[ChartRecord, ...]:
+    pieces = done.pieces.get((center.cone, center.ray))
+    if pieces is None:
+        # an earlier ray of the same step split the center cone first
+        pieces = _subdivide_cone(center.cone, center.ray)
     expected = sorted(w for w in center.weights if w > 0)
     got = sorted(multiplicity(piece) for piece in pieces)
     if got != expected:
@@ -260,7 +362,7 @@ def _center_cones(centers: Iterable[Center]) -> dict[IntegerVector, Cone]:
 
 def _targets(m: MarkedFan, order: int) -> list[Cone]:
     """Cones of multiplicity ``order``, in sorted order."""
-    return sorted((c for c in m.fan.cones if multiplicity(c) == order), key=Cone.sort_key)
+    return sorted(m.singular.get(order, ()), key=Cone.sort_key)
 
 
 def _apply_step(
@@ -272,15 +374,17 @@ def _apply_step(
     """Blow up every cone of the order the phase targets.
 
     ``inv_before`` and ``nt_before`` are the measures of ``m``; the step
-    computes only the measures of the result.
+    computes only the measures of the result, from the state it derives
+    from ``m`` and the record of its subdivision.
     """
     top = nt_before[0] if phase == PHASE_NON_TAME else inv_before[0]
     centers = tuple(_center_for(m, c) for c in _targets(m, top))
     cone_of = _center_cones(centers)
     added = tuple(sorted(cone_of, key=lambda v: v.entries))
-    fan = star_subdivide(m.fan, *added, hints=[cone_of[u] for u in added])
-    new_m = MarkedFan(fan, m.marked_rays + added, m.characteristic)
-    charts = tuple(_local_charts(center, m.characteristic) for center in centers)
+    done = Subdivision()
+    fan = star_subdivide(m.fan, *added, hints=[cone_of[u] for u in added], record=done)
+    new_m = m._subdivided(fan, added, done)
+    charts = tuple(_local_charts(center, m.characteristic, done) for center in centers)
     record = StepRecord(
         phase=phase,
         centers=centers,

@@ -3,11 +3,14 @@
 Covers the paper's main claim on a few ladder types in characteristic 0, 2,
 3 and 5, the chart orders of every step, one evaluation of the measure per
 fan state, the fan and trace round trips, replay with missing, wrong and
-stale hints, a pinned trace and a bound on the containment tests and sorts
-of a larger type, functoriality under lattice automorphisms, permutations of
-the characters, restriction to the cones after one step and smooth base
-change (the product with a ray), independence of the trace bytes from the
-hash seed, and the command-line checks that must survive ``python -O``.
+stale hints, pinned traces of larger types and bounds on the containment
+tests, sorts, multiplicities and subdivisions of one of them, the state each
+step carries to the next against a rebuild from the fan, the chart pieces
+against a fresh subdivision of their center, functoriality under lattice
+automorphisms, permutations of the characters, restriction to the cones
+after one step and smooth base change (the product with a ray),
+independence of the trace bytes from the hash seed, and the command-line
+checks, some of which must survive ``python -O``.
 """
 
 import hashlib
@@ -22,16 +25,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qres import cli, fanfile, quotient_classifier, resolution_engine
-from qres.cones_fans import Cone, Fan, multiplicity, star_subdivide, validate_fan
+from qres import cli, cones_fans, fanfile, quotient_classifier, resolution_engine
+from qres.cones_fans import (
+    Cone,
+    Fan,
+    Subdivision,
+    _subdivide_cone,
+    multiplicity,
+    star_subdivide,
+    validate_fan,
+)
 from qres.errors import FanParseError, ReplayError
 from qres.exact_lattice import IntegerVector
 from qres.fanfile import TraceDocument
 from qres.hj_oracle import hj_cone_rays, hj_rays
 from qres.resolution_engine import (
+    PHASE_MAX_ORDER,
     PHASE_NON_TAME,
     MarkedFan,
+    _apply_step,
+    _center_for,
+    _nontame_invariant,
+    _targets,
     fan_digest,
+    invariant,
     marked_fan_from_characters,
     replay,
     resolve,
@@ -235,11 +252,29 @@ def test_replay_rejects_a_group_with_a_ray_dropped():
 PINNED_TRACE_SHA256 = "69382e548bce858accc1476909e55b6a498c087527a30c84338d9c2ee1591dbf"
 
 
+def _count_calls(monkeypatch, modules, fn):
+    """Replace every binding of ``fn`` in ``modules`` by a counting wrapper."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return fn(*args)
+
+    for mod in modules:
+        for key, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
 def test_larger_type_is_pinned_and_tests_few_cones(monkeypatch):
     # one blow-up step touches only the star of its centers: the scan over
     # every cone for every ray made 310,249 contains calls on this type;
     # sorting every cone for the measure and the targets of each step made
-    # 20,197 sort_key calls, where only the singular cones need an order
+    # 20,197 sort_key calls, where only the singular cones need an order;
+    # reading every cone's multiplicity for the measures of each step made
+    # 21,311 multiplicity calls, and subdividing every center again for its
+    # charts 1,540 _subdivide_cone calls for 770 centers
     calls, sorts = [], []
     for name in ("contains", "numerators"):
         real = getattr(Cone, name)
@@ -248,12 +283,45 @@ def test_larger_type_is_pinned_and_tests_few_cones(monkeypatch):
         )
     real_key = Cone.sort_key
     monkeypatch.setattr(Cone, "sort_key", lambda self: sorts.append(1) or real_key(self))
+    engine_modules = (cones_fans, resolution_engine, quotient_classifier)
+    mults = _count_calls(monkeypatch, engine_modules, cones_fans.multiplicity)
+    splits = _count_calls(monkeypatch, engine_modules, cones_fans._subdivide_cone)
     trace = resolve(marked_fan_from_characters(211, (1, 37, 101)))
     assert len(calls) <= 5000
     assert len(sorts) <= 8000
+    assert len(mults) <= 8000
+    assert len(splits) <= 800
+    assert sum(len(step.centers) for step in trace.steps) == 770
     assert (len(trace.steps), len(trace.final.fan.cones)) == (56, 1115)
     text = fanfile.emit_trace(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TRACE_SHA256
+
+
+LARGER_PINS = [
+    (
+        (1009, (1, 400, 617), 0),
+        69,
+        1715,
+        "7e1a871f985e51e4f7c973696d9b8d696056977f21ada72079ecc68b5861d295",
+    ),
+    (
+        (101, (1, 7, 19, 31), 0),
+        26,
+        919,
+        "747f94e54f75fc2f2fdd4f4066d9962bf94331b2dc46130d76e842c760cfb8ae",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case, steps, cones, sha256", LARGER_PINS, ids=[case_id(pin[0]) for pin in LARGER_PINS]
+)
+def test_larger_types_keep_their_traces(case, steps, cones, sha256):
+    order, chars, p = case
+    trace = resolve(marked_fan_from_characters(order, chars, p))
+    assert (len(trace.steps), len(trace.final.fan.cones)) == (steps, cones)
+    text = fanfile.emit_trace(trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 @st.composite
@@ -265,6 +333,115 @@ def quotient_types(draw, max_order=(60, 24, 12)):
     chars = draw(st.lists(st.integers(0, order - 1), min_size=n - 1, max_size=n - 1))
     last = draw(st.integers(1, order - 1).filter(lambda c: math.gcd(c, order) == 1))
     return order, tuple(chars) + (last,), draw(st.sampled_from([0, 2, 3, 5]))
+
+
+def _rebuilt_index(fan):
+    index = {}
+    for c in fan.cones:
+        for g in c.generators:
+            index.setdefault(g, set()).add(c)
+    return index
+
+
+def _assert_state_is_rebuilt(m):
+    """The carried index, groups and measures of ``m`` against a scan of
+    every cone of its fan."""
+    assert m.fan.ray_index == _rebuilt_index(m.fan)
+    mults = {c: multiplicity(c) for c in m.fan.cones}
+    groups = {}
+    for c, x in mults.items():
+        if x > 1:
+            groups.setdefault(x, set()).add(c)
+    assert m.singular == groups
+    top = max(mults.values())
+    assert invariant(m) == (top, sum(1 for x in mults.values() if x == top))
+    p = m.characteristic
+    bad = [x for x in mults.values() if x > 1 and p and x % p == 0]
+    expected = (max(bad), bad.count(max(bad))) if bad else None
+    assert _nontame_invariant(m) == expected
+    for x in groups:
+        assert _targets(m, x) == sorted(
+            (c for c, y in mults.items() if y == x), key=Cone.sort_key
+        )
+
+
+def _assert_subdivision_leaves_input(fan, u, v):
+    """Two subdivisions of one fan at different rays change neither the
+    fan's index nor the first result."""
+    before = {g: set(cs) for g, cs in fan.ray_index.items()}
+    first = star_subdivide(fan, u)
+    kept = {g: set(cs) for g, cs in first.ray_index.items()}
+    second = star_subdivide(fan, v)
+    assert fan.ray_index == before
+    assert first.ray_index == kept == _rebuilt_index(first)
+    assert second.ray_index == _rebuilt_index(second)
+    assert star_subdivide(fan, u) == first
+
+
+def _interior_ray(fan, u):
+    """A primitive point inside the first cone other than ``u``: the sum of
+    the generators plus one of them, which gives pairwise distinct rays."""
+    c = fan.sorted_cones()[0]
+    for g in c.generators:
+        e = [sum(col) for col in zip(g.entries, *(h.entries for h in c.generators))]
+        d = math.gcd(*e)
+        v = IntegerVector([x // d for x in e])
+        if v != u:
+            return v
+
+
+@given(quotient_types())
+@settings(max_examples=40, deadline=None)
+def test_carried_step_state_equals_a_rebuild(case):
+    order, chars, p = case
+    m = marked_fan_from_characters(order, chars, p)
+    inv, nt = invariant(m), _nontame_invariant(m)
+    while True:
+        _assert_state_is_rebuilt(m)
+        if nt is not None:
+            phase = PHASE_NON_TAME
+        elif inv[0] > 1:
+            phase = PHASE_MAX_ORDER
+        else:
+            break
+        u = _center_for(m, _targets(m, (nt or inv)[0])[0]).ray
+        _assert_subdivision_leaves_input(m.fan, u, _interior_ray(m.fan, u))
+        m, record = _apply_step(m, phase, inv, nt)
+        inv, nt = record.invariant_after, record.nontame_after
+
+
+def _cone_data(pieces):
+    return [(c.generators, c.det, c.cofactors) for c in sorted(pieces, key=Cone.sort_key)]
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_chart_pieces_are_the_subdivision_of_their_center(case):
+    _, trace = traced(case)
+    for step in trace.steps:
+        for center, charts in zip(step.centers, step.charts):
+            assert _cone_data(ch.cone for ch in charts) == _cone_data(
+                _subdivide_cone(center.cone, center.ray)
+            )
+
+
+def test_chart_pieces_are_recomputed_when_an_earlier_ray_split_the_center(monkeypatch):
+    # two centers of one engine step never split each other's cones (a
+    # center ray inside another target lies on a face carrying that
+    # target's whole group, so it is that target's center too), so the step
+    # is built by hand: e1 + e2 splits sigma before its center ray
+    m = marked_fan_from_characters(31, (1, 5, 11))
+    (sigma,) = m.fan.cones
+    e1, e2, _ = sigma.generators
+    center = _center_for(m, sigma)
+    done = Subdivision()
+    star_subdivide(m.fan, e1 + e2, center.ray, hints=(sigma, sigma), record=done)
+    assert (sigma, center.ray) not in done.pieces
+    calls = _count_calls(monkeypatch, (resolution_engine,), _subdivide_cone)
+    charts = resolution_engine._local_charts(center, 0, done)
+    assert len(calls) == 1
+    assert _cone_data(ch.cone for ch in charts) == _cone_data(
+        _subdivide_cone(sigma, center.ray)
+    )
 
 
 @st.composite
@@ -532,6 +709,18 @@ def test_classify_runs_one_smith_normal_form_per_singular_cone(tmp_path, monkeyp
 def test_glue_check_rejects_negative_samples(capsys):
     assert cli.main(["glue-check", "1/7(1,3,1)", "--samples", "-3"]) == 2
     assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, env", [(["--bound", "0"], {}), ([], {"QRES_MAX_DEGREE": "0"})], ids=["flag", "env"]
+)
+def test_hilbert_rejects_a_bound_below_one(argv, env, monkeypatch, capsys):
+    # a bad numeric option is a precondition violation (exit 2) like
+    # --samples -1 above, not invalid input (exit 3)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(["hilbert", "1/5(1,2)", *argv]) == 2
+    assert "degree bound must be at least 1" in capsys.readouterr().err
 
 
 def test_oracle_check_passes_on_a_rank2_fan(tmp_path, capsys):
