@@ -6,8 +6,8 @@ Exit codes:
 - 0: success.
 - 1: ``glue-check`` ran, but some sampled substitution broke the filtration.
 - 2: precondition violation, for example ``--samples`` below 0, a
-  ``hilbert`` degree bound below 1, a ray outside the fan or a singular
-  cone without a faithful marked ray.
+  ``hilbert`` degree bound or a ``glue-check`` truncation below 1, a ray
+  outside the fan or a singular cone without a faithful marked ray.
   argparse also exits 2 on malformed arguments.
 - 3: parse error or other invalid input.
 - 4: internal check failed, which certifies a bug.  This covers a measure
@@ -298,6 +298,8 @@ def _cmd_glue_check(args) -> int:
         )
     w = WeightedFiltration(order, unit_weights(order, chars, len(chars) - 1))
     bound = args.kmax if args.kmax is not None else _max_degree()
+    if bound < 1:
+        raise PreconditionError(f"truncation bound must be at least 1, got {bound}")
     modulus = smallest_prime_with_roots(w.order)
     rng = Random(args.seed)
     passed = 0

@@ -5,17 +5,20 @@ canonical (lexicographic) order, so equal cones compare equal and fans can
 be compared as sets.  Star subdivision and the shared-face fan check are
 exact; no floating point is used anywhere.
 
-Kernel.  Every cone computes once in its constructor, by one fraction-free
-elimination (:func:`~qres.exact_lattice.adjugate`) of its ``k x n``
-generator matrix ``G``, its first column basis ``P``, ``det = |det G_P|``
-and ``k`` cofactor rows ``C_j``: ``sign(det G_P)`` times the columns of
-``adj(G_P)``, zero off ``P``, so ``C_j . g_l`` is ``det`` if ``j = l`` and
-0 otherwise.  By Cramer's rule on ``P`` a vector ``v`` of the span has
-coordinates ``C_j . v / det``, and ``v`` is in the span exactly when
-``sum_j (C_j . v) g_j = det v``, which only a lower-dimensional cone can
-miss.  Containment is sign tests of integer dot products and star
-subdivision reads the numerators ``C_j . v``.  For a full-dimensional cone
-``P`` is every coordinate and ``det`` the multiplicity.
+Kernel.  Every cone computes once in its constructor, by
+:func:`~qres.exact_lattice.adjugate` of its ``k x n`` generator matrix
+``G`` (a closed form when the cone is full-dimensional of rank 2-4, one
+fraction-free elimination otherwise), its first column basis ``P``,
+``det = |det G_P|`` and ``k`` cofactor rows ``C_j``: ``sign(det G_P)``
+times the columns of ``adj(G_P)``, zero off ``P``, so ``C_j . g_l`` is
+``det`` if ``j = l`` and 0 otherwise.  By Cramer's rule on ``P`` a vector
+``v`` of the span has coordinates ``C_j . v / det``, and ``v`` is in the
+span exactly when ``sum_j (C_j . v) g_j = det v``, which only a
+lower-dimensional cone can miss.  Containment is sign tests of integer dot
+products and star subdivision reads the numerators ``C_j . v``.  For a
+full-dimensional cone ``P`` is every coordinate and ``det`` the
+multiplicity.  The constructor checks each generator by one gcd of its
+entries: 0 is the zero vector, above 1 a vector that is not primitive.
 
 Star subdivision.  Every :class:`Fan` owns a dict from each of its rays to
 the cones it generates (:attr:`Fan.ray_index`), built once from its cones
@@ -95,23 +98,29 @@ class Cone:
         for g in gens:
             if g.rank != rank:
                 raise DimensionError(f"generator {g} does not live in rank {rank}")
-            if g.is_zero():
-                raise DegenerateInputError("the zero vector cannot generate a ray")
-            if not is_primitive(g):
+            # the gcd of the entries is 0 only for the zero vector, 1 when primitive
+            d = math.gcd(*g.entries)
+            if d != 1:
+                if d == 0:
+                    raise DegenerateInputError("the zero vector cannot generate a ray")
                 raise DegenerateInputError(f"ray generator {g} is not primitive")
         gens = tuple(sorted(set(gens), key=lambda g: g.entries))
         pivots, det, adj = adjugate([g.entries for g in gens])
         if adj is None:
             raise DegenerateInputError("generators are linearly dependent")
         # column j of adj(G_P), times sign(det), spread onto P is the row C_j
-        s = 1 if det > 0 else -1
-        cofactors = []
-        for col in zip(*adj):
-            row = [0] * rank
-            for i, x in zip(pivots, col):
-                row[i] = s * x
-            cofactors.append(tuple(row))
-        self._set(int(rank), gens, abs(det), tuple(cofactors))
+        cols = zip(*adj) if det > 0 else (tuple(-x for x in col) for col in zip(*adj))
+        if len(pivots) == rank:
+            cofactors = tuple(cols)
+        else:
+            spread = []
+            for col in cols:
+                row = [0] * rank
+                for i, x in zip(pivots, col):
+                    row[i] = x
+                spread.append(tuple(row))
+            cofactors = tuple(spread)
+        self._set(int(rank), gens, abs(det), cofactors)
 
     def _set(
         self,

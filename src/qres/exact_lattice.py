@@ -5,13 +5,17 @@ and Smith normal forms, primitivity and exact rational solving.  All values
 are immutable and every operation is a pure function; Python's native
 integers provide the arbitrary precision.
 
-One solver serves every cone.  :func:`adjugate` is one fraction-free
-(Bareiss) Gauss-Jordan elimination of ``k`` integer rows; from its pivot
-columns ``P``, ``det A_P`` and ``adj(A_P)`` every
-:class:`~qres.cones_fans.Cone`, of any dimension, reads coordinates as
-integer dot products over one denominator (Cramer's rule).
-:func:`span_coordinates` and :func:`matrix_rank` eliminate over ``Fraction``
-and are only the reference the tests compare against.
+One solver serves every cone.  :func:`adjugate` returns, for ``k``
+integer rows, their first column basis ``P``, ``det A_P`` and
+``adj(A_P)``; from these every :class:`~qres.cones_fans.Cone`, of any
+dimension, reads coordinates as integer dot products over one denominator
+(Cramer's rule).  A nonsingular square matrix of size 2, 3 or 4, which is
+every full-dimensional cone of rank 2 to 4, takes a closed form (cross
+products for size 3, the 2x2 minors of two row pairs for size 4); every
+other input takes one fraction-free (Bareiss) Gauss-Jordan elimination,
+:func:`bareiss_adjugate`, which the tests also use as the reference for the
+closed forms.  :func:`span_coordinates` and :func:`matrix_rank` eliminate
+over ``Fraction`` and are only the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -164,10 +168,97 @@ def adjugate(
     rows: Sequence[Sequence[int]],
 ) -> tuple[tuple[int, ...], int, Optional[list[list[int]]]]:
     """Pivot columns ``P``, ``det A_P`` and ``adj(A_P)`` of ``k`` integer
-    rows ``A`` of length ``n``, given as int lists.
+    rows ``A`` of length ``n``, given as int sequences.
 
-    Fraction-free (Bareiss) Gauss-Jordan elimination of ``[A | I_k]``,
-    pivoting on the first nonzero entry of each column among the unused
+    A nonsingular square ``A`` of size 2, 3 or 4 takes a closed form: its
+    first column basis is every column and ``adj(A) = det(A) A^-1`` is
+    unique, so the result is exactly :func:`bareiss_adjugate`'s.  Every
+    other input (singular, not square or larger) goes to that elimination.
+    """
+    k = len(rows)
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise DimensionError("adjugate of rows of unequal length")
+    if k == n:
+        closed = _CLOSED_FORMS.get(n)
+        if closed is not None:
+            det, adj = closed(*rows)
+            if det:
+                return _ALL_COLUMNS[n], det, adj
+    return bareiss_adjugate(rows)
+
+
+def _adjugate2(r0, r1):
+    a0, a1 = r0
+    b0, b1 = r1
+    return a0 * b1 - a1 * b0, [[b1, -a1], [-b0, a0]]
+
+
+def _adjugate3(r0, r1, r2):
+    # column j of adj(A) is the cross product of the two rows other than j
+    a0, a1, a2 = r0
+    b0, b1, b2 = r1
+    c0, c1, c2 = r2
+    x0, x1, x2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+    y0, y1, y2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+    z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    return a0 * x0 + a1 * x1 + a2 * x2, [[x0, y0, z0], [x1, y1, z1], [x2, y2, z2]]
+
+
+def _adjugate4(r0, r1, r2, r3):
+    # Laplace expansion along rows 0-1: s_ij and t_ij are the 2x2 minors of
+    # rows 0-1 and of rows 2-3 on columns i < j; the cofactor of an entry in
+    # rows 0-1 combines the other row of the pair with the t minors on the
+    # complementary columns, and symmetrically for rows 2-3
+    a0, a1, a2, a3 = r0
+    b0, b1, b2, b3 = r1
+    c0, c1, c2, c3 = r2
+    d0, d1, d2, d3 = r3
+    s01, s02, s03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    s12, s13, s23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    t01, t02, t03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+    t12, t13, t23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+    det = s01 * t23 - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02 + s23 * t01
+    # column j of adj(A) holds the cofactors of row j
+    return det, [
+        [
+            b1 * t23 - b2 * t13 + b3 * t12,
+            a2 * t13 - a1 * t23 - a3 * t12,
+            d1 * s23 - d2 * s13 + d3 * s12,
+            c2 * s13 - c1 * s23 - c3 * s12,
+        ],
+        [
+            b2 * t03 - b0 * t23 - b3 * t02,
+            a0 * t23 - a2 * t03 + a3 * t02,
+            d2 * s03 - d0 * s23 - d3 * s02,
+            c0 * s23 - c2 * s03 + c3 * s02,
+        ],
+        [
+            b0 * t13 - b1 * t03 + b3 * t01,
+            a1 * t03 - a0 * t13 - a3 * t01,
+            d0 * s13 - d1 * s03 + d3 * s01,
+            c1 * s03 - c0 * s13 - c3 * s01,
+        ],
+        [
+            b1 * t02 - b0 * t12 - b2 * t01,
+            a0 * t12 - a1 * t02 + a2 * t01,
+            d1 * s02 - d0 * s12 - d2 * s01,
+            c0 * s12 - c1 * s02 + c2 * s01,
+        ],
+    ]
+
+
+_CLOSED_FORMS = {2: _adjugate2, 3: _adjugate3, 4: _adjugate4}
+_ALL_COLUMNS = {n: tuple(range(n)) for n in _CLOSED_FORMS}
+
+
+def bareiss_adjugate(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], int, Optional[list[list[int]]]]:
+    """:func:`adjugate` by fraction-free (Bareiss) Gauss-Jordan elimination
+    of ``[A | I_k]``, for any shape.
+
+    It pivots on the first nonzero entry of each column among the unused
     rows, so ``P`` is the lexicographically first column basis.  After ``r``
     pivots every entry is, up to sign, an ``(r+1)``-minor of ``[A | I_k]``,
     so each division by the previous pivot is exact.  It ends at ``d*I`` on

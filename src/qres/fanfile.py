@@ -3,6 +3,15 @@
 Every line is one JSON record; integers are written as decimal strings so
 consumers without big-integer support can stay exact.  Emission is
 byte-deterministic: keys are sorted, ordering of records is canonical.
+
+A trace names the same rays many times: every added ray comes back in
+center rays, center cones, final cones and markings.  :func:`parse_trace`
+parses each distinct vector payload once per call and hands the same
+:class:`~qres.exact_lattice.IntegerVector` to every record that repeats it,
+so later dict, set and fan comparisons of these vectors short-circuit on
+identity.  Every center and final cone is still built, and so checked, by
+the :class:`~qres.cones_fans.Cone` constructor.  The step records must carry
+the indices ``0..N-1``, in any order.
 """
 
 from __future__ import annotations
@@ -52,6 +61,25 @@ def _parse_vector(value: Any, lineno: Optional[int], what: str) -> IntegerVector
     if not isinstance(value, list) or not value:
         raise FanParseError(f"{what} must be a nonempty list of integers", lineno)
     return IntegerVector([_parse_int(x, lineno, what) for x in value])
+
+
+def _parse_vector_once(
+    value: Any, lineno: int, what: str, memo: dict[tuple[str, ...], IntegerVector]
+) -> IntegerVector:
+    """:func:`_parse_vector`, sharing one vector per distinct payload.
+
+    Only lists of ``str`` items, the form :func:`emit_trace` writes, are
+    keys: ``(1, 0)`` equals ``(True, 0)`` and ``(1.0, 0)``, so a looser key
+    would let a payload that :func:`_parse_int` rejects hit the entry of a
+    valid one.  Any other payload takes the full parse every time.
+    """
+    if type(value) is not list or not all(type(x) is str for x in value):
+        return _parse_vector(value, lineno, what)
+    key = tuple(value)
+    vec = memo.get(key)
+    if vec is None:
+        vec = memo[key] = _parse_vector(value, lineno, what)
+    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +330,15 @@ def parse_trace(text: str) -> TraceDocument:
         raise FanParseError("trace header lacks an input digest", header_line)
     rank = _parse_int(header.get("rank"), header_line, "rank")
     characteristic = _parse_int(header.get("characteristic", "0"), header_line, "characteristic")
+    memo: dict[tuple[str, ...], IntegerVector] = {}
     groups = []
     hint_groups = []
-    for lineno, obj in sorted(steps, key=lambda t: _parse_int(t[1].get("index", "0"), t[0], "step index")):
+    for lineno, obj in _steps_in_order(steps):
         added = obj.get("added")
         if not isinstance(added, list):
             raise FanParseError("step record needs an 'added' list", lineno)
-        group = tuple(_parse_vector(v, lineno, "added ray") for v in added)
-        cone_of = _parse_center_cones(obj.get("centers"), rank, lineno)
+        group = tuple(_parse_vector_once(v, lineno, "added ray", memo) for v in added)
+        cone_of = _parse_center_cones(obj.get("centers"), rank, lineno, memo)
         groups.append(group)
         hint_groups.append(tuple(cone_of.get(u) for u in group))
     lineno, obj = final_record
@@ -320,13 +349,15 @@ def parse_trace(text: str) -> TraceDocument:
     for payload in cones_payload:
         if not isinstance(payload, list):
             raise FanParseError("final_fan cone must be a list of rays", lineno)
-        gens = [_parse_vector(v, lineno, "cone ray") for v in payload]
+        gens = [_parse_vector_once(v, lineno, "cone ray", memo) for v in payload]
         try:
             cones.append(Cone(rank, gens))
         except QresError as exc:
             raise FanParseError(f"invalid final cone: {exc}", lineno)
     marked_payload = obj.get("marked", [])
-    marked = [_parse_vector(v, lineno, "marked ray") for v in marked_payload]
+    if not isinstance(marked_payload, list):
+        raise FanParseError("final_fan 'marked' must be a list of rays", lineno)
+    marked = [_parse_vector_once(v, lineno, "marked ray", memo) for v in marked_payload]
     try:
         final = MarkedFan(Fan(rank, cones), marked, characteristic)
     except (PreconditionError, QresError) as exc:
@@ -334,7 +365,29 @@ def parse_trace(text: str) -> TraceDocument:
     return TraceDocument(digest, tuple(groups), final, tuple(hint_groups))
 
 
-def _parse_center_cones(centers: Any, rank: int, lineno: int) -> dict[IntegerVector, Cone]:
+def _steps_in_order(steps: list[tuple[int, dict]]) -> list[tuple[int, dict]]:
+    """The step records sorted by their ``index``, which must run ``0..N-1``."""
+    indexed = []
+    for lineno, obj in steps:
+        if "index" not in obj:
+            raise FanParseError("step record needs an 'index'", lineno)
+        indexed.append((_parse_int(obj["index"], lineno, "step index"), lineno, obj))
+    indexed.sort(key=lambda t: t[:2])
+    n = len(indexed)
+    for expected, (index, lineno, _) in enumerate(indexed):
+        if index == expected:
+            continue
+        if not 0 <= index < n:
+            raise FanParseError(f"step index {index} is outside 0..{n - 1}", lineno)
+        if index < expected:
+            raise FanParseError(f"duplicate step index {index}", lineno)
+        raise FanParseError(f"step index {expected} is missing", lineno)
+    return [(lineno, obj) for _, lineno, obj in indexed]
+
+
+def _parse_center_cones(
+    centers: Any, rank: int, lineno: int, memo: dict[tuple[str, ...], IntegerVector]
+) -> dict[IntegerVector, Cone]:
     """Each center ray of a step record with the first center cone naming it."""
     if not isinstance(centers, list):
         raise FanParseError("step record needs a 'centers' list", lineno)
@@ -342,11 +395,11 @@ def _parse_center_cones(centers: Any, rank: int, lineno: int) -> dict[IntegerVec
     for center in centers:
         if not isinstance(center, dict):
             raise FanParseError("step center must be a JSON object", lineno)
-        ray = _parse_vector(center.get("ray"), lineno, "center ray")
+        ray = _parse_vector_once(center.get("ray"), lineno, "center ray", memo)
         payload = center.get("cone")
         if not isinstance(payload, list):
             raise FanParseError("step center needs a 'cone' list of rays", lineno)
-        gens = [_parse_vector(v, lineno, "center cone ray") for v in payload]
+        gens = [_parse_vector_once(v, lineno, "center cone ray", memo) for v in payload]
         try:
             cone = Cone(rank, gens)
         except QresError as exc:

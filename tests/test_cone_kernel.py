@@ -7,7 +7,8 @@ pieces of a subdivision from the parent's rows, and settles most pairs of
 the fan check with one cofactor row, run as bit masks of its signs on the
 rays of the fan.  These tests compare every answer with the ``Fraction``
 elimination of ``span_coordinates`` and ``matrix_rank``, the constructor's
-own elimination, the Smith normal form, the all-pairs maximality rule, the
+own elimination (and its closed forms with the Bareiss elimination), the
+Smith normal form, the all-pairs maximality rule, the
 one-ray-at-a-time reference subdivision and the ``Fraction``
 Fourier-Motzkin fan check written out below, on cones of rank 2-5 and of
 every dimension.
@@ -39,6 +40,7 @@ from qres.exact_lattice import (
     IntegerMatrix,
     IntegerVector,
     adjugate,
+    bareiss_adjugate,
     determinant,
     matrix_rank,
     primitive,
@@ -202,6 +204,25 @@ class TestAdjugate:
         assert pivots == tuple(range(n))
         prod = [[sum(rows[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         assert prod == [[det if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def test_closed_forms_equal_the_elimination(self):
+        # small entries make singular squares common; those and every other
+        # input fall through to the elimination, so both answers must agree
+        singular = []
+
+        @given(st.integers(2, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ))
+        @settings(max_examples=600, deadline=None)
+        def check(rows):
+            got = adjugate(rows)
+            assert got == bareiss_adjugate(rows)
+            singular.append(got[1] == 0)
+
+        check()
+        assert any(singular) and not all(singular)
 
     def test_non_square_and_rank_deficient(self):
         shapes = set()

@@ -723,6 +723,21 @@ def test_hilbert_rejects_a_bound_below_one(argv, env, monkeypatch, capsys):
     assert "degree bound must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [(["--kmax", "0"], {}), (["--kmax", "-1"], {}), ([], {"QRES_MAX_DEGREE": "0"})],
+    ids=["flag-0", "flag-negative", "env"],
+)
+def test_glue_check_rejects_a_truncation_below_one(argv, env, monkeypatch, capsys):
+    # glue_check is vacuous below degree 1, so it used to report "ok":true
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert cli.main(["glue-check", "1/7(1,3,1)", "--samples", "2", "--json", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "truncation bound must be at least 1" in captured.err
+
+
 def test_oracle_check_passes_on_a_rank2_fan(tmp_path, capsys):
     fan_file = tmp_path / "fan.jsonl"
     fan_file.write_text(
