@@ -60,7 +60,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -177,14 +176,6 @@ class Cone:
             return None
         return nums, self.det
 
-    def coordinates(self, v: IntegerVector) -> Optional[tuple[Fraction, ...]]:
-        """Barycentric coordinates of ``v`` in the generators, or ``None``."""
-        nd = self.numerators(v)
-        if nd is None:
-            return None
-        nums, den = nd
-        return tuple(Fraction(x, den) for x in nums)
-
     def contains(self, v: IntegerVector) -> bool:
         nd = self.numerators(v)
         return nd is not None and all(x >= 0 for x in nd[0])
@@ -247,9 +238,6 @@ class Fan:
         seen = sorted({g for c in self.cones for g in c.generators}, key=lambda g: g.entries)
         return tuple(seen)
 
-    def supports(self, v: IntegerVector) -> bool:
-        return any(c.contains(v) for c in self.cones)
-
     def __repr__(self) -> str:
         return "Fan{" + ", ".join(repr(c) for c in self.sorted_cones()) + "}"
 
@@ -266,10 +254,6 @@ def multiplicity(c: Cone) -> int:
     if c.det == 1 or c.is_full_dimensional():
         return c.det
     return math.prod(smith_normal_form(IntegerMatrix(c.generators)).diagonal)
-
-
-def is_smooth(c: Cone) -> bool:
-    return multiplicity(c) == 1
 
 
 def faces(c: Cone) -> frozenset[Cone]:
@@ -488,46 +472,20 @@ def _fm_feasible(num_vars: int, constraints: list[tuple[tuple[int, ...], int]]) 
     return all(rhs <= 0 for _, rhs in system)
 
 
-def _row_certificate(
-    sigma: Cone, common: set[IntegerVector], others: Sequence[IntegerVector]
-) -> bool:
-    """Whether one cofactor row of ``sigma`` at a ray it does not share is
-    strictly negative on every ray in ``others``.
-
-    Such a row ``C_j`` vanishes on the shared rays and is nonnegative on
-    ``sigma``, of any dimension; see :func:`_meet_in_common_face`.
-    """
-    ents = [t.entries for t in others]
-    return any(
-        all(sum(a * b for a, b in zip(row, e)) < 0 for e in ents)
-        for g, row in zip(sigma.generators, sigma.cofactors)
-        if g not in common
-    )
-
-
 def _meet_in_common_face(sigma: Cone, tau: Cone) -> bool:
     """Whether two cones intersect exactly in the face they share.
 
-    Facet certificate first.  Let ``C_j`` be the cofactor row of ``sigma``
-    at a generator ``g_j`` that ``tau`` lacks.  ``C_j`` vanishes on the
-    shared rays and is nonnegative on ``sigma``.  If it is strictly negative
-    on every ray only ``tau`` has, a point of ``tau`` lying in ``sigma`` has
-    zero weight on those rays, so it lies in the common face.  Every such
-    row of ``sigma`` is tried, then every such row of ``tau`` against the
-    rays only ``sigma`` has.
-
-    Fallback, for pairs no single row settles: a separating functional
-    vanishing on the common rays, strictly positive on the remaining rays of
-    one cone and strictly negative on those of the other, exists precisely
-    when the intersection is a common face; its existence is decided exactly
-    by integer Fourier-Motzkin elimination.
+    A separating functional vanishing on the common rays, strictly positive
+    on the remaining rays of one cone and strictly negative on those of the
+    other, exists precisely when the intersection is a common face; its
+    existence is decided exactly by integer Fourier-Motzkin elimination.
+    :func:`validate_fan` calls this only for the pairs that no facet
+    certificate settles.
     """
     common = set(sigma.generators) & set(tau.generators)
     s_only = [g for g in sigma.generators if g not in common]
     t_only = [g for g in tau.generators if g not in common]
     if not s_only and not t_only:
-        return True
-    if _row_certificate(sigma, common, t_only) or _row_certificate(tau, common, s_only):
         return True
     n = sigma.rank
     constraints: list[tuple[tuple[int, ...], int]] = []
@@ -544,7 +502,7 @@ def _meet_in_common_face(sigma: Cone, tau: Cone) -> bool:
 def validate_fan(f: Fan) -> bool:
     """True iff every pairwise intersection of cones is a common face.
 
-    The facet certificate of :func:`_meet_in_common_face` runs as bit tests.
+    The facet certificate (see the module docstring) runs as bit tests.
     Each of the ``R`` rays of the fan has one bit and each cone the mask
     ``M`` of its rays.  Each cofactor row ``C_j``, scaled to a primitive
     row, is dotted once with every ray, giving the mask ``N_j`` of the rays
@@ -552,12 +510,11 @@ def validate_fan(f: Fan) -> bool:
     the facet has): at most ``k * R`` integer dot products per cone of
     dimension ``k``.  A pair ``(sigma, tau)`` is settled by a row of
     ``sigma`` when ``tau`` lacks its generator ``g_j`` and ``N_j`` covers
-    ``M_tau & ~M_sigma``, the rays only ``tau`` has; that is
-    :func:`_row_certificate` for the pair, decided by one ``&`` of ``M_tau``
-    with the block ``~(N_j | M_sigma) | bit(g_j)``.  The same test is tried
+    ``M_tau & ~M_sigma``, the rays only ``tau`` has: ``M_tau`` is disjoint
+    from the block ``~(N_j | M_sigma) | bit(g_j)``.  The same test is tried
     from ``tau``'s side, so a pair costs a few bit operations per row.  Only
     pairs that neither side settles go to :func:`_meet_in_common_face`,
-    which tries the rows again and decides the rest exactly.
+    which decides them exactly.
     """
     cones = f.sorted_cones()
     rays = f.rays()

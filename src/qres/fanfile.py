@@ -11,7 +11,8 @@ parses each distinct vector payload once per call and hands the same
 so later dict, set and fan comparisons of these vectors short-circuit on
 identity.  Every center and final cone is still built, and so checked, by
 the :class:`~qres.cones_fans.Cone` constructor.  The step records must carry
-the indices ``0..N-1``, in any order.
+the indices ``0..N-1``, in any order, every vector the header's rank, and
+there is one ``final_fan`` record.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ def _parse_vector(value: Any, lineno: Optional[int], what: str) -> IntegerVector
 
 
 def _parse_vector_once(
-    value: Any, lineno: int, what: str, memo: dict[tuple[str, ...], IntegerVector]
+    value: Any, rank: int, lineno: int, what: str, memo: dict[tuple[str, ...], IntegerVector]
 ) -> IntegerVector:
-    """:func:`_parse_vector`, sharing one vector per distinct payload.
+    """:func:`_parse_vector` of a vector of rank ``rank``, sharing one
+    vector per distinct payload.
 
     Only lists of ``str`` items, the form :func:`emit_trace` writes, are
     keys: ``(1, 0)`` equals ``(True, 0)`` and ``(1.0, 0)``, so a looser key
@@ -74,11 +76,14 @@ def _parse_vector_once(
     valid one.  Any other payload takes the full parse every time.
     """
     if type(value) is not list or not all(type(x) is str for x in value):
-        return _parse_vector(value, lineno, what)
-    key = tuple(value)
-    vec = memo.get(key)
-    if vec is None:
-        vec = memo[key] = _parse_vector(value, lineno, what)
+        vec = _parse_vector(value, lineno, what)
+    else:
+        key = tuple(value)
+        vec = memo.get(key)
+        if vec is None:
+            vec = memo[key] = _parse_vector(value, lineno, what)
+    if vec.rank != rank:
+        raise FanParseError(f"{what} {vec} has rank {vec.rank}, expected {rank}", lineno)
     return vec
 
 
@@ -288,7 +293,7 @@ class TraceDocument:
     input_digest: str
     ray_groups: tuple[tuple[IntegerVector, ...], ...]
     final: MarkedFan
-    hint_groups: tuple[tuple[Optional[Cone], ...], ...] = ()
+    hint_groups: tuple[tuple[Optional[Cone], ...], ...]
 
 
 def parse_trace(text: str) -> TraceDocument:
@@ -314,6 +319,8 @@ def parse_trace(text: str) -> TraceDocument:
         elif kind == "step":
             steps.append((lineno, obj))
         elif kind == "final_fan":
+            if final_record is not None:
+                raise FanParseError("duplicate final_fan record", lineno)
             final_record = (lineno, obj)
         elif kind == "certificates":
             continue
@@ -337,7 +344,7 @@ def parse_trace(text: str) -> TraceDocument:
         added = obj.get("added")
         if not isinstance(added, list):
             raise FanParseError("step record needs an 'added' list", lineno)
-        group = tuple(_parse_vector_once(v, lineno, "added ray", memo) for v in added)
+        group = tuple(_parse_vector_once(v, rank, lineno, "added ray", memo) for v in added)
         cone_of = _parse_center_cones(obj.get("centers"), rank, lineno, memo)
         groups.append(group)
         hint_groups.append(tuple(cone_of.get(u) for u in group))
@@ -349,7 +356,7 @@ def parse_trace(text: str) -> TraceDocument:
     for payload in cones_payload:
         if not isinstance(payload, list):
             raise FanParseError("final_fan cone must be a list of rays", lineno)
-        gens = [_parse_vector_once(v, lineno, "cone ray", memo) for v in payload]
+        gens = [_parse_vector_once(v, rank, lineno, "cone ray", memo) for v in payload]
         try:
             cones.append(Cone(rank, gens))
         except QresError as exc:
@@ -357,7 +364,7 @@ def parse_trace(text: str) -> TraceDocument:
     marked_payload = obj.get("marked", [])
     if not isinstance(marked_payload, list):
         raise FanParseError("final_fan 'marked' must be a list of rays", lineno)
-    marked = [_parse_vector_once(v, lineno, "marked ray", memo) for v in marked_payload]
+    marked = [_parse_vector_once(v, rank, lineno, "marked ray", memo) for v in marked_payload]
     try:
         final = MarkedFan(Fan(rank, cones), marked, characteristic)
     except (PreconditionError, QresError) as exc:
@@ -395,11 +402,11 @@ def _parse_center_cones(
     for center in centers:
         if not isinstance(center, dict):
             raise FanParseError("step center must be a JSON object", lineno)
-        ray = _parse_vector_once(center.get("ray"), lineno, "center ray", memo)
+        ray = _parse_vector_once(center.get("ray"), rank, lineno, "center ray", memo)
         payload = center.get("cone")
         if not isinstance(payload, list):
             raise FanParseError("step center needs a 'cone' list of rays", lineno)
-        gens = [_parse_vector_once(v, lineno, "center cone ray", memo) for v in payload]
+        gens = [_parse_vector_once(v, rank, lineno, "center cone ray", memo) for v in payload]
         try:
             cone = Cone(rank, gens)
         except QresError as exc:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones_fans import Cone
+from .cones_fans import Cone, Fan, multiplicity
 from .errors import DegenerateInputError, InfiniteQuotientError, MeasureError, QresError
 from .exact_lattice import (
     IntegerMatrix,
@@ -106,6 +106,23 @@ def hj_cone_rays(cone: Cone) -> list[IntegerVector]:
             IntegerVector([x * f + y * m for f, m in zip(first.entries, mid.entries)])
         )
     return out
+
+
+def check_minimal_rays(original: Fan, resolved: Fan) -> int:
+    """Check that ``resolved`` has every minimal-resolution ray of each
+    singular cone of the rank-2 fan ``original``; the number of rays checked.
+    Raises :class:`MeasureError` at the first missing ray.
+    """
+    final_rays = set(resolved.rays())
+    checked = 0
+    for cone in original.sorted_cones():
+        if multiplicity(cone) == 1:
+            continue
+        for ray in hj_cone_rays(cone):
+            if ray not in final_rays:
+                raise MeasureError(f"oracle ray {ray} missing from the resolved fan")
+            checked += 1
+    return checked
 
 
 def _box_representatives(hnf: IntegerMatrix) -> list[tuple[int, ...]]:

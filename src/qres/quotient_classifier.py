@@ -4,6 +4,9 @@ A diagonal action of a cyclic group of order ``l`` on affine n-space is
 recorded as the tuple of its characters modulo ``l``.  Tuples are stored in
 a canonical form (lexicographically smallest among all unit rescalings and
 coordinate permutations), which makes equality of quotient types decidable.
+Cones map to types by :func:`cone_characters` and :func:`cone_descriptor`
+and types to cones by :func:`standard_cone`; :func:`parse_quotient_literal`
+is the one literal parser and :func:`is_tame` the one tameness rule.
 """
 
 from __future__ import annotations
@@ -81,12 +84,6 @@ class CyclicQuotientType:
 
     def __str__(self) -> str:
         return f"1/{self.order}({','.join(str(c) for c in self.characters)})"
-
-    @classmethod
-    def parse(cls, text: str) -> "CyclicQuotientType":
-        """Parse strings like ``1/5(2,1)`` (canonicalizing the tuple)."""
-        order, chars = parse_quotient_literal(text)
-        return cls(order, chars)
 
 
 def parse_quotient_literal(text: str) -> tuple[int, tuple[int, ...]]:
@@ -197,18 +194,6 @@ def cone_descriptor(c: Cone) -> QuotientDescriptor:
     return QuotientDescriptor(snf.diagonal, True, CyclicQuotientType(order, chars), chars)
 
 
-def cone_to_quotient(c: Cone) -> QuotientDescriptor:
-    """Classify a full-dimensional simplicial cone.
-
-    The divisor chain comes from the Smith normal form of the generator
-    matrix; when the quotient is cyclic the character tuple of the
-    distinguished generator is attached in canonical form.
-    """
-    if not c.is_full_dimensional():
-        raise DimensionError("classification requires a full-dimensional cone")
-    return cone_descriptor(c)
-
-
 def unit_weights(order: int, chars: Sequence[int], i: int) -> tuple[int, ...]:
     """Characters rescaled mod ``order`` so coordinate ``i`` has character 1.
 
@@ -253,10 +238,10 @@ def quotient_to_cone(q: CyclicQuotientType) -> Cone:
     return standard_cone(q.order, q.characters, units[0])[0]
 
 
-def is_tame(q: CyclicQuotientType, characteristic: int) -> bool:
-    """Whether the group order is invertible in the base field."""
-    _validate_characteristic(characteristic)
-    return characteristic == 0 or q.order % characteristic != 0
+def is_tame(order: int, characteristic: int) -> bool:
+    """Whether a group of this order is invertible in a base field of this
+    characteristic, which callers have already checked to be 0 or prime."""
+    return characteristic == 0 or order % characteristic != 0
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -353,10 +338,3 @@ def pseudoreflection_reduce(q: CyclicQuotientType) -> CyclicQuotientType:
             raise MeasureError(f"residual character of {q} is not integral")
         new_chars.append(ce // step)
     return CyclicQuotientType(d, new_chars)
-
-
-def faithful_rays(q: CyclicQuotientType) -> frozenset[int]:
-    """Indices (0-based) of coordinates whose character is a unit mod l."""
-    return frozenset(
-        i for i, c in enumerate(q.characters) if math.gcd(c, q.order) == 1
-    )

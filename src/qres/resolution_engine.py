@@ -57,6 +57,7 @@ from .quotient_classifier import (
     CyclicQuotientType,
     _validate_characteristic,
     cone_characters,
+    is_tame,
     standard_cone,
     unit_weights,
 )
@@ -278,10 +279,7 @@ def invariant(m: MarkedFan) -> tuple[int, int]:
 
 
 def _nontame_invariant(m: MarkedFan) -> Optional[tuple[int, int]]:
-    p = m.characteristic
-    if p == 0:
-        return None
-    bad = [x for x in m.singular if x % p == 0]
+    bad = [x for x in m.singular if not is_tame(x, m.characteristic)]
     if not bad:
         return None
     top = max(bad)
@@ -344,7 +342,7 @@ def _local_charts(
             or math.gcd(chars[piece.generators.index(center.divisor_ray)], order) != 1
         ):
             raise MeasureError(f"divisor ray lost faithfulness on {piece}")
-        tame = characteristic == 0 or order % characteristic != 0
+        tame = is_tame(order, characteristic)
         records.append(
             ChartRecord(piece, order, CyclicQuotientType(order, chars), tame, exc)
         )
@@ -463,23 +461,29 @@ def replay(m: MarkedFan, trace) -> Fan:
     Accepts anything exposing ``input_digest``, ``ray_groups``,
     ``hint_groups`` and ``final`` the way :class:`ResolutionTrace` does.
     Each ray group is one :func:`~qres.cones_fans.star_subdivide` call, with
-    the group's hint cones (the recorded center cones) when there are any.
-    The hints only choose where to look: a hint is used only after checking
-    that it contains its ray, and a missing, misplaced or stale one costs a
-    scan of the fan, so the replayed fan never depends on them.
+    one hint cone (the recorded center cone) or ``None`` per ray.  The hints
+    only choose where to look: a hint is used only after checking that it
+    contains its ray, and a missing, misplaced or stale one costs a scan of
+    the fan, so the replayed fan never depends on them.  The final state
+    must also keep the input's characteristic and mark its rays followed by
+    every added ray in order.
     """
     if fan_digest(m) != trace.input_digest:
         raise ReplayError("trace was produced from a different input")
     fan = m.fan
-    hint_groups = trace.hint_groups
     try:
-        for k, group in enumerate(trace.ray_groups):
-            hints = hint_groups[k] if k < len(hint_groups) else ()
+        for group, hints in zip(trace.ray_groups, trace.hint_groups, strict=True):
             fan = star_subdivide(fan, *group, hints=hints)
     except (SupportError, DegenerateInputError) as exc:
         raise ReplayError(f"recorded ray cannot be applied: {exc}") from exc
-    if fan != trace.final.fan:
+    final = trace.final
+    if fan != final.fan:
         raise ReplayError("replayed fan differs from the recorded final fan")
+    if final.characteristic != m.characteristic:
+        raise ReplayError("recorded final characteristic differs from the input's")
+    added = tuple(u for group in trace.ray_groups for u in group)
+    if final.marked_rays != m.marked_rays + added:
+        raise ReplayError("recorded final marking is not the input's plus the added rays")
     return fan
 
 

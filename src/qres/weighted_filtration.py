@@ -20,9 +20,12 @@ from typing import Iterable, Optional, Sequence
 
 from .cones_fans import Cone
 from .errors import DimensionError, GluePreconditionError, QresError
-from .quotient_classifier import CyclicQuotientType, _is_prime
+from .quotient_classifier import _is_prime
 
 DEFAULT_DEGREE_BOUND = 12
+
+# correction terms drawn per coordinate by the sampler, at most
+_MAX_EXTRA_TERMS = 2
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,6 @@ class Monomial:
     @property
     def total_degree(self) -> int:
         return sum(self.exponents)
-
-    def weighted_degree(self, weights: Sequence[int]) -> int:
-        return sum(w * e for w, e in zip(weights, self.exponents))
 
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
@@ -119,19 +119,15 @@ def _ideal_generators_cached(weights: tuple[int, ...], k: int) -> frozenset[Mono
     return minimalize(found)
 
 
-def invariant_generators(q: CyclicQuotientType, degree_bound: int) -> frozenset[Monomial]:
-    """Truncated generator set of the invariant monomial algebra.
+def invariant_generators(
+    order: int, chars: Sequence[int], degree_bound: int
+) -> frozenset[Monomial]:
+    """Truncated generator set of the invariant monomial algebra of
+    ``1/order(chars)``.
 
     Divisibility-minimal nonconstant monomials of total degree at most
     ``degree_bound`` whose weighted degree vanishes mod the group order.
     """
-    return invariant_generators_raw(q.order, q.characters, degree_bound)
-
-
-def invariant_generators_raw(
-    order: int, chars: Sequence[int], degree_bound: int
-) -> frozenset[Monomial]:
-    """Same as :func:`invariant_generators` for an explicit character tuple."""
     if degree_bound < 1:
         raise QresError("degree bound must be at least 1")
     found = []
@@ -388,7 +384,6 @@ def sample_divisor_fixing_automorphism(
     rng: Random,
     modulus: Optional[int] = None,
     truncation: int = DEFAULT_DEGREE_BOUND,
-    max_extra_terms: int = 2,
 ) -> TruncatedAutomorphism:
     """Random truncated automorphism fixing the divisor ideal.
 
@@ -405,7 +400,7 @@ def sample_divisor_fixing_automorphism(
         img: Poly = {unit: rng.randrange(1, q)}
         pool = _term_pool(w.weights, w.order, i, truncation)
         if pool:
-            for _ in range(rng.randrange(max_extra_terms + 1)):
+            for _ in range(rng.randrange(_MAX_EXTRA_TERMS + 1)):
                 exps = pool[rng.randrange(len(pool))]
                 coeff = rng.randrange(1, q)
                 img[exps] = (img.get(exps, 0) + coeff) % q
@@ -417,20 +412,14 @@ def sample_divisor_fixing_automorphism(
 # cartification
 
 
-def _cartify_raw(order: int, chars: Sequence[int], index: int) -> tuple[int, tuple[int, ...]]:
-    new_order = math.gcd(order, chars[index])
-    return new_order, tuple(c % new_order for c in chars)
-
-
-def cartify(q: CyclicQuotientType, ray_index: int) -> CyclicQuotientType:
-    """Pass to the kernel of the character scaling coordinate ``ray_index``.
+def cartify(order: int, chars: Sequence[int], index: int) -> tuple[int, tuple[int, ...]]:
+    """Pass to the kernel of the character scaling coordinate ``index`` of
+    ``1/order(chars)``, returning its order and characters.
 
     The kernel has order ``gcd(l, c_i)`` and acts with the original
     characters reduced mod that order, so the chosen divisor becomes
-    principal (its character vanishes).  Indices refer to the canonical
-    character tuple.
+    principal (its character vanishes).  The index refers to the tuple as
+    given.
     """
-    if not 0 <= ray_index < q.rank:
-        raise DimensionError(f"ray index {ray_index} out of range for {q}")
-    new_order, new_chars = _cartify_raw(q.order, q.characters, ray_index)
-    return CyclicQuotientType(new_order, new_chars)
+    new_order = math.gcd(order, chars[index])
+    return new_order, tuple(c % new_order for c in chars)

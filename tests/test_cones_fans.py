@@ -8,7 +8,6 @@ from qres.cones_fans import (
     Cone,
     Fan,
     faces,
-    is_smooth,
     multiplicity,
     star_subdivide,
     validate_fan,
@@ -63,13 +62,13 @@ class TestMultiplicity:
 
 class TestSmooth:
     def test_smooth(self):
-        assert is_smooth(C(E1, E2))
+        assert multiplicity(C(E1, E2)) == 1
 
     def test_singular(self):
-        assert not is_smooth(C(E1, (-1, 2)))
+        assert multiplicity(C(E1, (-1, 2))) != 1
 
     def test_det_one_skew(self):
-        assert is_smooth(C(E2, (-1, 3)))
+        assert multiplicity(C(E2, (-1, 3))) == 1
 
 
 class TestFaces:
@@ -144,7 +143,9 @@ class TestStarSubdivideProperties:
         f = Fan(cone.rank, [cone])
         out = star_subdivide(f, IntegerVector(u))
         for p in lattice_points_in_box(cone.rank, 3):
-            assert f.supports(p) == out.supports(p)
+            assert any(c.contains(p) for c in f.cones) == any(
+                c.contains(p) for c in out.cones
+            )
 
     def test_chart_multiplicities_from_barycentrics(self):
         # multiplicities of the pieces are coordinate * multiplicity

@@ -4,10 +4,12 @@ The parse errors for bad vector payloads in every kind of record are pinned
 as they read before ``parse_trace`` shared one vector per distinct payload,
 including payloads that equal a valid one as Python tuples (``[true,0,0]``
 after ``[1,0,0]``) or as a tuple of characters (``"100"``), which a memo
-keyed too loosely would accept.  Step indices must run ``0..N-1`` and the
-final fan's markings must be a list.  Parsing and replaying a trace builds
-every recorded center and final cone, but by the closed-form kernel,
-without a Bareiss elimination.
+keyed too loosely would accept.  Step indices must run ``0..N-1``, the
+final fan's markings must be a list, every vector must have the header's
+rank and there must be one final fan record; replay checks the final
+marking and characteristic against the input.  Parsing and replaying a
+trace builds every recorded center and final cone, but by the closed-form
+kernel, without a Bareiss elimination.
 """
 
 import json
@@ -16,7 +18,7 @@ import pytest
 
 from qres import exact_lattice, fanfile
 from qres.cones_fans import Cone
-from qres.errors import FanParseError
+from qres.errors import FanParseError, ReplayError
 from qres.resolution_engine import marked_fan_from_characters, replay, resolve
 
 TEXT = fanfile.emit_trace(resolve(marked_fan_from_characters(31, (1, 5, 11))))
@@ -120,6 +122,53 @@ def test_marked_rays_must_be_a_list(marked):
     assert parse_error(recs) == (
         f"line {FINAL}: final_fan 'marked' must be a list of rays", FINAL
     )
+
+
+@pytest.mark.parametrize(
+    "location, ray, what",
+    [("added", ["1", "0"], "added ray (1, 0) has rank 2"),
+     ("center-ray", ["1", "0", "0", "1"], "center ray (1, 0, 0, 1) has rank 4")],
+    ids=["added", "center-ray"],
+)
+def test_ray_of_another_rank_is_a_parse_error(location, ray, what):
+    # these rays are built by no cone constructor, so replay used to meet
+    # them first and let a bare DimensionError escape
+    put, _, line = LOCATIONS[location]
+    recs = records()
+    put(recs, ray)
+    assert parse_error(recs) == (f"line {line}: {what}, expected 3", line)
+
+
+def test_duplicate_final_fan_is_a_parse_error():
+    # a second record used to replace the first without a word
+    recs = records()
+    recs[FINAL + 2] = recs[FINAL]
+    assert parse_error(recs) == (f"line {FINAL + 2}: duplicate final_fan record", FINAL + 2)
+
+
+def _cut_marking(recs):
+    assert len(recs[FINAL]["marked"]) == 58
+    recs[FINAL]["marked"] = recs[FINAL]["marked"][:2]
+    return "marking"
+
+
+def _change_characteristic(recs):
+    assert recs[1]["characteristic"] == "0"
+    recs[1]["characteristic"] = "5"
+    return "characteristic"
+
+
+@pytest.mark.parametrize(
+    "edit", [_cut_marking, _change_characteristic], ids=["marking", "characteristic"]
+)
+def test_replay_checks_the_final_marking_and_characteristic(edit):
+    # both mutants parse, and used to replay without an error
+    m = marked_fan_from_characters(31, (1, 5, 11))
+    recs = records()
+    what = edit(recs)
+    doc = fanfile.parse_trace("\n".join(json.dumps(recs[i]) for i in sorted(recs)))
+    with pytest.raises(ReplayError, match=what):
+        replay(m, doc)
 
 
 def _duplicate_first(lines):

@@ -2,7 +2,9 @@
 
 ``span_coordinates`` and ``matrix_rank`` eliminate over ``Fraction``.  They
 stay in ``exact_lattice`` as the reference the tests compare the integer
-kernel against, so no other module of ``src/qres`` may name them.
+kernel against, so no other module of ``src/qres`` may name them, and no
+module but those two and the oracles of ``hj_oracle`` may import
+``fractions``.
 """
 
 import ast
@@ -10,6 +12,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qres"
 REFERENCE_ONLY = {"span_coordinates", "matrix_rank"}
+MAY_IMPORT_FRACTIONS = {"exact_lattice.py", "hj_oracle.py"}
 
 
 def _names(tree):
@@ -29,6 +32,20 @@ def test_only_exact_lattice_names_the_rational_solvers():
         for path in modules
         for node, name in _names(ast.parse(path.read_text(encoding="utf-8")))
         if name in REFERENCE_ONLY
+    ]
+    assert len(modules) > 5
+    assert found == []
+
+
+def test_only_the_reference_and_the_oracles_import_fractions():
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        if path.name not in MAY_IMPORT_FRACTIONS
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
     ]
     assert len(modules) > 5
     assert found == []

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qres import cli, cones_fans
-from qres.cones_fans import Cone, faces, multiplicity
-from qres.errors import DimensionError, NotRepresentableError, QresError, UnsupportedInputError
+from qres import cli, cones_fans, fanfile
+from qres.cones_fans import Cone, Fan, faces, multiplicity
+from qres.errors import NotRepresentableError, QresError, UnsupportedInputError
 from qres.exact_lattice import IntegerMatrix, smith_normal_form
 from qres.quotient_classifier import (
     CyclicQuotientType,
@@ -18,10 +19,9 @@ from qres.quotient_classifier import (
     _prime_factors,
     _pseudoreflection_gcd,
     _snf_characters,
+    _validate_characteristic,
     cone_characters,
     cone_descriptor,
-    cone_to_quotient,
-    faithful_rays,
     is_tame,
     parse_quotient_literal,
     pseudoreflection_reduce,
@@ -30,6 +30,7 @@ from qres.quotient_classifier import (
     standard_cone,
     unit_weights,
 )
+from qres.resolution_engine import MarkedFan, marked_fan_from_characters
 
 
 def Q(order, *chars):
@@ -97,7 +98,7 @@ class TestCanonicalForm:
 
     def test_parse_literal(self):
         assert parse_quotient_literal("1/6(2,3,1)") == (6, (2, 3, 1))
-        assert CyclicQuotientType.parse("1/5(2,1)") == Q(5, 2, 1)
+        assert CyclicQuotientType(*parse_quotient_literal("1/5(2,1)")) == Q(5, 2, 1)
         with pytest.raises(QresError):
             parse_quotient_literal("5(2,1)")
 
@@ -127,30 +128,26 @@ class TestQuotientToCone:
         assert Q(order, *weights) == Q(order, *chars)
         cone, divisor = standard_cone(order, chars, d)
         assert divisor in cone.generators
-        assert cone_to_quotient(cone).cqs == pseudoreflection_reduce(Q(order, *chars))
+        assert cone_descriptor(cone).cqs == pseudoreflection_reduce(Q(order, *chars))
 
 
 class TestConeToQuotient:
     def test_half(self):
-        d = cone_to_quotient(Cone(2, [(1, 0), (-1, 2)]))
+        d = cone_descriptor(Cone(2, [(1, 0), (-1, 2)]))
         assert d.cyclic and d.cqs == Q(2, 1, 1)
 
     def test_smooth(self):
-        d = cone_to_quotient(Cone(2, [(1, 0), (0, 1)]))
+        d = cone_descriptor(Cone(2, [(1, 0), (0, 1)]))
         assert d.cyclic and d.cqs.is_trivial()
         assert d.nontrivial == ()
 
     def test_third_1_1_1(self):
-        d = cone_to_quotient(Cone(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 3)]))
+        d = cone_descriptor(Cone(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 3)]))
         assert d.cqs == Q(3, 1, 1, 1)
-
-    def test_requires_full_dimension(self):
-        with pytest.raises(DimensionError):
-            cone_to_quotient(Cone(3, [(1, 0, 0), (0, 1, 0)]))
 
     def test_non_cyclic_reported(self):
         c = Cone(4, [(1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1), (0, 0, 1, -1)])
-        d = cone_to_quotient(c)
+        d = cone_descriptor(c)
         assert not d.cyclic and d.nontrivial == (2, 2) and d.cqs is None
         assert d.characters == ()
         with pytest.raises(UnsupportedInputError):
@@ -203,7 +200,7 @@ class TestConeToQuotient:
             [(1, 0, 0), (0, 1, 0), (-2, -3, 6)],
         ]:
             c = Cone(len(gens[0]), gens)
-            assert cone_to_quotient(c).order == multiplicity(c)
+            assert cone_descriptor(c).order == multiplicity(c)
 
 
 class TestRoundTrip:
@@ -217,7 +214,7 @@ class TestRoundTrip:
                     if math.gcd(a, l) != 1 and math.gcd(b, l) != 1:
                         continue
                     q = Q(l, a, b)
-                    got = cone_to_quotient(quotient_to_cone(q)).cqs
+                    got = cone_descriptor(quotient_to_cone(q)).cqs
                     assert got == pseudoreflection_reduce(q)
                     if not pseudoreflections(q):
                         assert got == q
@@ -236,19 +233,21 @@ class TestRoundTrip:
                         if q in seen:
                             continue
                         seen.add(q)
-                        got = cone_to_quotient(quotient_to_cone(q)).cqs
+                        got = cone_descriptor(quotient_to_cone(q)).cqs
                         assert got == pseudoreflection_reduce(q)
 
 
 class TestTameness:
     def test_examples(self):
-        assert is_tame(Q(5, 2, 1), 2)
-        assert not is_tame(Q(2, 1, 1), 2)
-        assert is_tame(Q(2, 1, 1), 0)
+        assert is_tame(5, 2)
+        assert not is_tame(2, 2)
+        assert is_tame(2, 0)
 
     def test_rejects_composite_characteristic(self):
-        with pytest.raises(QresError):
-            is_tame(Q(5, 2, 1), 4)
+        with pytest.raises(QresError, match="characteristic must be 0 or prime"):
+            _validate_characteristic(4)
+        with pytest.raises(QresError, match="characteristic must be 0 or prime"):
+            MarkedFan(Fan(2, [quotient_to_cone(Q(5, 2, 1))]), (), 4)
 
 
 class TestTrialDivision:
@@ -333,16 +332,29 @@ class TestPseudoreflectionFormula:
 
 
 class TestFaithfulRays:
-    def test_both_units(self):
-        assert faithful_rays(Q(5, 2, 1)) == {0, 1}
+    """The classify report names the generators whose character is a unit."""
 
-    def test_only_the_unit(self):
-        q = Q(6, 2, 3, 1)  # canonical (1,2,3)
-        assert faithful_rays(q) == {0}
-        assert [q.characters[i] for i in sorted(faithful_rays(q))] == [1]
+    @staticmethod
+    def report(order, chars, tmp_path, capsys):
+        path = tmp_path / "fan.jsonl"
+        m = marked_fan_from_characters(order, chars)
+        path.write_text(fanfile.emit_fan(m), encoding="utf-8")
+        assert cli.main(["classify", str(path), "--json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["cones"]
+        return entry["cone"], entry["faithful_rays"]
 
-    def test_trivial_group(self):
-        assert faithful_rays(Q(1, 0, 0, 0)) == {0, 1, 2}
+    def test_both_units(self, tmp_path, capsys):
+        cone, faithful = self.report(5, (2, 1), tmp_path, capsys)
+        assert faithful == cone == ["(-2,5)", "(1,0)"]
+
+    def test_only_the_unit(self, tmp_path, capsys):
+        # characters 1, 3, 2 mod 6 on the generators: only the divisor ray
+        cone, faithful = self.report(6, (2, 3, 1), tmp_path, capsys)
+        assert faithful == ["(-2,-3,6)"] == cone[:1]
+
+    def test_trivial_group(self, tmp_path, capsys):
+        cone, faithful = self.report(1, (0, 0, 0), tmp_path, capsys)
+        assert faithful == cone and len(cone) == 3
 
 
 # Fans with smooth and singular lower-dimensional cones, and a non-cyclic
