@@ -52,7 +52,7 @@ from .quotient_classifier import (
     parse_quotient_literal,
     unit_weights,
 )
-from .resolution_engine import blowup_step, replay, resolve
+from .resolution_engine import MarkedFan, blowup_step, replay, resolve
 from .weighted_filtration import (
     DEFAULT_DEGREE_BOUND,
     WeightedFiltration,
@@ -165,6 +165,8 @@ def _trace_summary(trace, as_json: bool) -> None:
 
 def _cmd_resolve(args) -> int:
     m = _load_fan(args.file)
+    if args.oracle_check and m.fan.rank != 2:
+        raise PreconditionError("--oracle-check requires a rank-2 fan")
     trace = resolve(m)
     try:
         replay(m, trace)
@@ -173,8 +175,6 @@ def _cmd_resolve(args) -> int:
     if args.emit_trace:
         Path(args.emit_trace).write_text(fanfile.emit_trace(trace), encoding="utf-8")
     if args.oracle_check:
-        if m.fan.rank != 2:
-            raise PreconditionError("--oracle-check requires a rank-2 fan")
         checked = check_minimal_rays(m.fan, trace.final.fan)
         if not args.json:
             print(f"oracle check: ok ({checked} rays verified)")

@@ -25,15 +25,15 @@ the cones it generates (:attr:`Fan.ray_index`), built once from its cones
 when first read.  :func:`star_subdivide` applies a batch of rays starting
 from the input fan's index, copying only the sets of the rays it touches,
 builds one :class:`Fan` at the end and hands it the updated index, so a
-step costs the star of its rays, not a pass over every cone.  Each point of
-a fan lies in the relative interior of exactly one of its cones, so the
-cones containing a ray are exactly those having that cone as a face: given a
-hint cone that is checked to contain the ray, the generators of positive
-weight name that face, and intersecting their index sets finds its star
-without testing any other cone.  Without a usable hint every cone is
-scanned.  The pieces of a cone take their ``det`` and cofactor rows from the
-parent's by one exact rank-one update each (see :func:`_subdivide_cone`), so
-a subdivision runs no elimination; cones hash once, in their constructor.
+step costs the star of its rays, not a pass over every cone.  Each ray
+comes with a cone containing it, in a blow-up its center cone, and the
+index alone gives the star of that cone's face containing the ray, which
+is the set of cones containing the ray; a cone that does not contain its
+ray, or whose face is not a cone of the fan, is an error, never a reason
+to scan the fan.  The pieces of a cone take their ``det`` and cofactor rows
+from the parent's by one exact rank-one update each (see
+:func:`_subdivide_cone`), so a subdivision runs no elimination; cones hash
+once, in their constructor.
 On request a :class:`Subdivision` records the cones removed and added and
 the pieces of every cone split, so a caller can update what it derives from
 the fan instead of recomputing it.
@@ -315,17 +315,21 @@ def _subdivide_cone(c: Cone, u: IntegerVector) -> tuple[Cone, ...]:
 
 
 def _face_star(
-    index: dict[IntegerVector, set[Cone]], hint: Cone, u: IntegerVector
+    index: dict[IntegerVector, set[Cone]], cone: Cone, u: IntegerVector
 ) -> set[Cone]:
-    """The cones having as a face the minimal face of ``hint`` containing
-    ``u``, which ``hint`` must contain; empty when that face is not a cone
-    of the indexed fan."""
-    nums, _ = hint.numerators(u)
-    stars = [index.get(g) for g, x in zip(hint.generators, nums) if x > 0]
-    if not all(stars):
-        return set()
-    stars.sort(key=len)
-    return stars[0].intersection(*stars[1:])
+    """The cones having as a face the minimal face of ``cone`` containing
+    ``u``: those having every generator of positive weight, found by
+    intersecting their sets in ``index``.  Raises :class:`SupportError` when
+    ``cone`` does not contain ``u`` or that face is not a cone of the
+    indexed fan."""
+    if not cone.contains(u):
+        raise SupportError(f"{u} does not lie in {cone}")
+    nums, _ = cone.numerators(u)
+    stars = [index.get(g, frozenset()) for g, x in zip(cone.generators, nums) if x > 0]
+    star = stars[0].intersection(*stars[1:])
+    if not star:
+        raise SupportError(f"the face of {cone} containing {u} is not a cone of the fan")
+    return star
 
 
 @dataclass
@@ -349,17 +353,25 @@ class Subdivision:
 
 def star_subdivide(
     f: Fan,
-    *rays: IntegerVector,
-    hints: Sequence[Optional[Cone]] = (),
+    rays: Sequence[IntegerVector],
+    cones: Sequence[Cone],
     record: Optional[Subdivision] = None,
 ) -> Fan:
     """Star subdivision of ``f`` at the primitive lattice points ``rays``,
-    applied in order.
+    applied in order, each with the cone of ``cones`` at its position.
 
-    Cones not containing a ray are untouched; every cone containing it
-    (necessarily in the relative interior of one of its faces) is replaced
-    by its star subdivision.  Raises :class:`SupportError` when a ray lies
-    outside the support of the fan as subdivided by the rays before it.
+    ``cones[k]`` must contain ``rays[k]``; in a blow-up it is the center
+    cone the ray was computed in, and it need not be a cone of the fan.  Its
+    generators of positive weight span its minimal face ``F`` containing the
+    ray, which lies in the relative interior of ``F``, and the cones replaced
+    by their star subdivisions are those having every generator of ``F``
+    (see :func:`_face_star`).  This is sound for a fan: a simplicial cone
+    having every generator of ``F`` has ``F`` as a face, so then ``F`` is a
+    cone of the fan with the ray in its relative interior; each point of a
+    fan lies in the relative interior of exactly one of its cones, so the
+    cones containing the ray are exactly those having ``F`` as a face.
+    Raises :class:`SupportError` when a cone does not contain its ray or its
+    ``F`` is not a cone of the fan as subdivided by the rays before it.
     When ``record`` is given it is filled in with what the call did (see
     :class:`Subdivision`).
 
@@ -367,77 +379,44 @@ def star_subdivide(
     up to date as the rays are applied: the dict is copied, and the set of a
     ray is copied the first time the call changes it, so ``f`` and every fan
     sharing its sets are left as they were.  One :class:`Fan` is built at
-    the end and takes the updated index, unless its constructor absorbed a
-    cone, which only a collection that is not a fan can give.
-
-    ``hints[k]``, when given, is a cone believed to contain ``rays[k]``; it
-    need not be a cone of the fan.  If it does contain the ray, the
-    generators of positive weight span the minimal face ``F`` of the hint
-    containing it, the ray lies in the relative interior of ``F``, and the
-    cones subdivided are those having every generator of ``F``, found by
-    intersecting their index sets.  This is sound for a fan: a simplicial
-    cone having every generator of ``F`` has ``F`` as a face, so then ``F``
-    is a cone of the fan with the ray in its relative interior; each point
-    of a fan lies in the relative interior of exactly one of its cones, so
-    the cones containing the ray are exactly those having ``F`` as a face.
-    When the intersection is empty (``F`` was split by an earlier ray) or
-    the hint does not contain the ray, every cone is scanned and each one
-    containing the ray is subdivided.  A wrong, missing or hostile hint
-    therefore costs only the scan, and without hints the result is the
-    one-ray-at-a-time subdivision of any cone collection, fan or not.
+    the end and takes the updated index.  A star subdivision of a fan
+    absorbs no cone, so :class:`DegenerateInputError` is raised if the
+    constructor does.
     """
-    cones = set(f.cones)
+    current = set(f.cones)
     index = dict(f.ray_index)
     owned: dict[IntegerVector, set[Cone]] = {}  # the sets this call has copied
-    gone: set[Cone] = set()
-    made: set[Cone] = set()
     split: dict[tuple[Cone, IntegerVector], tuple[Cone, ...]] = {}
-    for k, u in enumerate(rays):
+    for u, cone in zip(rays, cones, strict=True):
         if not is_primitive(u):
             raise DegenerateInputError(f"subdivision ray {u} must be primitive")
-        hint = hints[k] if k < len(hints) else None
-        star: Iterable[Cone] = ()
-        if hint is not None and hint.rank == u.rank and hint.contains(u):
-            star = _face_star(index, hint, u)
-        if not star:
-            star = [c for c in cones if c.contains(u)]
-            if not star:
-                raise SupportError(f"{u} lies outside the support of the fan")
-        for c in star:
+        for c in _face_star(index, cone, u):
             pieces = _subdivide_cone(c, u)
             if pieces[0] is c:
                 continue
             split[(c, u)] = pieces
-            cones.remove(c)
-            gone.add(c)
+            current.remove(c)
             for g in c.generators:
                 cs = owned.get(g)
                 if cs is None:
                     cs = owned[g] = index[g] = set(index[g])
-                cs.discard(c)
+                cs.discard(c)  # never the last: every generator of c is in a piece
             for piece in pieces:
-                cones.add(piece)
-                made.add(piece)
+                current.add(piece)
                 for g in piece.generators:
                     cs = owned.get(g)
                     if cs is None:
                         cs = owned[g] = index[g] = set(index.get(g, ()))
                     cs.add(piece)
-    for g, cs in owned.items():
-        if not cs:
-            del index[g]
-    fan = Fan(f.rank, cones)
-    before, after = f.cones, fan.cones
-    absorbed = len(after) != len(cones)
-    if not absorbed:
-        # the constructor kept every cone, so the index is exactly the fan's
-        fan.__dict__["ray_index"] = index
+    fan = Fan(f.rank, current)
+    if len(fan.cones) != len(current):
+        raise DegenerateInputError("star subdivision absorbed a cone: the input is not a fan")
+    fan.__dict__["ray_index"] = index
     if record is not None:
-        if absorbed:
-            record.removed, record.added = before - after, after - before
-        else:
-            record.removed = frozenset(c for c in gone if c in before and c not in after)
-            record.added = frozenset(c for c in made if c in after and c not in before)
+        # no piece is an input cone, so the split cones no ray made are input cones
+        gone = {c for c, _ in split}
+        made = {piece for pieces in split.values() for piece in pieces}
+        record.removed, record.added = frozenset(gone - made), frozenset(made - gone)
         record.pieces = split
     return fan
 

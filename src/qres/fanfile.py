@@ -118,6 +118,7 @@ def parse_fan(text: str) -> MarkedFan:
     header: Optional[dict] = None
     header_line = 0
     rays: dict[int, IntegerVector] = {}
+    ray_lines: dict[int, int] = {}
     cone_records: list[tuple[int, list[int]]] = []
     marked_records: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,6 +147,7 @@ def parse_fan(text: str) -> MarkedFan:
             if not is_primitive(vec):
                 raise FanParseError(f"ray {vec} is not primitive", lineno)
             rays[rid] = vec
+            ray_lines[rid] = lineno
         elif kind == "cone":
             ids = obj.get("rays")
             if not isinstance(ids, list) or not ids:
@@ -167,7 +169,7 @@ def parse_fan(text: str) -> MarkedFan:
         raise FanParseError("fan file declares no cones")
     for rid, vec in rays.items():
         if vec.rank != rank:
-            raise FanParseError(f"ray {rid} has rank {vec.rank}, expected {rank}")
+            raise FanParseError(f"ray {rid} has rank {vec.rank}, expected {rank}", ray_lines[rid])
     cones = []
     for lineno, ids in cone_records:
         gens = []
@@ -286,14 +288,16 @@ class TraceDocument:
     """Replayable view of a trace file (digest, ray groups, final state).
 
     ``hint_groups`` holds, for each added ray, the first recorded center
-    cone whose ray it is (``None`` when no center names it); replay checks
-    each hint before using it, so they only save it a scan.
+    cone whose ray it is; :func:`parse_trace` rejects an added ray that no
+    center of its step names.  Replay subdivides each ray in the star of its
+    center cone's face containing it, and a center cone that does not
+    contain its ray is an error, never a reason to scan the fan.
     """
 
     input_digest: str
     ray_groups: tuple[tuple[IntegerVector, ...], ...]
     final: MarkedFan
-    hint_groups: tuple[tuple[Optional[Cone], ...], ...]
+    hint_groups: tuple[tuple[Cone, ...], ...]
 
 
 def parse_trace(text: str) -> TraceDocument:
@@ -346,8 +350,11 @@ def parse_trace(text: str) -> TraceDocument:
             raise FanParseError("step record needs an 'added' list", lineno)
         group = tuple(_parse_vector_once(v, rank, lineno, "added ray", memo) for v in added)
         cone_of = _parse_center_cones(obj.get("centers"), rank, lineno, memo)
+        for u in group:
+            if u not in cone_of:
+                raise FanParseError(f"added ray {u} is the ray of no center of its step", lineno)
         groups.append(group)
-        hint_groups.append(tuple(cone_of.get(u) for u in group))
+        hint_groups.append(tuple(cone_of[u] for u in group))
     lineno, obj = final_record
     cones_payload = obj.get("cones")
     if not isinstance(cones_payload, list) or not cones_payload:

@@ -40,7 +40,6 @@ from .cones_fans import (
     Cone,
     Fan,
     Subdivision,
-    _subdivide_cone,
     multiplicity,
     star_subdivide,
 )
@@ -141,14 +140,10 @@ class MarkedFan:
 
         Only what the step changed is computed: the groups of
         :attr:`singular` lose the removed cones and gain the singular added
-        ones, which alone are left for :func:`invariant` to check, and only
-        the added rays are checked against the fan, since star subdivision
-        keeps every ray.
+        ones, which alone are left for :func:`invariant` to check.  The added
+        rays need no check against the fan: :func:`star_subdivide` raises
+        unless each lands in a cone, and no ray of a split cone is lost.
         """
-        rays = fan.ray_index
-        for ray in added_rays:
-            if ray not in rays:
-                raise PreconditionError(f"marked ray {ray} is not a ray of the fan")
         changes: dict[int, tuple[list[Cone], list[Cone]]] = {}
         for c in done.removed:
             x = multiplicity(c)
@@ -319,10 +314,11 @@ def _center_for(m: MarkedFan, cone: Cone) -> Center:
 def _local_charts(
     center: Center, characteristic: int, done: Subdivision
 ) -> tuple[ChartRecord, ...]:
+    # no center splits another's cone: a center ray lies on a face carrying its
+    # cone's whole group, so every target having that face has the same ray
     pieces = done.pieces.get((center.cone, center.ray))
     if pieces is None:
-        # an earlier ray of the same step split the center cone first
-        pieces = _subdivide_cone(center.cone, center.ray)
+        raise MeasureError(f"the step did not subdivide its center {center.cone}")
     expected = sorted(w for w in center.weights if w > 0)
     got = sorted(multiplicity(piece) for piece in pieces)
     if got != expected:
@@ -351,7 +347,7 @@ def _local_charts(
 
 def _center_cones(centers: Iterable[Center]) -> dict[IntegerVector, Cone]:
     """Each center ray with the first center cone it was computed in, the
-    hint :func:`~qres.cones_fans.star_subdivide` takes for that ray."""
+    cone :func:`~qres.cones_fans.star_subdivide` takes for that ray."""
     out: dict[IntegerVector, Cone] = {}
     for center in centers:
         out.setdefault(center.ray, center.cone)
@@ -380,7 +376,7 @@ def _apply_step(
     cone_of = _center_cones(centers)
     added = tuple(sorted(cone_of, key=lambda v: v.entries))
     done = Subdivision()
-    fan = star_subdivide(m.fan, *added, hints=[cone_of[u] for u in added], record=done)
+    fan = star_subdivide(m.fan, added, [cone_of[u] for u in added], record=done)
     new_m = m._subdivided(fan, added, done)
     charts = tuple(_local_charts(center, m.characteristic, done) for center in centers)
     record = StepRecord(
@@ -461,10 +457,10 @@ def replay(m: MarkedFan, trace) -> Fan:
     Accepts anything exposing ``input_digest``, ``ray_groups``,
     ``hint_groups`` and ``final`` the way :class:`ResolutionTrace` does.
     Each ray group is one :func:`~qres.cones_fans.star_subdivide` call, with
-    one hint cone (the recorded center cone) or ``None`` per ray.  The hints
-    only choose where to look: a hint is used only after checking that it
-    contains its ray, and a missing, misplaced or stale one costs a scan of
-    the fan, so the replayed fan never depends on them.  The final state
+    one cone per ray: the recorded center cone, which must contain the ray
+    and whose face containing it must be a cone of the fan at that point.
+    A center that breaks this is a :class:`ReplayError`, like a ray outside
+    the fan; it is never repaired by scanning the fan.  The final state
     must also keep the input's characteristic and mark its rays followed by
     every added ray in order.
     """
@@ -472,8 +468,8 @@ def replay(m: MarkedFan, trace) -> Fan:
         raise ReplayError("trace was produced from a different input")
     fan = m.fan
     try:
-        for group, hints in zip(trace.ray_groups, trace.hint_groups, strict=True):
-            fan = star_subdivide(fan, *group, hints=hints)
+        for group, cones in zip(trace.ray_groups, trace.hint_groups, strict=True):
+            fan = star_subdivide(fan, group, cones)
     except (SupportError, DegenerateInputError) as exc:
         raise ReplayError(f"recorded ray cannot be applied: {exc}") from exc
     final = trace.final

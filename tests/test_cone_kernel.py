@@ -35,7 +35,7 @@ from qres.cones_fans import (
     star_subdivide,
     validate_fan,
 )
-from qres.errors import DegenerateInputError, MeasureError
+from qres.errors import DegenerateInputError, MeasureError, SupportError
 from qres.exact_lattice import (
     IntegerMatrix,
     IntegerVector,
@@ -158,6 +158,13 @@ def reference_star(cones, u):
             gens[i] = u
             out.append(Cone(c.rank, gens))
     return reference_maximal(out)
+
+
+def containing_cone(cones, u):
+    """The first cone of a collection, in sorted order, containing ``u`` by
+    the rational reference: a scan over every cone, which is how the tests
+    find the cone :func:`star_subdivide` takes with each ray."""
+    return next(c for c in sorted(cones, key=Cone.sort_key) if reference_contains(c, u))
 
 
 def first_column_basis(rows):
@@ -459,11 +466,9 @@ def subdivided_fans(draw):
 
 @st.composite
 def fan_and_rays(draw):
-    """A cone collection and rays inside its cones, each with the cone it was
-    drawn in.  The collection is either full cones plus stray lower cones,
-    which may overlap, or a valid fan from :func:`subdivided_fans`."""
-    n, cones = draw(st.one_of(mixed_cone_lists(), subdivided_fans()))
-    rays, sources = [], []
+    """A valid fan from :func:`subdivided_fans` and rays inside its cones."""
+    n, cones = draw(subdivided_fans())
+    rays = []
     for _ in range(draw(st.integers(1, 4))):
         c = draw(st.sampled_from(sorted(cones, key=Cone.sort_key)))
         coeffs = draw(
@@ -471,50 +476,46 @@ def fan_and_rays(draw):
         )
         v = [sum(k * g.entries[i] for k, g in zip(coeffs, c.generators)) for i in range(n)]
         rays.append(primitive(IntegerVector(v)))
-        sources.append(c)
-    return n, cones, rays, sources
+    return n, cones, rays
 
 
 class TestStarSubdivide:
     @given(fan_and_rays())
     @settings(max_examples=160, deadline=None)
     def test_matches_reference_subdivision(self, data):
-        n, cones, rays, sources = data
-        fan = Fan(n, cones)
+        n, cones, rays = data
+        start = fan = Fan(n, cones)
         expected = fan.cones
-        applied, hints = [], []
-        for u, source in zip(rays, sources):
-            if not any(reference_contains(c, u) for c in expected):
-                continue  # the ray left the support after an earlier step
-            fan = star_subdivide(fan, u)
+        found = []
+        for u in rays:
+            # star subdivision keeps the support, so some cone contains u
+            found.append(containing_cone(expected, u))
+            fan = star_subdivide(fan, [u], found[-1:])
             expected = reference_star(expected, u)
             assert fan.cones == expected
-            applied.append(u)
-            hints.append(source)
-        # the same rays in one call, without hints and, on a valid fan, with
-        # each ray's source cone (which may be stale by then) as its hint
-        start = Fan(n, cones)
-        assert star_subdivide(start, *applied).cones == expected
-        if validate_fan(start):
-            assert star_subdivide(start, *applied, hints=hints).cones == expected
+        # the same rays in one call, each with the cone found for it
+        assert star_subdivide(start, rays, found).cones == expected
 
     def test_hinted_batch_takes_the_local_path(self, monkeypatch):
         c = Cone(3, [(1, 0, 0), (0, 1, 0), (-1, -5, 31)])
         # e1 + e2 and e2 + w lie on faces of c; e1 + e2 + w inside it, whose
-        # minimal face (c itself) the first ray has split by then
+        # minimal face (c itself) the first ray has split by then, so c is
+        # no longer a cone to take it with
         rays = [IntegerVector(v) for v in [(1, 1, 0), (-1, -4, 31), (0, -4, 31)]]
         found = []
         real = cones_fans._face_star
 
-        def recording(index, hint, u):
-            out = real(index, hint, u)
+        def recording(index, cone, u):
+            out = real(index, cone, u)
             found.append(len(out))
             return out
 
         monkeypatch.setattr(cones_fans, "_face_star", recording)
-        out = star_subdivide(Fan(3, [c]), *rays, hints=[c, c, c])
-        assert out.cones == functools.reduce(reference_star, rays, frozenset([c]))
-        assert found == [1, 1, 0]
+        out = star_subdivide(Fan(3, [c]), rays[:2], [c, c])
+        assert out.cones == functools.reduce(reference_star, rays[:2], frozenset([c]))
+        assert found == [1, 1]
+        with pytest.raises(SupportError, match="is not a cone of the fan"):
+            star_subdivide(Fan(3, [c]), rays, [c, c, c])
 
     def test_iterated_subdivision_of_a_rank3_cone(self):
         c = Cone(3, [(1, 0, 0), (0, 1, 0), (-1, -5, 31)])
@@ -522,7 +523,7 @@ class TestStarSubdivide:
         for coeffs in itertools.product(range(1, 3), repeat=3):
             v = [sum(k * g.entries[i] for k, g in zip(coeffs, c.generators)) for i in range(3)]
             u = primitive(IntegerVector(v))
-            fan = star_subdivide(fan, u)
+            fan = star_subdivide(fan, [u], [containing_cone(expected, u)])
             expected = reference_star(expected, u)
             assert fan.cones == expected
 

@@ -87,38 +87,63 @@ class TestFaces:
         assert len(faces(c)) == 8
 
 
+def subdivide_in(c, u):
+    """The star subdivision of the fan of the single cone ``c`` at ``u``."""
+    return star_subdivide(Fan(c.rank, [c]), [IntegerVector(u)], [c])
+
+
 class TestStarSubdivide:
     def test_interior_point_of_singular_cone(self):
-        f = Fan(2, [C(E1, (-1, 3))])
-        out = star_subdivide(f, IntegerVector(E2))
+        out = subdivide_in(C(E1, (-1, 3)), E2)
         assert out.cones == frozenset({C(E1, E2), C(E2, (-1, 3))})
 
     def test_existing_ray_is_noop(self):
         f = Fan(2, [C(E1, E2)])
-        assert star_subdivide(f, IntegerVector(E1)) == f
+        assert subdivide_in(C(E1, E2), E1) == f
 
     def test_smooth_corner_blowup(self):
-        f = Fan(2, [C(E1, E2)])
-        out = star_subdivide(f, IntegerVector((1, 1)))
+        out = subdivide_in(C(E1, E2), (1, 1))
         assert out.cones == frozenset({C(E1, (1, 1)), C(E2, (1, 1))})
 
     def test_outside_support(self):
-        f = Fan(2, [C(E1, E2)])
         with pytest.raises(SupportError):
-            star_subdivide(f, IntegerVector((-1, -1)))
+            subdivide_in(C(E1, E2), (-1, -1))
 
     def test_non_primitive_rejected(self):
-        f = Fan(2, [C(E1, E2)])
         with pytest.raises(DegenerateInputError):
-            star_subdivide(f, IntegerVector((2, 2)))
+            subdivide_in(C(E1, E2), (2, 2))
 
     def test_point_in_shared_face_subdivides_both_sides(self):
         shared = (0, 0, 1)
-        f = Fan(3, [C((1, 0, 0), (0, 1, 0), shared), C((1, 0, 0), (0, -1, 0), shared)])
+        sigma = C((1, 0, 0), (0, 1, 0), shared)
+        f = Fan(3, [sigma, C((1, 0, 0), (0, -1, 0), shared)])
         u = IntegerVector((1, 0, 1))  # interior to the shared face <e1, e3>
-        out = star_subdivide(f, u)
+        out = star_subdivide(f, [u], [sigma])
         assert len(out.cones) == 4
         assert validate_fan(out)
+
+    def test_cone_not_containing_its_ray_is_an_error(self):
+        # (1, 1) lies in the fan, but not in the cone that comes with it
+        f = Fan(2, [C(E1, E2), C(E2, (-1, 0))])
+        with pytest.raises(SupportError, match="does not lie in"):
+            star_subdivide(f, [IntegerVector((1, 1))], [C(E2, (-1, 0))])
+
+    def test_face_that_is_not_a_cone_of_the_fan_is_an_error(self):
+        # <e1, e2> contains (1, 1), but after (1, 2) it is no cone of the fan
+        sigma = C(E1, E2)
+        rays = [IntegerVector((1, 2)), IntegerVector((1, 1))]
+        with pytest.raises(SupportError, match="is not a cone of the fan"):
+            star_subdivide(Fan(2, [sigma]), rays, [sigma, sigma])
+
+    def test_absorbed_piece_is_an_error(self):
+        # tau overlaps sigma in <e1, e2>, which is not a face of tau, so this
+        # is no fan, and splitting tau at e2 makes <e1, e2>, a face of sigma
+        sigma = C((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        tau = Cone(3, [(1, 0, 0), (-1, 1, 0)])
+        f = Fan(3, [sigma, tau])
+        assert f.cones == {sigma, tau}
+        with pytest.raises(DegenerateInputError, match="absorbed"):
+            star_subdivide(f, [IntegerVector((0, 1, 0))], [tau])
 
 
 def lattice_points_in_box(rank, bound):
@@ -141,7 +166,7 @@ class TestStarSubdivideProperties:
     )
     def test_support_preserved(self, cone, u):
         f = Fan(cone.rank, [cone])
-        out = star_subdivide(f, IntegerVector(u))
+        out = subdivide_in(cone, u)
         for p in lattice_points_in_box(cone.rank, 3):
             assert any(c.contains(p) for c in f.cones) == any(
                 c.contains(p) for c in out.cones
@@ -150,16 +175,15 @@ class TestStarSubdivideProperties:
     def test_chart_multiplicities_from_barycentrics(self):
         # multiplicities of the pieces are coordinate * multiplicity
         cone = C(E1, (-2, 5))
-        u = IntegerVector(E2)  # coordinates (2/5, 1/5)
-        out = star_subdivide(Fan(2, [cone]), u)
+        out = subdivide_in(cone, E2)  # coordinates (2/5, 1/5)
         assert sorted(multiplicity(c) for c in out.cones) == [1, 2]
 
     def test_validity_preserved(self):
         f = Fan(2, [C(E1, E2), C(E2, (-1, 0))])
         assert validate_fan(f)
-        out = star_subdivide(f, IntegerVector((1, 1)))
+        out = star_subdivide(f, [IntegerVector((1, 1))], [C(E1, E2)])
         assert validate_fan(out)
-        out = star_subdivide(out, IntegerVector((-1, 1)))
+        out = star_subdivide(out, [IntegerVector((-1, 1))], [C(E2, (-1, 0))])
         assert validate_fan(out)
 
     @given(st.lists(st.integers(1, 5), min_size=2, max_size=2))
@@ -176,7 +200,7 @@ class TestStarSubdivideProperties:
                 ]
             )
         )
-        out = star_subdivide(Fan(2, [cone]), u)
+        out = subdivide_in(cone, u)
         assert validate_fan(out)
         total = sum(multiplicity(c) for c in out.cones if c.dim == 2)
         assert total <= multiplicity(cone) * (coeffs[0] + coeffs[1])

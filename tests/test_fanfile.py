@@ -1,5 +1,8 @@
 """Trace parsing: error messages, step indices and the cost of a parse.
 
+A fan file's ray of the wrong rank is reported at its line, and every added
+ray of a trace must be the ray of a center of its step.
+
 The parse errors for bad vector payloads in every kind of record are pinned
 as they read before ``parse_trace`` shared one vector per distinct payload,
 including payloads that equal a valid one as Python tuples (``[true,0,0]``
@@ -16,7 +19,7 @@ import json
 
 import pytest
 
-from qres import exact_lattice, fanfile
+from qres import cli, exact_lattice, fanfile
 from qres.cones_fans import Cone
 from qres.errors import FanParseError, ReplayError
 from qres.resolution_engine import marked_fan_from_characters, replay, resolve
@@ -144,6 +147,38 @@ def test_duplicate_final_fan_is_a_parse_error():
     recs = records()
     recs[FINAL + 2] = recs[FINAL]
     assert parse_error(recs) == (f"line {FINAL + 2}: duplicate final_fan record", FINAL + 2)
+
+
+def test_added_ray_that_no_center_names_is_a_parse_error():
+    # replay used to find the star of such a ray by scanning every cone
+    recs = records()
+    ray = recs[LAST_STEP]["added"][0]
+    centers = recs[LAST_STEP]["centers"]
+    recs[LAST_STEP]["centers"] = [c for c in centers if c["ray"] != ray]
+    message = f"added ray ({', '.join(ray)}) is the ray of no center of its step"
+    assert parse_error(recs) == (f"line {LAST_STEP}: {message}", LAST_STEP)
+
+
+FAN_WITH_A_SHORT_RAY = "\n".join(
+    [
+        '{"characteristic":"0","rank":"3","record":"fan"}',
+        '{"id":"0","record":"ray","v":["1","0","0"]}',
+        '{"id":"1","record":"ray","v":["0","1"]}',
+        '{"id":"2","record":"ray","v":["0","0","1"]}',
+        '{"rays":["0","1","2"],"record":"cone"}',
+    ]
+) + "\n"
+
+
+def test_fan_ray_of_another_rank_is_reported_at_its_line(tmp_path, capsys):
+    # the check runs once the header's rank is known, after the last line
+    with pytest.raises(FanParseError) as info:
+        fanfile.parse_fan(FAN_WITH_A_SHORT_RAY)
+    assert info.value.line == 3
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(FAN_WITH_A_SHORT_RAY, encoding="utf-8")
+    assert cli.main(["classify", str(fan_file)]) == 3
+    assert capsys.readouterr().err == "error: line 3: ray 1 has rank 2, expected 3\n"
 
 
 def _cut_marking(recs):

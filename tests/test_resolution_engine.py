@@ -2,15 +2,16 @@
 
 Covers the paper's main claim on a few ladder types in characteristic 0, 2,
 3 and 5, the chart orders of every step, one evaluation of the measure per
-fan state, the fan and trace round trips, replay with missing, wrong and
-stale hints, pinned traces of larger types and bounds on the containment
-tests, sorts, multiplicities and subdivisions of one of them, the state each
-step carries to the next against a rebuild from the fan, the chart pieces
-against a fresh subdivision of their center, functoriality under lattice
-automorphisms, permutations of the characters, restriction to the cones
-after one step and smooth base change (the product with a ray),
-independence of the trace bytes from the hash seed, and the command-line
-checks, some of which must survive ``python -O``.
+fan state, the fan and trace round trips, replay with any center of a ray
+and its errors for a center not containing its ray or naming a face an
+earlier ray split, that no center splits another's cone, pinned traces of
+larger types and bounds on the containment tests, sorts, multiplicities and
+subdivisions of one of them, the state each step carries to the next against
+a rebuild from the fan, the chart pieces against a fresh subdivision of
+their center, functoriality under lattice automorphisms, permutations of the
+characters, restriction to the cones after one step and smooth base change
+(the product with a ray), independence of the trace bytes from the hash
+seed, and the command-line checks, some of which must survive ``python -O``.
 """
 
 import hashlib
@@ -20,9 +21,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qres import cli, cones_fans, fanfile, quotient_classifier, resolution_engine
@@ -35,7 +37,7 @@ from qres.cones_fans import (
     star_subdivide,
     validate_fan,
 )
-from qres.errors import FanParseError, ReplayError
+from qres.errors import FanParseError, MeasureError, ReplayError
 from qres.exact_lattice import IntegerVector
 from qres.fanfile import TraceDocument
 from qres.hj_oracle import hj_cone_rays, hj_rays
@@ -165,10 +167,6 @@ def test_trace_round_trips(case):
     assert '"measure_decreasing":true' in text
 
 
-def _no_hints(ray_groups):
-    return tuple((None,) * len(group) for group in ray_groups)
-
-
 def _document(trace, ray_groups=None, hint_groups=None):
     return TraceDocument(
         trace.input_digest,
@@ -178,18 +176,35 @@ def _document(trace, ray_groups=None, hint_groups=None):
     )
 
 
+def _last_centers(trace):
+    """For each added ray, the last center cone naming it; the trace keeps
+    the first."""
+    groups = []
+    for step in trace.steps:
+        cone_of = {center.ray: center.cone for center in step.centers}
+        groups.append(tuple(cone_of[u] for u in step.added_rays))
+    return tuple(groups)
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_replay_does_not_depend_on_hints(case):
+    # a center cone only names the face its ray lies in, so every center of
+    # a ray replays to the same fan (rank 3 and 4 cases have rays that
+    # several centers name)
     m, trace = traced(case)
     doc = fanfile.parse_trace(fanfile.emit_trace(trace))
     assert doc.hint_groups == trace.hint_groups
-    assert all(h is not None for group in doc.hint_groups for h in group)
-    # no hints at all, and every hint replaced by a cone not containing its ray
+    assert replay(m, _document(trace, hint_groups=_last_centers(trace))) == trace.final.fan
+
+
+def test_replay_rejects_a_center_not_containing_its_ray():
+    m, trace = traced(CASES[0])
     outside = Cone(m.fan.rank, [-g for g in next(iter(m.fan.cones)).generators])
-    wrong = tuple(tuple(outside for _ in group) for group in trace.ray_groups)
     assert not any(outside.contains(u) for u in trace.exceptional_rays)
-    for hints in (_no_hints(trace.ray_groups), wrong):
-        assert replay(m, _document(trace, hint_groups=hints)) == trace.final.fan
+    first, *rest = trace.hint_groups
+    wrong = ((outside,) + first[1:], *rest)
+    with pytest.raises(ReplayError, match="does not lie in"):
+        replay(m, _document(trace, hint_groups=wrong))
 
 
 @pytest.mark.parametrize(
@@ -218,20 +233,24 @@ def test_malformed_center_is_a_parse_error(centers):
         fanfile.parse_trace("\n".join(lines))
 
 
-def test_replay_falls_back_when_a_hint_face_was_split_in_the_group():
+def test_replay_rejects_a_center_whose_face_was_split_in_the_group():
     m = marked_fan_from_characters(31, (1, 5, 11))
     (sigma,) = m.fan.cones
     e1, e2, w = sigma.generators
-    # e1 + e2 splits the face of e1, e2 and w that the next ray lies inside
+    # e1 + e2 splits the face of e1, e2 and w that the next ray lies inside,
+    # so sigma names no cone of the fan by then; a piece containing it does
     group = (e1 + e2, e1 + e2 + w)
     assert all(sigma.contains(u) for u in group)
-    final = m.fan
+    final, found = m.fan, []
     for u in group:
-        final = star_subdivide(final, u)
-    doc = TraceDocument(
-        fan_digest(m), (group,), MarkedFan(final, m.marked_rays + group), ((sigma, sigma),)
-    )
-    assert replay(m, doc) == final
+        found.append(next(c for c in final.sorted_cones() if c.contains(u)))
+        final = star_subdivide(final, [u], found[-1:])
+    assert found[0] == sigma != found[1]
+    marked = MarkedFan(final, m.marked_rays + group)
+    assert replay(m, TraceDocument(fan_digest(m), (group,), marked, (tuple(found),))) == final
+    stale = TraceDocument(fan_digest(m), (group,), marked, ((sigma, sigma),))
+    with pytest.raises(ReplayError, match="is not a cone of the fan"):
+        replay(m, stale)
 
 
 def test_replay_rejects_a_ray_outside_the_support_despite_a_hint():
@@ -246,11 +265,10 @@ def test_replay_rejects_a_ray_outside_the_support_despite_a_hint():
 def test_replay_rejects_a_group_with_a_ray_dropped():
     m, trace = traced(CASES[0])
     k = next(i for i, g in enumerate(trace.ray_groups) if len(g) > 1)
-    groups = list(trace.ray_groups)
-    groups[k] = groups[k][1:]
-    for hints in (trace.hint_groups, _no_hints(groups)):
-        with pytest.raises(ReplayError):
-            replay(m, _document(trace, tuple(groups), hints))
+    groups, cones = list(trace.ray_groups), list(trace.hint_groups)
+    groups[k], cones[k] = groups[k][1:], cones[k][1:]
+    with pytest.raises(ReplayError):
+        replay(m, _document(trace, tuple(groups), tuple(cones)))
 
 
 PINNED_TRACE_SHA256 = "69382e548bce858accc1476909e55b6a498c087527a30c84338d9c2ee1591dbf"
@@ -330,9 +348,10 @@ def test_larger_types_keep_their_traces(case, steps, cones, sha256):
 
 @st.composite
 def quotient_types(draw, max_order=(60, 24, 12)):
-    """Type ``1/l(c)`` of rank 2-4 whose last character is a unit, with a
-    characteristic in 0, 2, 3, 5."""
-    n = draw(st.integers(2, 4))
+    """Type ``1/l(c)`` of rank 2 up to one more than the number of bounds,
+    by default 4, whose last character is a unit, with a characteristic in
+    0, 2, 3, 5; ``max_order[n - 2]`` bounds the order in rank ``n``."""
+    n = draw(st.integers(2, len(max_order) + 1))
     order = draw(st.integers(2, max_order[n - 2]))
     chars = draw(st.lists(st.integers(0, order - 1), min_size=n - 1, max_size=n - 1))
     last = draw(st.integers(1, order - 1).filter(lambda c: math.gcd(c, order) == 1))
@@ -369,29 +388,30 @@ def _assert_state_is_rebuilt(m):
         )
 
 
-def _assert_subdivision_leaves_input(fan, u, v):
-    """Two subdivisions of one fan at different rays change neither the
-    fan's index nor the first result."""
+def _assert_subdivision_leaves_input(fan, u, cu, v, cv):
+    """Two subdivisions of one fan at different rays, each with a cone
+    containing it, change neither the fan's index nor the first result."""
     before = {g: set(cs) for g, cs in fan.ray_index.items()}
-    first = star_subdivide(fan, u)
+    first = star_subdivide(fan, [u], [cu])
     kept = {g: set(cs) for g, cs in first.ray_index.items()}
-    second = star_subdivide(fan, v)
+    second = star_subdivide(fan, [v], [cv])
     assert fan.ray_index == before
     assert first.ray_index == kept == _rebuilt_index(first)
     assert second.ray_index == _rebuilt_index(second)
-    assert star_subdivide(fan, u) == first
+    assert star_subdivide(fan, [u], [cu]) == first
 
 
 def _interior_ray(fan, u):
-    """A primitive point inside the first cone other than ``u``: the sum of
-    the generators plus one of them, which gives pairwise distinct rays."""
+    """A primitive point inside the first cone other than ``u``, and that
+    cone: the sum of the generators plus one of them, which gives pairwise
+    distinct rays."""
     c = fan.sorted_cones()[0]
     for g in c.generators:
         e = [sum(col) for col in zip(g.entries, *(h.entries for h in c.generators))]
         d = math.gcd(*e)
         v = IntegerVector([x // d for x in e])
         if v != u:
-            return v
+            return v, c
 
 
 @given(quotient_types())
@@ -408,8 +428,9 @@ def test_carried_step_state_equals_a_rebuild(case):
             phase = PHASE_MAX_ORDER
         else:
             break
-        u = _center_for(m, _targets(m, (nt or inv)[0])[0]).ray
-        _assert_subdivision_leaves_input(m.fan, u, _interior_ray(m.fan, u))
+        target = _targets(m, (nt or inv)[0])[0]
+        u = _center_for(m, target).ray
+        _assert_subdivision_leaves_input(m.fan, u, target, *_interior_ray(m.fan, u))
         m, record = _apply_step(m, phase, inv, nt)
         inv, nt = record.invariant_after, record.nontame_after
 
@@ -428,24 +449,52 @@ def test_chart_pieces_are_the_subdivision_of_their_center(case):
             )
 
 
-def test_chart_pieces_are_recomputed_when_an_earlier_ray_split_the_center(monkeypatch):
+def test_chart_pieces_missing_from_the_subdivision_are_a_measure_error():
     # two centers of one engine step never split each other's cones (a
     # center ray inside another target lies on a face carrying that
-    # target's whole group, so it is that target's center too), so the step
-    # is built by hand: e1 + e2 splits sigma before its center ray
+    # target's whole group, so it is that target's center too), so every
+    # center's pieces are in its step's record; a record without them, built
+    # here by splitting sigma at e1 + e2 alone, certifies a bug
     m = marked_fan_from_characters(31, (1, 5, 11))
     (sigma,) = m.fan.cones
     e1, e2, _ = sigma.generators
     center = _center_for(m, sigma)
     done = Subdivision()
-    star_subdivide(m.fan, e1 + e2, center.ray, hints=(sigma, sigma), record=done)
-    assert (sigma, center.ray) not in done.pieces
-    calls = _count_calls(monkeypatch, (resolution_engine,), _subdivide_cone)
-    charts = resolution_engine._local_charts(center, 0, done)
-    assert len(calls) == 1
-    assert _cone_data(ch.cone for ch in charts) == _cone_data(
-        _subdivide_cone(sigma, center.ray)
-    )
+    star_subdivide(m.fan, [e1 + e2], [sigma], record=done)
+    assert (sigma, e1 + e2) in done.pieces and (sigma, center.ray) not in done.pieces
+    with pytest.raises(MeasureError, match="did not subdivide its center"):
+        resolution_engine._local_charts(center, 0, done)
+
+
+@given(quotient_types(max_order=(60, 24, 12, 6)))
+@example((13, (1, 3, 5, 7), 0))
+@example((6, (0, 2, 3, 4, 1), 2))
+@settings(max_examples=60, deadline=None)
+def test_no_center_splits_the_cone_of_another_center(case):
+    # the lemma the one path through star subdivision rests on: in every
+    # step each center cone is split at its own ray, centers whose minimal
+    # faces have the same generators have the same ray, and the trace replays
+    order, chars, p = case
+    m = marked_fan_from_characters(order, chars, p)
+    records = []
+    real = resolution_engine.star_subdivide
+
+    def recording(f, rays, cones, record=None):
+        records.append(record)
+        return real(f, rays, cones, record=record)
+
+    with mock.patch.object(resolution_engine, "star_subdivide", recording):
+        trace = resolve(m)
+    assert len(records) == len(trace.steps)
+    for step, done in zip(trace.steps, records):
+        ray_of_face = {}
+        for center in step.centers:
+            assert (center.cone, center.ray) in done.pieces
+            face = frozenset(
+                g for g, w in zip(center.cone.generators, center.weights) if w > 0
+            )
+            assert ray_of_face.setdefault(face, center.ray) == center.ray
+    assert replay(m, fanfile.parse_trace(fanfile.emit_trace(trace))) == trace.final.fan
 
 
 @st.composite
@@ -518,7 +567,7 @@ def test_resolution_restricts_to_each_cone_after_the_first_step(case):
     # gives exactly the cones of the full resolution that lie inside it
     m, trace = traced(case)
     first = trace.ray_groups[0]
-    fan = star_subdivide(m.fan, *first)
+    fan = star_subdivide(m.fan, first, trace.hint_groups[0])
     marking = m.marked_rays + first
     final = trace.final.fan.cones
     for sigma in fan.sorted_cones():
@@ -744,6 +793,20 @@ def test_oracle_check_passes_on_a_rank2_fan(tmp_path, capsys):
     assert cli.main(["resolve", str(fan_file), "--oracle-check"]) == 0
     out = capsys.readouterr().out
     assert f"oracle check: ok ({len(hj_rays(101, 37))} rays verified)" in out
+
+
+def test_oracle_check_of_a_rank3_fan_exits_2_before_resolving(tmp_path, capsys, monkeypatch):
+    # the rank was checked after the resolve, which had written the trace
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(
+        fanfile.emit_fan(marked_fan_from_characters(31, (1, 5, 11))), encoding="utf-8"
+    )
+    monkeypatch.setattr(cli, "resolve", lambda m: pytest.fail("resolve ran"))
+    out = tmp_path / "out.trace"
+    argv = ["resolve", str(fan_file), "--emit-trace", str(out), "--oracle-check"]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    assert "--oracle-check requires a rank-2 fan" in capsys.readouterr().err
 
 
 def test_closed_stdout_exits_141_without_traceback():
