@@ -1,9 +1,9 @@
 """Exact integer lattice arithmetic.
 
-Arbitrary-precision integer vectors and matrices with determinants, Hermite
-and Smith normal forms, primitivity and exact rational solving.  All values
-are immutable and every operation is a pure function; Python's native
-integers provide the arbitrary precision.
+Arbitrary-precision integer vectors and matrices with the integer solver
+(determinants and adjugates), the Smith normal form and primitivity.  All
+values are immutable and every operation is a pure function; Python's
+native integers provide the arbitrary precision.
 
 One solver serves every cone.  :func:`adjugate` returns, for ``k``
 integer rows, their first column basis ``P``, ``det A_P`` and
@@ -158,7 +158,8 @@ class SmithDecomposition:
 
 
 def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant of a square matrix, read from :func:`adjugate`
+    (closed forms for sizes 2 to 4, Bareiss elimination otherwise)."""
     if m.nrows != m.ncols:
         raise DimensionError(f"determinant of a {m.nrows}x{m.ncols} matrix")
     return adjugate(m.to_lists())[1]
@@ -391,46 +392,6 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
 
     diag = tuple(a[i][i] for i in range(min(nr, nc)))
     return SmithDecomposition(IntegerMatrix(left), diag, IntegerMatrix(right))
-
-
-def hermite_normal_form(m: IntegerMatrix) -> IntegerMatrix:
-    """Row-style Hermite normal form with zero rows dropped.
-
-    The rows form a canonical basis of the row lattice: echelon shape,
-    positive pivots, entries above each pivot reduced into ``[0, pivot)``.
-    """
-    a = m.to_lists()
-    nr, nc = m.nrows, m.ncols
-    r = 0
-    for c in range(nc):
-        while True:
-            live = [i for i in range(r, nr) if a[i][c] != 0]
-            if not live:
-                break
-            pivot = min(live, key=lambda i: (abs(a[i][c]), i))
-            if pivot != r:
-                _swap_rows(a, r, pivot)
-            if a[r][c] < 0:
-                a[r] = [-x for x in a[r]]
-            done = True
-            for i in range(r + 1, nr):
-                q = a[i][c] // a[r][c]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                if a[i][c]:
-                    done = False
-            if done:
-                break
-        if r < nr and a[r][c] != 0:
-            for i in range(r):
-                q = a[i][c] // a[r][c]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-            r += 1
-    rows = [row for row in a[:r]]
-    if not rows:
-        raise DegenerateInputError("zero matrix has an empty Hermite basis")
-    return IntegerMatrix(rows)
 
 
 def matrix_rank(m: IntegerMatrix) -> int:

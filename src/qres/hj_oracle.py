@@ -2,25 +2,20 @@
 
 Two-dimensional cyclic quotients have a classical minimal resolution read
 off a ceiling-type continued fraction; coset enumeration gives the
-structure of a finite quotient lattice without normal-form machinery.
-Both are used to cross-check the main engine.
+structure of a finite quotient lattice without normal-form machinery,
+since ``x`` lies in the row lattice of ``M`` exactly when
+``x adj(M) = 0 (mod |det M|)``.  Both are used to cross-check the engine.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones_fans import Cone, Fan, multiplicity
 from .errors import DegenerateInputError, InfiniteQuotientError, MeasureError, QresError
-from .exact_lattice import (
-    IntegerMatrix,
-    IntegerVector,
-    determinant,
-    hermite_normal_form,
-)
+from .exact_lattice import IntegerMatrix, IntegerVector, adjugate
 from .quotient_classifier import _prime_factors, cone_characters, unit_weights
 
 BRUTE_FORCE_LIMIT = 10**4
@@ -125,49 +120,40 @@ def check_minimal_rays(original: Fan, resolved: Fan) -> int:
     return checked
 
 
-def _box_representatives(hnf: IntegerMatrix) -> list[tuple[int, ...]]:
-    diag = [hnf.entry(i, i) for i in range(hnf.nrows)]
-    return [tuple(t) for t in itertools.product(*[range(d) for d in diag])]
-
-
-def _reduce(hnf: IntegerMatrix, vec: list[int]) -> tuple[int, ...]:
-    # top-down reduction against the triangular basis gives the unique
-    # representative with every coordinate inside [0, pivot)
-    v = list(vec)
-    for i in range(hnf.nrows):
-        p = hnf.entry(i, i)
-        q = v[i] // p
-        if q:
-            for j in range(i, hnf.ncols):
-                v[j] -= q * hnf.entry(i, j)
-    return tuple(v)
-
-
 def brute_quotient(mat: IntegerMatrix) -> tuple[int, ...]:
-    """Divisor chain of the quotient lattice by brute-force coset counting.
+    """Divisor chain of ``Z^n / (row lattice of M)`` by coset counting.
 
-    Enumerates all cosets, counts solutions of ``m * x = 0`` for prime
-    powers ``m`` and reassembles the invariant factors from those counts.
-    Returns the nontrivial chain (entries > 1, each dividing the next).
+    By Cramer's rule ``x = y M`` has the integer solution ``y = x adj(M) / det M``
+    exactly when ``x adj(M) = 0 (mod |det M|)``, so the cosets are the residues
+    ``x adj(M) mod |det M|``: the subgroup the rows of ``adj(M)`` generate,
+    enumerated by closure from 0.  Solutions of ``m * g = 0`` among them are
+    counted for prime powers ``m`` and the invariant factors reassembled from
+    those counts.  Returns the nontrivial chain (entries > 1, each dividing
+    the next).
     """
     if mat.nrows != mat.ncols:
         raise InfiniteQuotientError("non-square generator matrix")
-    det = determinant(mat)
+    _pivots, det, adj = adjugate(mat.to_lists())
     if det == 0:
         raise InfiniteQuotientError("row lattice does not have full rank")
     order = abs(det)
     if order > BRUTE_FORCE_LIMIT:
         raise DegenerateInputError(f"quotient of order {order} exceeds the desk-scale limit")
-    hnf = hermite_normal_form(mat)
-    if hnf.nrows != mat.ncols:
-        raise MeasureError(f"Hermite basis has {hnf.nrows} rows, expected {mat.ncols}")
-    reps = _box_representatives(hnf)
-    if len(reps) != order:
-        raise MeasureError(f"{len(reps)} coset representatives, expected {order}")
+    gens = [tuple(x % order for x in row) for row in adj]
+    cosets = {tuple(0 for _ in range(mat.ncols))}
+    frontier = list(cosets)
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            s = tuple((a + b) % order for a, b in zip(g, h))
+            if s not in cosets:
+                cosets.add(s)
+                frontier.append(s)
+    if len(cosets) != order:
+        raise MeasureError(f"{len(cosets)} cosets, expected {order}")
 
     def kill_count(m: int) -> int:
-        zero = tuple(0 for _ in range(mat.ncols))
-        return sum(1 for x in reps if _reduce(hnf, [m * e for e in x]) == zero)
+        return sum(1 for g in cosets if all(m * x % order == 0 for x in g))
 
     primes = _prime_factors(order)
     valuations: dict[int, list[int]] = {}

@@ -346,12 +346,12 @@ def glue_check(w: WeightedFiltration, phi: TruncatedAutomorphism, k_max: int) ->
 
 
 def smallest_prime_with_roots(order: int) -> int:
-    """Smallest prime ``p = 1 (mod order)``, so order-th roots exist."""
-    p = 2
-    while True:
-        if _is_prime(p) and p % order == 1 % order:
-            return p
-        p += 1
+    """Smallest prime ``p = 1 (mod order)``, so order-th roots exist; only
+    the numbers ``k*order + 1`` are tried (for order 1 that is every ``p``)."""
+    p = order + 1
+    while not _is_prime(p):
+        p += order
+    return p
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,7 @@ from qres.exact_lattice import (
     IntegerMatrix,
     IntegerVector,
     determinant,
-    hermite_normal_form,
     is_primitive,
-    matrix_rank,
     primitive,
     smith_normal_form,
     span_coordinates,
@@ -184,23 +182,3 @@ class TestSpanCoordinates:
     def test_empty_rows(self):
         assert span_coordinates((), IntegerVector([0, 0])) == ()
         assert span_coordinates((), IntegerVector([1, 0])) is None
-
-
-class TestHermite:
-    def test_upper_triangular(self):
-        h = hermite_normal_form(IntegerMatrix([[2, 1], [1, 3]]))
-        assert h.entry(1, 0) == 0
-        assert h.entry(0, 0) > 0 and h.entry(1, 1) > 0
-
-    @given(matrices)
-    def test_row_space_preserved(self, rows):
-        m = IntegerMatrix(rows)
-        if all(all(x == 0 for x in row) for row in rows):
-            return
-        h = hermite_normal_form(m)
-        # every original row lies in the integer row span of the basis
-        assert h.nrows == matrix_rank(m)
-        for row in m.rows:
-            coords = span_coordinates(h.rows, row)
-            assert coords is not None
-            assert all(c.denominator == 1 for c in map(Fraction, coords))

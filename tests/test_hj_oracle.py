@@ -117,3 +117,30 @@ class TestBruteQuotient:
         except InfiniteQuotientError:
             return
         assert chain == smith_normal_form(m).nontrivial
+
+    @pytest.mark.parametrize(
+        "chain", [(2, 2, 2), (2, 6, 12), (3, 3, 6), (2, 2, 2, 2), (2, 2, 4, 12)]
+    )
+    def test_long_chains_behind_unimodular_changes(self, chain):
+        # U * diag * V has the chain as its invariant factors for any
+        # unimodular U and V; the other tests reach at most two factors
+        rng = Random(repr(chain))
+        for _ in range(25):
+            n = rng.randint(len(chain), 4)
+            diag = [1] * (n - len(chain)) + list(chain)
+            d = IntegerMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+            m = random_unimodular(rng, n) @ d @ random_unimodular(rng, n)
+            assert brute_quotient(m) == chain
+            assert smith_normal_form(m).nontrivial == chain
+
+
+def random_unimodular(rng, n):
+    """A product of random elementary row operations on the identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[j] = [y + c * x for x, y in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            rows[i], rows[j] = rows[j], [-x for x in rows[i]]
+    return IntegerMatrix(rows)

@@ -4,7 +4,8 @@
 stay in ``exact_lattice`` as the reference the tests compare the integer
 kernel against, so no other module of ``src/qres`` may name them, and no
 module but those two and the oracles of ``hj_oracle`` may import
-``fractions``.
+``fractions``.  The coset oracle of ``hj_oracle`` checks the Smith normal
+form, so it must not use a normal form itself.
 """
 
 import ast
@@ -48,4 +49,14 @@ def test_only_the_reference_and_the_oracles_import_fractions():
         or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
     ]
     assert len(modules) > 5
+    assert found == []
+
+
+def test_the_coset_oracle_names_no_normal_form():
+    tree = ast.parse((PACKAGE / "hj_oracle.py").read_text(encoding="utf-8"))
+    found = [
+        f"hj_oracle.py:{node.lineno}: {name}"
+        for node, name in _names(tree)
+        if name.endswith("_normal_form")
+    ]
     assert found == []

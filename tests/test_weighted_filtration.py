@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qres import cli
+from qres import cli, weighted_filtration
 from qres.errors import DimensionError, GluePreconditionError
 from qres.quotient_classifier import (
     CyclicQuotientType,
@@ -214,6 +214,34 @@ def random_glue_case(rng):
         images.append(img)
     phi = TruncatedAutomorphism(images, modulus, truncation)
     return w, phi, rng.randint(-1, 9)
+
+
+def is_prime_by_trial(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+class TestSmallestPrimeWithRoots:
+    def test_equals_the_scan_by_definition(self):
+        for order in range(1, 300):
+            p = next(
+                p for p in itertools.count(2) if is_prime_by_trial(p) and p % order == 1 % order
+            )
+            assert smallest_prime_with_roots(order) == p, order
+
+    def test_large_order_tries_only_residues_one(self, monkeypatch):
+        # 4,200,127 = 42 * 100003 + 1; a scan over every integer from 2
+        # would need millions of primality tests
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            if len(calls) > 300:
+                raise AssertionError("more than 300 primality tests")
+            return is_prime_by_trial(n)
+
+        monkeypatch.setattr(weighted_filtration, "_is_prime", counting_is_prime)
+        assert smallest_prime_with_roots(100003) == 4_200_127
+        assert all(n % 100003 == 1 for n in calls)
 
 
 class TestGlueCriterion:
