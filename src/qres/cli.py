@@ -9,7 +9,9 @@ Exit codes:
   ``hilbert`` degree bound or a ``glue-check`` truncation below 1, a ray
   outside the fan or a singular cone without a faithful marked ray.
   argparse also exits 2 on malformed arguments.
-- 3: parse error or other invalid input.
+- 3: parse error or other invalid input, or an output file
+  (``resolve --emit-trace``, ``blowup --emit``) that cannot be written,
+  reported as ``cannot write PATH: reason``.
 - 4: internal check failed, which certifies a bug.  This covers a measure
   that did not decrease, a final fan that is not smooth, a resolution whose
   trace does not replay, and a missing oracle ray.  These checks are
@@ -82,6 +84,13 @@ def _load_fan(path: str) -> MarkedFan:
     except OSError as exc:
         raise FanParseError(f"cannot read {path}: {exc.strerror}")
     return fanfile.parse_fan(text)
+
+
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise QresError(f"cannot write {path}: {exc.strerror}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +182,7 @@ def _cmd_resolve(args) -> int:
     except ReplayError as exc:
         raise MeasureError(f"the resolution does not replay: {exc}") from exc
     if args.emit_trace:
-        Path(args.emit_trace).write_text(fanfile.emit_trace(trace), encoding="utf-8")
+        _write_output(args.emit_trace, fanfile.emit_trace(trace))
     if args.oracle_check:
         checked = check_minimal_rays(m.fan, trace.final.fan)
         if not args.json:
@@ -186,7 +195,7 @@ def _cmd_blowup(args) -> int:
     m = _load_fan(args.file)
     new_m, record = blowup_step(m)
     if args.emit:
-        Path(args.emit).write_text(fanfile.emit_fan(new_m), encoding="utf-8")
+        _write_output(args.emit, fanfile.emit_fan(new_m))
     if args.json:
         payload = {
             "added": [[str(e) for e in u.entries] for u in record.added_rays],

@@ -64,13 +64,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInputError, DimensionError, MeasureError, SupportError
-from .exact_lattice import (
-    IntegerMatrix,
-    IntegerVector,
-    adjugate,
-    is_primitive,
-    smith_normal_form,
-)
+from .exact_lattice import IntegerVector, adjugate, is_primitive, smith_rows
 
 
 @dataclass(frozen=True)
@@ -253,7 +247,7 @@ def multiplicity(c: Cone) -> int:
     """
     if c.det == 1 or c.is_full_dimensional():
         return c.det
-    return math.prod(smith_normal_form(IntegerMatrix(c.generators)).diagonal)
+    return math.prod(smith_rows([g.entries for g in c.generators])[0])
 
 
 def faces(c: Cone) -> frozenset[Cone]:
@@ -265,13 +259,18 @@ def faces(c: Cone) -> frozenset[Cone]:
     return frozenset(out)
 
 
-def _subdivide_cone(c: Cone, u: IntegerVector) -> tuple[Cone, ...]:
+def _subdivide_cone(
+    c: Cone, u: IntegerVector, nums: Optional[tuple[int, ...]] = None
+) -> tuple[Cone, ...]:
     """Star subdivision of a single cone containing the primitive ``u``.
 
     Every generator of the minimal face containing ``u`` (the positive
     coordinates) is replaced in turn by ``u``; if ``u`` already is a
-    generator the cone is returned unchanged.  Raises :class:`MeasureError`
-    when ``u`` is not in ``c``: callers only pass cones that contain it.
+    generator the cone is returned unchanged.  ``nums`` are the numerators
+    ``c.numerators(u)`` of a caller that has already checked that ``c``
+    contains ``u``; without them they are computed here, and
+    :class:`MeasureError` is raised when ``u`` is not in ``c``: callers only
+    pass cones that contain it.
 
     Each piece is built from the parent's kernel, with no elimination.  Let
     ``D = det`` and ``n = C . u``, so ``C_j . g_k = D`` when ``j = k`` and 0
@@ -285,10 +284,12 @@ def _subdivide_cone(c: Cone, u: IntegerVector) -> tuple[Cone, ...]:
     primitive (callers check it once per ray), the other generators are the
     parent's, and ``n_i > 0`` makes them independent.
     """
-    nd = c.numerators(u)
-    if nd is None or any(x < 0 for x in nd[0]):
-        raise MeasureError(f"subdivision ray {u} does not lie in {c}")
-    nums, den = nd
+    if nums is None:
+        nd = c.numerators(u)
+        if nd is None or any(x < 0 for x in nd[0]):
+            raise MeasureError(f"subdivision ray {u} does not lie in {c}")
+        nums = nd[0]
+    den = c.det
     slots = [i for i, x in enumerate(nums) if x > 0]
     if len(slots) == 1 and nums[slots[0]] == den:
         return (c,)
@@ -316,12 +317,13 @@ def _subdivide_cone(c: Cone, u: IntegerVector) -> tuple[Cone, ...]:
 
 def _face_star(
     index: dict[IntegerVector, set[Cone]], cone: Cone, u: IntegerVector
-) -> set[Cone]:
+) -> tuple[set[Cone], tuple[int, ...]]:
     """The cones having as a face the minimal face of ``cone`` containing
     ``u``: those having every generator of positive weight, found by
-    intersecting their sets in ``index``.  Raises :class:`SupportError` when
-    ``cone`` does not contain ``u`` or that face is not a cone of the
-    indexed fan."""
+    intersecting their sets in ``index``; and the numerators of ``u`` in
+    ``cone``, which :func:`_subdivide_cone` reuses when ``cone`` is one of
+    them.  Raises :class:`SupportError` when ``cone`` does not contain ``u``
+    or that face is not a cone of the indexed fan."""
     if not cone.contains(u):
         raise SupportError(f"{u} does not lie in {cone}")
     nums, _ = cone.numerators(u)
@@ -329,7 +331,7 @@ def _face_star(
     star = stars[0].intersection(*stars[1:])
     if not star:
         raise SupportError(f"the face of {cone} containing {u} is not a cone of the fan")
-    return star
+    return star, nums
 
 
 @dataclass
@@ -390,8 +392,9 @@ def star_subdivide(
     for u, cone in zip(rays, cones, strict=True):
         if not is_primitive(u):
             raise DegenerateInputError(f"subdivision ray {u} must be primitive")
-        for c in _face_star(index, cone, u):
-            pieces = _subdivide_cone(c, u)
+        star, nums = _face_star(index, cone, u)
+        for c in star:
+            pieces = _subdivide_cone(c, u, nums if c == cone else None)
             if pieces[0] is c:
                 continue
             split[(c, u)] = pieces

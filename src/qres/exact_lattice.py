@@ -16,6 +16,12 @@ other input takes one fraction-free (Bareiss) Gauss-Jordan elimination,
 :func:`bareiss_adjugate`, which the tests also use as the reference for the
 closed forms.  :func:`span_coordinates` and :func:`matrix_rank` eliminate
 over ``Fraction`` and are only the reference the tests compare against.
+
+One Smith elimination, :func:`smith_rows`, works on plain int rows and
+returns the diagonal and both transforms as lists, so the classifier reads a
+cone's characters without building a matrix object per cone;
+:func:`smith_normal_form` wraps it for callers holding an
+:class:`IntegerMatrix` and returns a :class:`SmithDecomposition`.
 """
 
 from __future__ import annotations
@@ -302,96 +308,90 @@ def bareiss_adjugate(
     return tuple(pivots), sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
-def _swap_rows(a: list[list[int]], i: int, j: int) -> None:
-    a[i], a[j] = a[j], a[i]
+def smith_rows(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], list[list[int]], list[list[int]]]:
+    """Smith normal form of ``k`` integer rows of length ``n``, given as int
+    sequences: ``(diagonal, left, right)`` with ``left`` (``k x k``) and
+    ``right`` (``n x n``) unimodular int rows and ``left @ rows @ right``
+    zero off its diagonal, whose ``min(k, n)`` entries are nonnegative and
+    each divide the next.
 
-
-def _swap_cols(a: list[list[int]], i: int, j: int) -> None:
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form with explicit unimodular transforms.
-
-    Pivoting is deterministic: the submatrix entry of smallest nonzero
-    absolute value wins, ties broken in row-major order, so the
-    decomposition is reproducible across runs.
+    Pivoting is deterministic: the entry of smallest nonzero absolute value
+    in the remaining submatrix wins, ties broken in row-major order, so the
+    decomposition is reproducible across runs.  The pivot is made positive,
+    then its column and its row are reduced by floor division, the column
+    first.  A remainder repeats the step; so does an entry of the remaining
+    submatrix that the pivot does not divide, after its row is added to the
+    pivot's.
     """
-    a = m.to_lists()
-    nr, nc = m.nrows, m.ncols
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    if not nc or any(len(r) != nc for r in rows):
+        raise DimensionError("Smith normal form of an empty or ragged matrix")
+    a = [list(r) for r in rows]
     left = [[int(i == j) for j in range(nr)] for i in range(nr)]
     right = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def add_row(src: int, dst: int, q: int) -> None:
-        # row_dst -= q * row_src
-        for j in range(nc):
-            a[dst][j] -= q * a[src][j]
-        for j in range(nr):
-            left[dst][j] -= q * left[src][j]
-
-    def add_col(src: int, dst: int, q: int) -> None:
-        for i in range(nr):
-            a[i][dst] -= q * a[i][src]
-        for i in range(nc):
-            right[i][dst] -= q * right[i][src]
-
+    size = min(nr, nc)
     t = 0
-    while t < min(nr, nc):
-        best: Optional[tuple[int, int]] = None
-        best_val = 0
+    while t < size:
+        best = pi = pj = 0
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                v = abs(a[i][j])
-                if v and (best is None or v < best_val):
-                    best, best_val = (i, j), v
-        if best is None:
+                v = abs(row[j])
+                if v and (not best or v < best):
+                    best, pi, pj = v, i, j
+        if not best:
             break
-        pi, pj = best
         if pi != t:
-            _swap_rows(a, t, pi)
-            _swap_rows(left, t, pi)
+            a[t], a[pi] = a[pi], a[t]
+            left[t], left[pi] = left[pi], left[t]
         if pj != t:
-            _swap_cols(a, t, pj)
-            _swap_cols(right, pj, t)
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+            for row in right:
+                row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
-            for j in range(nc):
-                a[t][j] = -a[t][j]
-            for j in range(nr):
-                left[t][j] = -left[t][j]
-
+            a[t] = [-x for x in a[t]]
+            left[t] = [-x for x in left[t]]
+        at, lt = a[t], left[t]
+        p = at[t]
         changed = False
         for i in range(t + 1, nr):
-            q, r = divmod(a[i][t], a[t][t])
+            q, r = divmod(a[i][t], p)
             if q:
-                add_row(t, i, q)
+                a[i] = [x - q * y for x, y in zip(a[i], at)]
+                left[i] = [x - q * y for x, y in zip(left[i], lt)]
             if r:
                 changed = True
         for j in range(t + 1, nc):
-            q, r = divmod(a[t][j], a[t][t])
+            q, r = divmod(at[j], p)
             if q:
-                add_col(t, j, q)
+                for row in a:
+                    row[j] -= q * row[t]
+                for row in right:
+                    row[j] -= q * row[t]
             if r:
                 changed = True
         if changed:
             continue
         # column and row t are clear beyond the pivot; enforce divisibility
-        viol = next(
-            (
-                (i, j)
-                for i in range(t + 1, nr)
-                for j in range(t + 1, nc)
-                if a[i][j] % a[t][t]
-            ),
-            None,
-        )
-        if viol is not None:
-            add_row(viol[0], t, -1)
-            continue
-        t += 1
+        viol = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None)
+        if viol is None:
+            t += 1
+        else:
+            a[t] = [x + y for x, y in zip(at, a[viol])]
+            left[t] = [x + y for x, y in zip(lt, left[viol])]
+    return tuple(a[i][i] for i in range(size)), left, right
 
-    diag = tuple(a[i][i] for i in range(min(nr, nc)))
-    return SmithDecomposition(IntegerMatrix(left), diag, IntegerMatrix(right))
+
+def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
+    """Smith normal form with explicit unimodular transforms, as a
+    :class:`SmithDecomposition`: :func:`smith_rows` of the matrix's rows,
+    wrapped for callers holding an :class:`IntegerMatrix`."""
+    diagonal, left, right = smith_rows(m.to_lists())
+    return SmithDecomposition(IntegerMatrix(left), diagonal, IntegerMatrix(right))
 
 
 def matrix_rank(m: IntegerMatrix) -> int:

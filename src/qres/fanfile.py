@@ -41,8 +41,20 @@ def _vec(v: IntegerVector) -> list[str]:
     return [_s(e) for e in v.entries]
 
 
-def _cone_payload(c: Cone) -> list[list[str]]:
-    return [_vec(g) for g in c.generators]
+class _VectorStrings(dict):
+    """The decimal strings of each distinct vector, built on first use.
+
+    One per :func:`emit_trace` call: a trace names each ray in many center,
+    chart and final cones, and the JSON encoder takes the same list each
+    time.
+    """
+
+    def __missing__(self, v: IntegerVector) -> list[str]:
+        out = self[v] = _vec(v)
+        return out
+
+    def cone(self, c: Cone) -> list[list[str]]:
+        return [self[g] for g in c.generators]
 
 
 def _parse_int(value: Any, lineno: Optional[int], what: str) -> int:
@@ -205,20 +217,20 @@ def _measure_pair(pair: Optional[tuple[int, int]]) -> Optional[list[str]]:
     return [_s(pair[0]), _s(pair[1])]
 
 
-def _step_payload(index: int, step: StepRecord) -> dict:
+def _step_payload(index: int, step: StepRecord, strs: _VectorStrings) -> dict:
     centers = []
     for center, charts in zip(step.centers, step.charts):
         centers.append(
             {
-                "cone": _cone_payload(center.cone),
-                "ray": _vec(center.ray),
-                "divisor_ray": _vec(center.divisor_ray),
+                "cone": strs.cone(center.cone),
+                "ray": strs[center.ray],
+                "divisor_ray": strs[center.divisor_ray],
                 "divisor_index": _s(center.divisor_index),
                 "order": _s(center.order),
                 "weights": [_s(w) for w in center.weights],
                 "charts": [
                     {
-                        "cone": _cone_payload(ch.cone),
+                        "cone": strs.cone(ch.cone),
                         "order": _s(ch.order),
                         "type": str(ch.chart_type),
                         "tame": ch.tame,
@@ -232,7 +244,7 @@ def _step_payload(index: int, step: StepRecord) -> dict:
         "record": "step",
         "index": _s(index),
         "phase": step.phase,
-        "added": [_vec(u) for u in step.added_rays],
+        "added": [strs[u] for u in step.added_rays],
         "invariant_before": _measure_pair(step.invariant_before),
         "invariant_after": _measure_pair(step.invariant_after),
         "nontame_before": _measure_pair(step.nontame_before),
@@ -243,6 +255,7 @@ def _step_payload(index: int, step: StepRecord) -> dict:
 
 def emit_trace(trace: ResolutionTrace) -> str:
     final = trace.final
+    strs = _VectorStrings()
     lines = [
         _dump(
             {
@@ -255,13 +268,13 @@ def emit_trace(trace: ResolutionTrace) -> str:
         )
     ]
     for i, step in enumerate(trace.steps):
-        lines.append(_dump(_step_payload(i, step)))
+        lines.append(_dump(_step_payload(i, step, strs)))
     lines.append(
         _dump(
             {
                 "record": "final_fan",
-                "cones": [_cone_payload(c) for c in final.fan.sorted_cones()],
-                "marked": [_vec(r) for r in final.marked_rays],
+                "cones": [strs.cone(c) for c in final.fan.sorted_cones()],
+                "marked": [strs[r] for r in final.marked_rays],
             }
         )
     )

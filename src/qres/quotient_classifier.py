@@ -24,13 +24,7 @@ from .errors import (
     QresError,
     UnsupportedInputError,
 )
-from .exact_lattice import (
-    IntegerMatrix,
-    IntegerVector,
-    SmithDecomposition,
-    primitive,
-    smith_normal_form,
-)
+from .exact_lattice import IntegerVector, primitive, smith_rows
 
 
 def _canonical_characters(order: int, chars: Sequence[int]) -> tuple[int, ...]:
@@ -144,21 +138,22 @@ class QuotientDescriptor:
         return tuple(d for d in self.invariants if d > 1)
 
 
-def _snf_characters(snf: SmithDecomposition) -> tuple[int, tuple[int, ...]]:
-    """Order and generator-aligned characters read off a Smith transform of
-    the generator matrix; raises :class:`UnsupportedInputError` when the
-    quotient group is not cyclic."""
-    heavy = [i for i, d in enumerate(snf.diagonal) if d > 1]
+def _snf_characters(
+    diagonal: Sequence[int], left: Sequence[Sequence[int]]
+) -> tuple[int, tuple[int, ...]]:
+    """Order and generator-aligned characters read off the diagonal and the
+    left transform of a Smith normal form of the generator rows (see
+    :func:`~qres.exact_lattice.smith_rows`); raises
+    :class:`UnsupportedInputError` when the quotient group is not cyclic."""
+    heavy = [i for i, d in enumerate(diagonal) if d > 1]
     if len(heavy) > 1:
-        raise UnsupportedInputError(
-            f"cone quotient has invariants {snf.nontrivial}, not cyclic"
-        )
+        nontrivial = tuple(diagonal[i] for i in heavy)
+        raise UnsupportedInputError(f"cone quotient has invariants {nontrivial}, not cyclic")
     if not heavy:
-        return 1, tuple(0 for _ in snf.diagonal)
+        return 1, tuple(0 for _ in diagonal)
     k = heavy[0]
-    order = snf.diagonal[k]
-    row = snf.left.rows[k]
-    return order, tuple(e % order for e in row.entries)
+    order = diagonal[k]
+    return order, tuple(e % order for e in left[k])
 
 
 @lru_cache(maxsize=None)
@@ -167,14 +162,17 @@ def cone_characters(c: Cone) -> tuple[int, tuple[int, ...]]:
 
     The characters are read off the distinguished quotient generator that
     the Smith transform provides, so the result is deterministic; it is well
-    defined up to a unit rescaling.  A cone with ``det`` 1 (every smooth
+    defined up to a unit rescaling.  The one elimination runs on the
+    generators' plain int rows (:func:`~qres.exact_lattice.smith_rows`), so
+    no matrix object is built per cone.  A cone with ``det`` 1 (every smooth
     full-dimensional cone, and the zero cone) has the trivial group, one
     zero character per generator, and skips the Smith normal form.  Raises
     :class:`UnsupportedInputError` when the quotient group is not cyclic.
     """
     if c.det == 1:
         return 1, (0,) * c.dim
-    return _snf_characters(smith_normal_form(IntegerMatrix(c.generators)))
+    diagonal, left, _ = smith_rows([g.entries for g in c.generators])
+    return _snf_characters(diagonal, left)
 
 
 def cone_descriptor(c: Cone) -> QuotientDescriptor:
@@ -186,12 +184,12 @@ def cone_descriptor(c: Cone) -> QuotientDescriptor:
     if c.det == 1:
         trivial = (0,) * c.dim
         return QuotientDescriptor((1,) * c.dim, True, CyclicQuotientType(1, trivial), trivial)
-    snf = smith_normal_form(IntegerMatrix(c.generators))
+    diagonal, left, _ = smith_rows([g.entries for g in c.generators])
     try:
-        order, chars = _snf_characters(snf)
+        order, chars = _snf_characters(diagonal, left)
     except UnsupportedInputError:
-        return QuotientDescriptor(snf.diagonal, False, None)
-    return QuotientDescriptor(snf.diagonal, True, CyclicQuotientType(order, chars), chars)
+        return QuotientDescriptor(diagonal, False, None)
+    return QuotientDescriptor(diagonal, True, CyclicQuotientType(order, chars), chars)
 
 
 def unit_weights(order: int, chars: Sequence[int], i: int) -> tuple[int, ...]:

@@ -506,9 +506,9 @@ class TestStarSubdivide:
         real = cones_fans._face_star
 
         def recording(index, cone, u):
-            out = real(index, cone, u)
-            found.append(len(out))
-            return out
+            star, nums = real(index, cone, u)
+            found.append(len(star))
+            return star, nums
 
         monkeypatch.setattr(cones_fans, "_face_star", recording)
         out = star_subdivide(Fan(3, [c]), rays[:2], [c, c])

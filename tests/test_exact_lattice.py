@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from qres.exact_lattice import (
     is_primitive,
     primitive,
     smith_normal_form,
+    smith_rows,
     span_coordinates,
 )
 from fractions import Fraction
@@ -61,6 +65,8 @@ class TestDeterminant:
         assert determinant(IntegerMatrix(rows)) == det_by_permutation_expansion(rows)
 
 
+SNF_GOLDEN_SHA256 = "6ffbca823baa03907d0780702a5dbe88dbcd1d0c8c021cdeaaf2e0fb167b266b"
+
 matrices = st.integers(1, 3).flatmap(
     lambda n: st.integers(1, 3).flatmap(
         lambda m: st.lists(
@@ -104,6 +110,34 @@ class TestSmithNormalForm:
         first = smith_normal_form(m)
         second = smith_normal_form(m)
         assert first == second
+
+    def test_transforms_are_pinned(self):
+        # the left transform carries the unit of each chart's characters,
+        # which traces record, so the whole decomposition (pivot rule, sign,
+        # reduction order, divisibility fix-up) is pinned, not just the
+        # diagonal; the digest was recorded from the IntegerMatrix-based
+        # elimination that smith_rows replaced
+        rng = random.Random("snf-golden")
+        digest = hashlib.sha256()
+        for _ in range(3000):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[rng.randint(-40, 40) for _ in range(nc)] for _ in range(nr)]
+            snf = smith_normal_form(IntegerMatrix(rows))
+            before = [r[:] for r in rows]
+            diagonal, left, right = smith_rows(rows)
+            assert rows == before
+            assert (diagonal, left, right) == (
+                snf.diagonal, snf.left.to_lists(), snf.right.to_lists()
+            )
+            digest.update(json.dumps([list(diagonal), left, right]).encode())
+        assert digest.hexdigest() == SNF_GOLDEN_SHA256
+
+    @pytest.mark.parametrize(
+        "rows", [[], [[]], [[1, 2], [3]]], ids=["no-rows", "empty-row", "ragged"]
+    )
+    def test_rows_of_no_shape_are_rejected(self, rows):
+        with pytest.raises(DimensionError):
+            smith_rows(rows)
 
 
 class TestPrimitive:

@@ -186,7 +186,7 @@ class TestConeToQuotient:
         # trivial tuples have one entry per generator, not per coordinate
         for f in faces(c) - {Cone(n, [])}:
             snf = smith_normal_form(IntegerMatrix(f.generators))
-            order, chars = _snf_characters(snf)
+            order, chars = _snf_characters(snf.diagonal, snf.left.to_lists())
             assert cone_characters(f) == (order, chars)
             assert cone_descriptor(f) == QuotientDescriptor(
                 snf.diagonal, True, CyclicQuotientType(order, chars), chars

@@ -14,6 +14,7 @@ characters, restriction to the cones after one step and smooth base change
 seed, and the command-line checks, some of which must survive ``python -O``.
 """
 
+import errno
 import hashlib
 import json
 import math
@@ -296,12 +297,16 @@ def test_larger_type_is_pinned_and_tests_few_cones(monkeypatch):
     # 20,197 sort_key calls, where only the singular cones need an order;
     # reading every cone's multiplicity for the measures of each step made
     # 21,311 multiplicity calls, and subdividing every center again for its
-    # charts 1,540 _subdivide_cone calls for 770 centers
-    calls, sorts = [], []
-    for name in ("contains", "numerators"):
+    # charts 1,540 _subdivide_cone calls for 770 centers; each center ray's
+    # numerators in its center cone are computed by contains and once more
+    # by _face_star, and that cone's pieces reuse them (1,884 numerators
+    # calls when the pieces computed them a third time)
+    calls = {"contains": [], "numerators": []}
+    sorts = []
+    for name, seen in calls.items():
         real = getattr(Cone, name)
         monkeypatch.setattr(
-            Cone, name, lambda self, v, real=real: calls.append(1) or real(self, v)
+            Cone, name, lambda self, v, real=real, seen=seen: seen.append(1) or real(self, v)
         )
     real_key = Cone.sort_key
     monkeypatch.setattr(Cone, "sort_key", lambda self: sorts.append(1) or real_key(self))
@@ -309,7 +314,8 @@ def test_larger_type_is_pinned_and_tests_few_cones(monkeypatch):
     mults = _count_calls(monkeypatch, engine_modules, cones_fans.multiplicity)
     splits = _count_calls(monkeypatch, engine_modules, cones_fans._subdivide_cone)
     trace = resolve(marked_fan_from_characters(211, (1, 37, 101)))
-    assert len(calls) <= 5000
+    assert len(calls["contains"]) + len(calls["numerators"]) <= 5000
+    assert len(calls["numerators"]) <= 1400
     assert len(sorts) <= 8000
     assert len(mults) <= 8000
     assert len(splits) <= 800
@@ -741,10 +747,10 @@ def test_classify_runs_one_smith_normal_form_per_singular_cone(tmp_path, monkeyp
         m = resolution_engine.blowup_step(m)[0]
         fans.append(m)
     fans.append(traced(CASES[0])[1].final)
-    real = quotient_classifier.smith_normal_form
+    real = quotient_classifier.smith_rows
     calls = []
     monkeypatch.setattr(
-        quotient_classifier, "smith_normal_form", lambda m: calls.append(m) or real(m)
+        quotient_classifier, "smith_rows", lambda rows: calls.append(rows) or real(rows)
     )
     fan_file = tmp_path / "fan.jsonl"
     singular = []
@@ -807,6 +813,26 @@ def test_oracle_check_of_a_rank3_fan_exits_2_before_resolving(tmp_path, capsys, 
     assert cli.main(argv) == 2
     assert not out.exists()
     assert "--oracle-check requires a rank-2 fan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", ["resolve", "blowup"])
+def test_unwritable_output_path_exits_3_with_one_line(command, kind, tmp_path, capsys):
+    # exit 1 belongs to a broken glue-check; an output path that cannot be
+    # written is invalid input, reported on one line without a traceback
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(
+        fanfile.emit_fan(marked_fan_from_characters(31, (1, 5, 11))), encoding="utf-8"
+    )
+    if kind == "missing-dir":
+        out, reason = tmp_path / "missing" / "x.out", os.strerror(errno.ENOENT)
+    else:
+        out, reason = tmp_path, os.strerror(errno.EISDIR)
+    flag = "--emit-trace" if command == "resolve" else "--emit"
+    assert cli.main([command, str(fan_file), flag, str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_closed_stdout_exits_141_without_traceback():
