@@ -11,7 +11,10 @@ Exit codes:
   argparse also exits 2 on malformed arguments.
 - 3: parse error or other invalid input, or an output file
   (``resolve --emit-trace``, ``blowup --emit``) that cannot be written,
-  reported as ``cannot write PATH: reason``.
+  reported as ``cannot write PATH: reason``.  The output path is checked
+  before any work, without creating or truncating it: a directory, a
+  missing parent or one that cannot be written exits 3 before the resolve
+  or the blow-up runs.
 - 4: internal check failed, which certifies a bug.  This covers a measure
   that did not decrease, a final fan that is not smooth, a resolution whose
   trace does not replay, and a missing oracle ray.  These checks are
@@ -28,6 +31,7 @@ are byte-deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -84,6 +88,28 @@ def _load_fan(path: str) -> MarkedFan:
     except OSError as exc:
         raise FanParseError(f"cannot read {path}: {exc.strerror}")
     return fanfile.parse_fan(text)
+
+
+def _check_output_path(path: str) -> None:
+    """Raise the error :func:`_write_output` would for the usual causes,
+    without creating or truncating ``path``: a directory, a missing parent
+    or one that is no directory, and a parent or file that cannot be
+    written."""
+    target = Path(path)
+    parent = target.parent
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not parent.exists():
+        code = errno.ENOENT
+    elif not parent.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(parent, os.W_OK | os.X_OK) or (
+        target.exists() and not os.access(target, os.W_OK)
+    ):
+        code = errno.EACCES
+    else:
+        return
+    raise QresError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _write_output(path: str, text: str) -> None:
@@ -176,6 +202,8 @@ def _cmd_resolve(args) -> int:
     m = _load_fan(args.file)
     if args.oracle_check and m.fan.rank != 2:
         raise PreconditionError("--oracle-check requires a rank-2 fan")
+    if args.emit_trace:
+        _check_output_path(args.emit_trace)
     trace = resolve(m)
     try:
         replay(m, trace)
@@ -193,6 +221,8 @@ def _cmd_resolve(args) -> int:
 
 def _cmd_blowup(args) -> int:
     m = _load_fan(args.file)
+    if args.emit:
+        _check_output_path(args.emit)
     new_m, record = blowup_step(m)
     if args.emit:
         _write_output(args.emit, fanfile.emit_fan(new_m))

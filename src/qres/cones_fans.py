@@ -24,8 +24,15 @@ Star subdivision.  Every :class:`Fan` owns a dict from each of its rays to
 the cones it generates (:attr:`Fan.ray_index`), built once from its cones
 when first read.  :func:`star_subdivide` applies a batch of rays starting
 from the input fan's index, copying only the sets of the rays it touches,
-builds one :class:`Fan` at the end and hands it the updated index, so a
-step costs the star of its rays, not a pass over every cone.  Each ray
+and builds its result from the star: the cone set and the updated index go
+to :meth:`Fan._from_parts`, which runs no pass over the cones, so a step
+costs the star of its rays, not a pass over every cone.  The result is
+still checked to absorb no cone, locally: a cone can only absorb, or be
+absorbed by, a cone having one of the call's rays.  A piece without its ray
+lies in its parent, so a cone without any of the rays lies in an input
+cone, and the input's cones form an antichain; hence comparing, for each
+ray, the cones of different dimension in its set of the final index finds
+every absorption, one dimension test per cone in a pure fan.  Each ray
 comes with a cone containing it, in a blow-up its center cone, and the
 index alone gives the star of that cone's face containing the ray, which
 is the set of cones containing the ray; a cone that does not contain its
@@ -185,10 +192,14 @@ class Cone:
 class Fan:
     """Finite set of maximal simplicial cones of a common ambient rank.
 
-    Construction absorbs any cone whose generators are a subset of another
-    cone's, so only maximal cones are stored; their faces are implied.  Only
-    cones below the top dimension are tested: a full-dimensional cone is
-    never a proper face of another, and equal cones meet in the set.
+    There are two constructors.  ``Fan(rank, cones)``, for parsed and
+    hand-built fans, absorbs any cone whose generators are a subset of
+    another cone's, so only maximal cones are stored; their faces are
+    implied.  Only cones below the top dimension are tested: a
+    full-dimensional cone is never a proper face of another, and equal cones
+    meet in the set.  :meth:`_from_parts` takes cones that already form an
+    antichain and their ray index, with no pass over the cones; only
+    :func:`star_subdivide` calls it.
 
     :attr:`ray_index` is derived data, not part of equality or hash.
     """
@@ -211,6 +222,22 @@ class Fan:
         }
         object.__setattr__(self, "rank", int(rank))
         object.__setattr__(self, "cones", frozenset(cs - absorbed))
+
+    @classmethod
+    def _from_parts(
+        cls,
+        rank: int,
+        cones: frozenset[Cone],
+        index: dict[IntegerVector, set[Cone]],
+    ) -> "Fan":
+        """A fan of ``cones``, which the caller has checked to be an
+        antichain of the given rank, with ``index`` as its
+        :attr:`ray_index`; see :func:`star_subdivide`, the only caller."""
+        fan = object.__new__(cls)
+        object.__setattr__(fan, "rank", rank)
+        object.__setattr__(fan, "cones", cones)
+        fan.__dict__["ray_index"] = index
+        return fan
 
     @cached_property
     def ray_index(self) -> dict[IntegerVector, set[Cone]]:
@@ -375,20 +402,26 @@ def star_subdivide(
     Raises :class:`SupportError` when a cone does not contain its ray or its
     ``F`` is not a cone of the fan as subdivided by the rays before it.
     When ``record`` is given it is filled in with what the call did (see
-    :class:`Subdivision`).
+    :class:`Subdivision`); only then are the pieces kept until the call
+    ends.
 
     Locality.  The ray index of ``f`` (see :attr:`Fan.ray_index`) is kept
     up to date as the rays are applied: the dict is copied, and the set of a
     ray is copied the first time the call changes it, so ``f`` and every fan
-    sharing its sets are left as they were.  One :class:`Fan` is built at
-    the end and takes the updated index.  A star subdivision of a fan
-    absorbs no cone, so :class:`DegenerateInputError` is raised if the
-    constructor does.
+    sharing its sets are left as they were.  The result is built from the
+    cone set and the updated index by :meth:`Fan._from_parts`, the second
+    constructor, with no pass over the cones.  A star subdivision of a fan
+    absorbs no cone, and only cones having one of the rays can absorb or be
+    absorbed (see the module docstring), so the cones of each ray's set are
+    compared and :class:`DegenerateInputError` is raised if one of them has
+    the generators of another of lower dimension.
     """
     current = set(f.cones)
     index = dict(f.ray_index)
     owned: dict[IntegerVector, set[Cone]] = {}  # the sets this call has copied
-    split: dict[tuple[Cone, IntegerVector], tuple[Cone, ...]] = {}
+    split: Optional[dict[tuple[Cone, IntegerVector], tuple[Cone, ...]]] = (
+        None if record is None else {}
+    )
     for u, cone in zip(rays, cones, strict=True):
         if not is_primitive(u):
             raise DegenerateInputError(f"subdivision ray {u} must be primitive")
@@ -397,7 +430,8 @@ def star_subdivide(
             pieces = _subdivide_cone(c, u, nums if c == cone else None)
             if pieces[0] is c:
                 continue
-            split[(c, u)] = pieces
+            if split is not None:
+                split[(c, u)] = pieces
             current.remove(c)
             for g in c.generators:
                 cs = owned.get(g)
@@ -411,11 +445,18 @@ def star_subdivide(
                     if cs is None:
                         cs = owned[g] = index[g] = set(index.get(g, ()))
                     cs.add(piece)
-    fan = Fan(f.rank, current)
-    if len(fan.cones) != len(current):
-        raise DegenerateInputError("star subdivision absorbed a cone: the input is not a fan")
-    fan.__dict__["ray_index"] = index
-    if record is not None:
+    for u in set(rays):
+        star = index[u]
+        if len({c.dim for c in star}) > 1 and any(
+            c.dim < d.dim and set(c.generators) <= set(d.generators)
+            for c in star
+            for d in star
+        ):
+            raise DegenerateInputError(
+                "star subdivision absorbed a cone: the input is not a fan"
+            )
+    fan = Fan._from_parts(f.rank, frozenset(current), index)
+    if split is not None:
         # no piece is an input cone, so the split cones no ray made are input cones
         gone = {c for c, _ in split}
         made = {piece for pieces in split.values() for piece in pieces}

@@ -4,6 +4,16 @@ Every line is one JSON record; integers are written as decimal strings so
 consumers without big-integer support can stay exact.  Emission is
 byte-deterministic: keys are sorted, ordering of records is canonical.
 
+:func:`emit_trace` writes its step and ``final_fan`` records directly, with
+no JSON encoder pass: each distinct vector is turned into its JSON text,
+such as ``["1","-2"]``, once per call, and each record is assembled with its
+keys in sorted order, so its bytes equal ``json.dumps`` with
+``sort_keys=True`` and ``separators=(",", ":")``.  Nothing needs escaping:
+every value there is a decimal string, a boolean, ``null``, or ASCII text
+the program makes itself (a phase name or a ``1/l(c_1,...,c_n)`` type).
+The header record, which carries the input digest, the ``certificates``
+record and fan files go through the encoder.
+
 A trace names the same rays many times: every added ray comes back in
 center rays, center cones, final cones and markings.  :func:`parse_trace`
 parses each distinct vector payload once per call and hands the same
@@ -19,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .cones_fans import Cone, Fan, validate_fan
 from .errors import FanParseError, MeasureError, PreconditionError, QresError
@@ -41,20 +51,22 @@ def _vec(v: IntegerVector) -> list[str]:
     return [_s(e) for e in v.entries]
 
 
-class _VectorStrings(dict):
-    """The decimal strings of each distinct vector, built on first use.
+class _VectorJson(dict):
+    """The JSON text of each distinct vector, such as ``["1","-2"]``, built
+    on first use; one per :func:`emit_trace` call, which names each ray in
+    many center, chart and final cones."""
 
-    One per :func:`emit_trace` call: a trace names each ray in many center,
-    chart and final cones, and the JSON encoder takes the same list each
-    time.
-    """
-
-    def __missing__(self, v: IntegerVector) -> list[str]:
-        out = self[v] = _vec(v)
+    def __missing__(self, v: IntegerVector) -> str:
+        out = self[v] = _json_strings(v.entries)
         return out
 
-    def cone(self, c: Cone) -> list[list[str]]:
-        return [self[g] for g in c.generators]
+    def cone(self, c: Cone) -> str:
+        return "[" + ",".join([self[g] for g in c.generators]) + "]"
+
+
+def _json_strings(xs: Iterable[int]) -> str:
+    """The JSON text of the decimal strings of the integers ``xs``."""
+    return "[" + ",".join([f'"{int(x)}"' for x in xs]) + "]"
 
 
 def _parse_int(value: Any, lineno: Optional[int], what: str) -> int:
@@ -211,51 +223,43 @@ def parse_fan(text: str) -> MarkedFan:
 # trace files
 
 
-def _measure_pair(pair: Optional[tuple[int, int]]) -> Optional[list[str]]:
-    if pair is None:
-        return None
-    return [_s(pair[0]), _s(pair[1])]
+_JSON_BOOL = {True: "true", False: "false"}
 
 
-def _step_payload(index: int, step: StepRecord, strs: _VectorStrings) -> dict:
+def _measure_json(pair: Optional[tuple[int, int]]) -> str:
+    return "null" if pair is None else _json_strings(pair)
+
+
+def _step_line(index: int, step: StepRecord, vec: _VectorJson) -> str:
     centers = []
     for center, charts in zip(step.centers, step.charts):
+        chart_lines = [
+            f'{{"cone":{vec.cone(ch.cone)},'
+            f'"exceptional_character":"{int(ch.exceptional_character)}",'
+            f'"order":"{int(ch.order)}","tame":{_JSON_BOOL[ch.tame]},'
+            f'"type":"{ch.chart_type}"}}'
+            for ch in charts
+        ]
         centers.append(
-            {
-                "cone": strs.cone(center.cone),
-                "ray": strs[center.ray],
-                "divisor_ray": strs[center.divisor_ray],
-                "divisor_index": _s(center.divisor_index),
-                "order": _s(center.order),
-                "weights": [_s(w) for w in center.weights],
-                "charts": [
-                    {
-                        "cone": strs.cone(ch.cone),
-                        "order": _s(ch.order),
-                        "type": str(ch.chart_type),
-                        "tame": ch.tame,
-                        "exceptional_character": _s(ch.exceptional_character),
-                    }
-                    for ch in charts
-                ],
-            }
+            f'{{"charts":[{",".join(chart_lines)}],"cone":{vec.cone(center.cone)},'
+            f'"divisor_index":"{int(center.divisor_index)}",'
+            f'"divisor_ray":{vec[center.divisor_ray]},"order":"{int(center.order)}",'
+            f'"ray":{vec[center.ray]},"weights":{_json_strings(center.weights)}}}'
         )
-    return {
-        "record": "step",
-        "index": _s(index),
-        "phase": step.phase,
-        "added": [strs[u] for u in step.added_rays],
-        "invariant_before": _measure_pair(step.invariant_before),
-        "invariant_after": _measure_pair(step.invariant_after),
-        "nontame_before": _measure_pair(step.nontame_before),
-        "nontame_after": _measure_pair(step.nontame_after),
-        "centers": centers,
-    }
+    added = ",".join([vec[u] for u in step.added_rays])
+    return (
+        f'{{"added":[{added}],"centers":[{",".join(centers)}],"index":"{int(index)}",'
+        f'"invariant_after":{_measure_json(step.invariant_after)},'
+        f'"invariant_before":{_measure_json(step.invariant_before)},'
+        f'"nontame_after":{_measure_json(step.nontame_after)},'
+        f'"nontame_before":{_measure_json(step.nontame_before)},'
+        f'"phase":"{step.phase}","record":"step"}}'
+    )
 
 
 def emit_trace(trace: ResolutionTrace) -> str:
     final = trace.final
-    strs = _VectorStrings()
+    vec = _VectorJson()
     lines = [
         _dump(
             {
@@ -268,16 +272,10 @@ def emit_trace(trace: ResolutionTrace) -> str:
         )
     ]
     for i, step in enumerate(trace.steps):
-        lines.append(_dump(_step_payload(i, step, strs)))
-    lines.append(
-        _dump(
-            {
-                "record": "final_fan",
-                "cones": [strs.cone(c) for c in final.fan.sorted_cones()],
-                "marked": [strs[r] for r in final.marked_rays],
-            }
-        )
-    )
+        lines.append(_step_line(i, step, vec))
+    cones = ",".join([vec.cone(c) for c in final.fan.sorted_cones()])
+    marked = ",".join([vec[r] for r in final.marked_rays])
+    lines.append(f'{{"cones":[{cones}],"marked":[{marked}],"record":"final_fan"}}')
     measure_ok = True
     try:
         for step in trace.steps:

@@ -456,9 +456,13 @@ def replay(m: MarkedFan, trace) -> Fan:
 
     Accepts anything exposing ``input_digest``, ``ray_groups``,
     ``hint_groups`` and ``final`` the way :class:`ResolutionTrace` does.
-    Each ray group is one :func:`~qres.cones_fans.star_subdivide` call, with
-    one cone per ray: the recorded center cone, which must contain the ray
-    and whose face containing it must be a cone of the fan at that point.
+    The groups, concatenated in order, are one batched
+    :func:`~qres.cones_fans.star_subdivide` call, which applies its rays in
+    order and lets a later ray split an earlier ray's piece, so it equals one
+    call per group and builds one :class:`~qres.cones_fans.Fan`.  Each ray
+    comes with one cone, checked per group by length: the recorded center
+    cone, which must contain the ray and whose face containing it must be a
+    cone of the fan at that point.
     A center that breaks this is a :class:`ReplayError`, like a ray outside
     the fan; it is never repaired by scanning the fan.  The final state
     must also keep the input's characteristic and mark its rays followed by
@@ -466,10 +470,14 @@ def replay(m: MarkedFan, trace) -> Fan:
     """
     if fan_digest(m) != trace.input_digest:
         raise ReplayError("trace was produced from a different input")
-    fan = m.fan
+    rays: list[IntegerVector] = []
+    cones: list[Cone] = []
+    for group, hints in zip(trace.ray_groups, trace.hint_groups, strict=True):
+        for u, cone in zip(group, hints, strict=True):
+            rays.append(u)
+            cones.append(cone)
     try:
-        for group, cones in zip(trace.ray_groups, trace.hint_groups, strict=True):
-            fan = star_subdivide(fan, group, cones)
+        fan = star_subdivide(m.fan, rays, cones)
     except (SupportError, DegenerateInputError) as exc:
         raise ReplayError(f"recorded ray cannot be applied: {exc}") from exc
     final = trace.final
@@ -477,8 +485,7 @@ def replay(m: MarkedFan, trace) -> Fan:
         raise ReplayError("replayed fan differs from the recorded final fan")
     if final.characteristic != m.characteristic:
         raise ReplayError("recorded final characteristic differs from the input's")
-    added = tuple(u for group in trace.ray_groups for u in group)
-    if final.marked_rays != m.marked_rays + added:
+    if final.marked_rays != m.marked_rays + tuple(rays):
         raise ReplayError("recorded final marking is not the input's plus the added rays")
     return fan
 

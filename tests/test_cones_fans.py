@@ -144,6 +144,14 @@ class TestStarSubdivide:
         assert f.cones == {sigma, tau}
         with pytest.raises(DegenerateInputError, match="absorbed"):
             star_subdivide(f, [IntegerVector((0, 1, 0))], [tau])
+        # the other direction: rho lies inside sigma, and splitting sigma at
+        # (1, 1, 0) makes the piece <e1, (1, 1, 0), e3>, which has rho as a
+        # face; a check of the pieces alone would miss it
+        rho = Cone(3, [(1, 1, 0), (0, 0, 1)])
+        f = Fan(3, [sigma, rho])
+        assert f.cones == {sigma, rho}
+        with pytest.raises(DegenerateInputError, match="absorbed"):
+            star_subdivide(f, [IntegerVector((1, 1, 0))], [sigma])
 
 
 def lattice_points_in_box(rank, bound):

@@ -13,16 +13,27 @@ rank and there must be one final fan record; replay checks the final
 marking and characteristic against the input.  Parsing and replaying a
 trace builds every recorded center and final cone, but by the closed-form
 kernel, without a Bareiss elimination.
+
+``emit_trace`` writes its step and final fan records without a JSON
+encoder; its bytes are compared with the encoder's on the ladder cases and
+a sweep of quotient types, non-tame charts and ``null`` measures included.
 """
 
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from test_resolution_engine import CASES, case_id, quotient_types
 
 from qres import cli, exact_lattice, fanfile
 from qres.cones_fans import Cone
-from qres.errors import FanParseError, ReplayError
-from qres.resolution_engine import marked_fan_from_characters, replay, resolve
+from qres.errors import FanParseError, MeasureError, ReplayError
+from qres.resolution_engine import (
+    _check_step_measure,
+    marked_fan_from_characters,
+    replay,
+    resolve,
+)
 
 TEXT = fanfile.emit_trace(resolve(marked_fan_from_characters(31, (1, 5, 11))))
 # line numbers in TEXT: the header, 18 steps, the final fan, the certificates
@@ -277,3 +288,120 @@ def test_parse_and_replay_build_every_cone_without_an_elimination(monkeypatch):
         for g in cone.generators:
             assert g not in added or added[g] is g
     assert all(added.get(u, u) is u for u in doc.final.marked_rays)
+
+
+def _reference_trace(trace):
+    """``emit_trace`` as an encoder pass over one payload per record."""
+
+    def dump(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    def vec(v):
+        return [str(e) for e in v.entries]
+
+    def cone(c):
+        return [vec(g) for g in c.generators]
+
+    def pair(p):
+        return None if p is None else [str(p[0]), str(p[1])]
+
+    final = trace.final
+    lines = [
+        dump(
+            {
+                "record": "trace",
+                "format": fanfile.TRACE_FORMAT,
+                "input": trace.input_digest,
+                "rank": str(final.fan.rank),
+                "characteristic": str(final.characteristic),
+            }
+        )
+    ]
+    for i, step in enumerate(trace.steps):
+        centers = [
+            {
+                "cone": cone(center.cone),
+                "ray": vec(center.ray),
+                "divisor_ray": vec(center.divisor_ray),
+                "divisor_index": str(center.divisor_index),
+                "order": str(center.order),
+                "weights": [str(w) for w in center.weights],
+                "charts": [
+                    {
+                        "cone": cone(ch.cone),
+                        "order": str(ch.order),
+                        "type": str(ch.chart_type),
+                        "tame": ch.tame,
+                        "exceptional_character": str(ch.exceptional_character),
+                    }
+                    for ch in charts
+                ],
+            }
+            for center, charts in zip(step.centers, step.charts)
+        ]
+        lines.append(
+            dump(
+                {
+                    "record": "step",
+                    "index": str(i),
+                    "phase": step.phase,
+                    "added": [vec(u) for u in step.added_rays],
+                    "invariant_before": pair(step.invariant_before),
+                    "invariant_after": pair(step.invariant_after),
+                    "nontame_before": pair(step.nontame_before),
+                    "nontame_after": pair(step.nontame_after),
+                    "centers": centers,
+                }
+            )
+        )
+    lines.append(
+        dump(
+            {
+                "record": "final_fan",
+                "cones": [cone(c) for c in final.fan.sorted_cones()],
+                "marked": [vec(r) for r in final.marked_rays],
+            }
+        )
+    )
+    measure_ok = True
+    try:
+        for step in trace.steps:
+            _check_step_measure(step)
+    except MeasureError:
+        measure_ok = False
+    lines.append(
+        dump(
+            {
+                "record": "certificates",
+                "all_smooth": trace.all_smooth,
+                "measure_decreasing": measure_ok,
+            }
+        )
+    )
+    return "\n".join(lines) + "\n"
+
+
+# a type whose resolution has non-tame charts and, once they are gone, a
+# null non-tame measure
+NONTAME = (12, (1, 5, 7), 2)
+
+
+def test_the_nontame_example_has_a_nontame_chart_and_a_null_measure():
+    trace = resolve(marked_fan_from_characters(*NONTAME))
+    assert any(not ch.tame for s in trace.steps for charts in s.charts for ch in charts)
+    assert any(s.nontame_before is not None for s in trace.steps)
+    assert trace.steps[-1].nontame_after is None
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_direct_trace_writer_matches_the_encoder_on_the_cases(case):
+    trace = resolve(marked_fan_from_characters(*case))
+    assert fanfile.emit_trace(trace) == _reference_trace(trace)
+
+
+@given(quotient_types())
+@example(NONTAME)
+@settings(max_examples=40, deadline=None)
+def test_direct_trace_writer_matches_the_encoder_on_a_sweep(case):
+    trace = resolve(marked_fan_from_characters(*case))
+    assert fanfile.emit_trace(trace) == _reference_trace(trace)

@@ -279,9 +279,9 @@ def _count_calls(monkeypatch, modules, fn):
     """Replace every binding of ``fn`` in ``modules`` by a counting wrapper."""
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     for mod in modules:
         for key, value in list(vars(mod).items()):
@@ -323,6 +323,28 @@ def test_larger_type_is_pinned_and_tests_few_cones(monkeypatch):
     assert (len(trace.steps), len(trace.final.fan.cones)) == (56, 1115)
     text = fanfile.emit_trace(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TRACE_SHA256
+
+
+@pytest.mark.parametrize(
+    "case", [(211, (1, 37, 101), 0), (286861, (1, 282801), 0)], ids=case_id
+)
+def test_resolve_and_replay_build_fans_from_the_star(case, monkeypatch):
+    # every step and the replay build their fan from the star, not by the
+    # constructor's pass over every cone: that ran twice per step, 56 + 56
+    # times on 1/211(1,37,101) and 83 + 83 on 1/286861(1,282801), and the
+    # replay made one subdivision call per step, 56 and 83
+    m = marked_fan_from_characters(*case)
+    inits = []
+    real_init = Fan.__init__
+    monkeypatch.setattr(
+        Fan, "__init__", lambda self, *args: inits.append(1) or real_init(self, *args)
+    )
+    calls = _count_calls(monkeypatch, (cones_fans, resolution_engine), star_subdivide)
+    trace = resolve(m)
+    assert len(calls) == len(trace.steps)
+    replay(m, trace)
+    assert inits == []
+    assert len(calls) == len(trace.steps) + 1
 
 
 LARGER_PINS = [
@@ -815,24 +837,41 @@ def test_oracle_check_of_a_rank3_fan_exits_2_before_resolving(tmp_path, capsys, 
     assert "--oracle-check requires a rank-2 fan" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+@pytest.mark.parametrize("kind", ["missing-dir", "directory", "read-only-dir"])
 @pytest.mark.parametrize("command", ["resolve", "blowup"])
-def test_unwritable_output_path_exits_3_with_one_line(command, kind, tmp_path, capsys):
+def test_unwritable_output_path_exits_3_with_one_line(
+    command, kind, tmp_path, capsys, monkeypatch
+):
     # exit 1 belongs to a broken glue-check; an output path that cannot be
-    # written is invalid input, reported on one line without a traceback
+    # written is invalid input, reported on one line without a traceback,
+    # and before the resolve or the blow-up runs
+    monkeypatch.setattr(cli, "resolve", lambda m: pytest.fail("resolve ran"))
+    monkeypatch.setattr(cli, "blowup_step", lambda m: pytest.fail("blowup_step ran"))
     fan_file = tmp_path / "fan.jsonl"
     fan_file.write_text(
         fanfile.emit_fan(marked_fan_from_characters(31, (1, 5, 11))), encoding="utf-8"
     )
     if kind == "missing-dir":
         out, reason = tmp_path / "missing" / "x.out", os.strerror(errno.ENOENT)
-    else:
+    elif kind == "directory":
         out, reason = tmp_path, os.strerror(errno.EISDIR)
+    else:
+        locked = tmp_path / "locked"
+        locked.mkdir(mode=0o500)
+        out, reason = locked / "x.out", os.strerror(errno.EACCES)
+        if os.geteuid() == 0:
+            # root may write into a read-only directory, so the permission
+            # test that a normal user fails is made to fail here
+            real_access = os.access
+            monkeypatch.setattr(
+                os, "access", lambda p, mode: Path(p) != locked and real_access(p, mode)
+            )
     flag = "--emit-trace" if command == "resolve" else "--emit"
     assert cli.main([command, str(fan_file), flag, str(out)]) == 3
     err = capsys.readouterr().err
     assert err == f"error: cannot write {out}: {reason}\n"
     assert not (tmp_path / "missing").exists()
+    assert not out.is_file()
 
 
 def test_closed_stdout_exits_141_without_traceback():
