@@ -235,8 +235,9 @@ class ResolutionTrace:
             groups.append(tuple(cone_of[u] for u in step.added_rays))
         return tuple(groups)
 
-    @property
+    @cached_property
     def all_smooth(self) -> bool:
+        """Whether every final cone has multiplicity 1; computed once."""
         return all(multiplicity(c) == 1 for c in self.final.fan.cones)
 
     @property
@@ -446,9 +447,10 @@ def resolve(m: MarkedFan) -> ResolutionTrace:
         inv, nt = record.invariant_after, record.nontame_after
     else:
         raise MeasureError("step budget exceeded; measure failed to make progress")
-    if not all(multiplicity(c) == 1 for c in current.fan.cones):
+    trace = ResolutionTrace(fan_digest(m), tuple(steps), current)
+    if not trace.all_smooth:
         raise MeasureError("resolution ended with a singular cone")
-    return ResolutionTrace(fan_digest(m), tuple(steps), current)
+    return trace
 
 
 def replay(m: MarkedFan, trace) -> Fan:

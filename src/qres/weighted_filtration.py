@@ -7,6 +7,13 @@ weighted degree at least ``k``.  Automorphism invariance of the filtration
 is tested on truncated polynomial substitutions over a prime field chosen
 so that roots of unity of the right order exist; power series statements
 are checked up to a finite total degree bound.
+
+Every enumeration of the truncated simplex (exponent tuples of total
+degree at most a bound) goes through one walk, :func:`_weighted_simplex`,
+which carries each tuple's weighted degree down from its prefix.  The
+sampler's correction-term pools for all coordinates come from a single
+such walk, in its fixed order, since the draws index into the pools.
+Every cache here is an ``lru_cache`` of finite size.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cones_fans import Cone
 from .errors import DimensionError, GluePreconditionError, QresError
@@ -104,7 +111,7 @@ def ideal_generators(w: WeightedFiltration, k: int) -> frozenset[Monomial]:
     return _ideal_generators_cached(w.weights, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _ideal_generators_cached(weights: tuple[int, ...], k: int) -> frozenset[Monomial]:
     n = len(weights)
     if k == 0:
@@ -130,24 +137,39 @@ def invariant_generators(
     """
     if degree_bound < 1:
         raise QresError("degree bound must be at least 1")
-    found = []
-    for exps in _simplex(len(chars), degree_bound):
-        if sum(exps) == 0:
-            continue
-        if sum(c * e for c, e in zip(chars, exps)) % order == 0:
-            found.append(Monomial(exps))
+    found = [
+        Monomial(exps)
+        for exps, degree in _weighted_simplex(chars, order, degree_bound)
+        if degree == 0 and any(exps)
+    ]
     return minimalize(found)
 
 
-def _simplex(n: int, bound: int):
-    """All exponent tuples of length n with coordinate sum <= bound."""
-    if n == 1:
-        for e in range(bound + 1):
-            yield (e,)
-        return
-    for head in range(bound + 1):
-        for tail in _simplex(n - 1, bound - head):
-            yield (head,) + tail
+def _weighted_simplex(
+    weights: Sequence[int], order: int, bound: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every exponent tuple of length ``len(weights)`` with coordinate sum
+    at most ``bound``, with its weighted degree ``sum a_j e_j`` mod ``order``.
+
+    Tuples come in lexicographic order, the first coordinate varying
+    slowest.  The walk is depth first on an explicit stack whose entries
+    carry a prefix, its weighted degree and the degree left to spend, so
+    each degree costs one product and one sum.
+    """
+    n = len(weights)
+    stack = [((), 0, bound)]
+    while stack:
+        prefix, degree, rest = stack.pop()
+        a = weights[len(prefix)]
+        if len(prefix) == n - 1:
+            for e in range(rest + 1):
+                yield prefix + (e,), (degree + a * e) % order
+        else:
+            # pushed in reverse, so the smallest exponent is popped first
+            stack.extend(
+                (prefix + (e,), (degree + a * e) % order, rest - e)
+                for e in range(rest, -1, -1)
+            )
 
 
 @dataclass(frozen=True)
@@ -172,7 +194,7 @@ def dual_cone_points(c: Cone, degree_bound: int) -> DualConePoints:
         raise DimensionError("dual cone points need a full-dimensional cone")
     det, rows = c.det, c.cofactors
     points = []
-    for exps in _simplex(c.rank, degree_bound):
+    for exps, _ in _weighted_simplex((0,) * c.rank, 1, degree_bound):
         vec = [sum(a * row[j] for a, row in zip(exps, rows)) for j in range(c.rank)]
         if all(x % det == 0 for x in vec):
             points.append(Monomial(exps))
@@ -228,15 +250,17 @@ class TruncatedAutomorphism:
     def unit_part(self, i: int) -> int:
         """Coefficient of ``x_i`` inside the image of ``x_i``."""
         unit = tuple(1 if j == i else 0 for j in range(self.rank))
-        return dict(self.images[i]).get(unit, 0)
+        # with a repeated exponent the last term counts, as in image_poly
+        for e, c in reversed(self.images[i]):
+            if e == unit:
+                return c
+        return 0
 
     def fixes_divisor(self) -> bool:
         """Image of the last coordinate lies in its ideal with unit lead."""
         last = self.rank - 1
-        img = self.image_poly(last)
-        if not img:
-            return False
-        if any(e[last] == 0 for e in img):
+        img = self.images[last]
+        if not img or any(e[last] == 0 for e, _ in img):
             return False
         return self.unit_part(last) != 0
 
@@ -244,7 +268,7 @@ class TruncatedAutomorphism:
         """No constant terms and every linear unit part is nonzero."""
         if any(self.unit_part(i) == 0 for i in range(self.rank)):
             return False
-        return all(sum(e) > 0 for img in self.images for e in dict(img))
+        return all(any(e) for img in self.images for e, _ in img)
 
     @classmethod
     def identity(cls, n: int, modulus: int, truncation: int) -> "TruncatedAutomorphism":
@@ -270,7 +294,7 @@ def _poly_mul(a: Poly, b: Poly, bound: int, modulus: int) -> Poly:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _image_power(phi: TruncatedAutomorphism, i: int, e: int) -> tuple:
     if e == 0:
         return ((tuple(0 for _ in range(phi.rank)), 1),)
@@ -281,7 +305,7 @@ def _image_power(phi: TruncatedAutomorphism, i: int, e: int) -> tuple:
     return tuple(sorted(cur.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def substitute(phi: TruncatedAutomorphism, exponents: tuple[int, ...]) -> tuple:
     """Image of a monomial under the substitution, truncated."""
     acc: Poly = {tuple(0 for _ in range(phi.rank)): 1}
@@ -354,29 +378,34 @@ def smallest_prime_with_roots(order: int) -> int:
     return p
 
 
-@lru_cache(maxsize=None)
-def _term_pool(
-    weights: tuple[int, ...], order: int, coordinate: int, bound: int
-) -> tuple[tuple[int, ...], ...]:
-    """Exponent tuples usable as correction terms on one coordinate.
+@lru_cache(maxsize=32)
+def _term_pools(
+    weights: tuple[int, ...], order: int, bound: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Exponent tuples usable as correction terms, one pool per coordinate.
 
-    A term must be action-compatible (weighted degree congruent to the
-    coordinate's weight), nonconstant, keep the divisor ideal stable when
-    attached to the divisor coordinate, and differ from the coordinate
-    itself.
+    A term on coordinate ``i`` must be action-compatible (weighted degree
+    congruent to the weight of ``x_i``), nonconstant, differ from ``x_i``
+    itself and, on the divisor coordinate, keep the divisor ideal stable
+    (nonzero last exponent).  One walk of the truncated simplex files each
+    tuple under every coordinate of its residue, so each pool lists its
+    terms in the walk's order.
     """
     n = len(weights)
-    unit = tuple(1 if j == coordinate else 0 for j in range(n))
-    pool = []
-    for exps in _simplex(n, bound):
-        if sum(exps) == 0 or exps == unit:
-            continue
-        if sum(w * e for w, e in zip(weights, exps)) % order != weights[coordinate] % order:
-            continue
-        if coordinate == n - 1 and exps[n - 1] == 0:
-            continue
-        pool.append(exps)
-    return tuple(pool)
+    coordinates_of: dict[int, list[int]] = {}
+    for i, a in enumerate(weights):
+        coordinates_of.setdefault(a % order, []).append(i)
+    pools: list[list[tuple[int, ...]]] = [[] for _ in weights]
+    for exps, degree in _weighted_simplex(weights, order, bound):
+        for i in coordinates_of.get(degree, ()):
+            pools[i].append(exps)
+    out = []
+    for i, pool in enumerate(pools):
+        unit = tuple(1 if j == i else 0 for j in range(n))
+        out.append(
+            tuple(e for e in pool if any(e) and e != unit and (i < n - 1 or e[-1]))
+        )
+    return tuple(out)
 
 
 def sample_divisor_fixing_automorphism(
@@ -391,14 +420,19 @@ def sample_divisor_fixing_automorphism(
     fixing the divisor can move the filtration (that is the content of the
     counterexample with swapped coordinates), so the sampled class is the
     one the gluing statement is about.
+
+    The terms come from :func:`_term_pools`: every coordinate's pool from
+    one walk of the simplex of total degree at most ``truncation``, cached
+    in a bounded ``lru_cache``.  A draw is an index into a pool, so the
+    pools' order (the walk's lexicographic order) fixes which substitutions
+    a seed yields.
     """
     q = modulus if modulus is not None else smallest_prime_with_roots(w.order)
     n = w.rank
     images = []
-    for i in range(n):
+    for i, pool in enumerate(_term_pools(w.weights, w.order, truncation)):
         unit = tuple(1 if j == i else 0 for j in range(n))
         img: Poly = {unit: rng.randrange(1, q)}
-        pool = _term_pool(w.weights, w.order, i, truncation)
         if pool:
             for _ in range(rng.randrange(_MAX_EXTRA_TERMS + 1)):
                 exps = pool[rng.randrange(len(pool))]

@@ -738,6 +738,31 @@ def test_resolve_command_succeeds(tmp_path, capsys):
     assert '"smooth":true' in capsys.readouterr().out
 
 
+def test_resolve_command_checks_smoothness_in_one_pass(tmp_path, capsys, monkeypatch):
+    # resolve's closing check, the trace's certificates record and the JSON
+    # summary all report whether the final fan is smooth; one pass of
+    # multiplicity over the final cones answers all three (it took three)
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(
+        fanfile.emit_fan(marked_fan_from_characters(31, (1, 5, 11))), encoding="utf-8"
+    )
+    seen = []
+    real_multiplicity = resolution_engine.multiplicity
+    monkeypatch.setattr(
+        resolution_engine, "multiplicity", lambda c: seen.append(c) or real_multiplicity(c)
+    )
+    traces = []
+    real_resolve = cli.resolve
+    monkeypatch.setattr(cli, "resolve", lambda m: traces.append(real_resolve(m)) or traces[-1])
+    out = tmp_path / "out.trace"
+    assert cli.main(["resolve", str(fan_file), "--emit-trace", str(out), "--json"]) == 0
+    assert '"smooth":true' in capsys.readouterr().out
+    assert '"all_smooth":true' in out.read_text(encoding="utf-8")
+    final = list(traces[0].final.fan.cones)
+    passes = sum(seen[k : k + len(final)] == final for k in range(len(seen)))
+    assert passes == 1
+
+
 OVERLAPPING_FAN = "\n".join(
     [
         '{"characteristic":"0","rank":"3","record":"fan"}',

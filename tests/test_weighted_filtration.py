@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from random import Random
@@ -19,6 +20,7 @@ from qres.weighted_filtration import (
     TruncatedAutomorphism,
     WeightedFiltration,
     _image_power,
+    _term_pools,
     cartify,
     dual_cone_points,
     glue_check,
@@ -307,6 +309,120 @@ GLUE_REPORTS = {
 def test_glue_check_report_bytes(argv, seed, capsys):
     assert cli.main(["glue-check", *argv, "--seed", str(seed), "--json"]) == 0
     assert capsys.readouterr().out == GLUE_REPORTS[argv] % seed
+
+
+# sha256 of repr(phi.images) over the first 40 substitutions that the
+# sampler draws at each seed, with the modulus and truncation of
+# `glue-check`; every draw passes, so the report bytes cannot tell a change
+# of the pools' order
+SAMPLED_IMAGES_SHA256 = {
+    ("1/11(2,5,3,1)", 12, 0): "cc28fe612c8755fbc11d2b9e8b9eac7a23bf7fd0cb4ba423ee8eeaf377b6b64e",
+    ("1/11(2,5,3,1)", 12, 1): "d0beaba940669231e82dbbbbb9337d942cf4eee26ac5e99d944bea6bda49d7f9",
+    ("1/11(2,5,3,1)", 12, 2): "2a16abb74760c88f2d01f37a8220e3ff2e11fb8752ec70a18156c78f782534b7",
+    ("1/7(1,3,1)", 14, 0): "2ba54e43f2b536af7f515ffe78764d48872bdcd8cf3026e446717f7e5692926c",
+    ("1/7(1,3,1)", 14, 1): "c8e0d55f77c2a8437a9a9feb3de297157356c71a6d163812bbd4eeb67620077a",
+    ("1/7(1,3,1)", 14, 2): "5cb681085615ffad373ff92adefc588c7dab4c742ac19dcc14aa1689c9a97bb7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLED_IMAGES_SHA256))
+def test_sampled_images_are_pinned(key):
+    literal, truncation, seed = key
+    order, chars = parse_quotient_literal(literal)
+    w = WeightedFiltration(order, unit_weights(order, chars, len(chars) - 1))
+    modulus = smallest_prime_with_roots(w.order)
+    rng = Random(seed)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        phi = sample_divisor_fixing_automorphism(w, rng, modulus=modulus, truncation=truncation)
+        digest.update(repr(phi.images).encode())
+    assert digest.hexdigest() == SAMPLED_IMAGES_SHA256[key]
+
+
+def reference_simplex(n, bound):
+    """Exponent tuples of length n with coordinate sum <= bound, the first
+    coordinate varying slowest."""
+    if n == 1:
+        yield from ((e,) for e in range(bound + 1))
+        return
+    for head in range(bound + 1):
+        for tail in reference_simplex(n - 1, bound - head):
+            yield (head,) + tail
+
+
+def reference_term_pool(weights, order, coordinate, bound):
+    n = len(weights)
+    unit = tuple(1 if j == coordinate else 0 for j in range(n))
+    pool = []
+    for exps in reference_simplex(n, bound):
+        if sum(exps) == 0 or exps == unit:
+            continue
+        if sum(w * e for w, e in zip(weights, exps)) % order != weights[coordinate] % order:
+            continue
+        if coordinate == n - 1 and exps[n - 1] == 0:
+            continue
+        pool.append(exps)
+    return tuple(pool)
+
+
+@given(
+    st.lists(st.integers(-60, 60), min_size=1, max_size=5),
+    st.integers(1, 40),
+    st.integers(1, 14),
+)
+@settings(max_examples=200, deadline=None)
+def test_term_pools_equal_the_per_coordinate_filter(weights, order, bound):
+    # same terms in the same order: the sampler's draws index into the pools
+    weights = tuple(weights)
+    pools = _term_pools(weights, order, bound)
+    assert len(pools) == len(weights)
+    for i, pool in enumerate(pools):
+        assert pool == reference_term_pool(weights, order, i, bound), i
+
+
+def _monomials_sha(monomials):
+    return hashlib.sha256(repr(sorted(m.exponents for m in monomials)).encode()).hexdigest()[:16]
+
+
+# digests of invariant_generators and of dual_cone_points (points, minimal)
+# on the types of CASES in test_resolution_engine, at degree bound 40 for
+# rank 2 and 12 otherwise
+SIMPLEX_OUTPUT_SHA = {
+    (31, (1, 5, 11)): ("fcafdbcf94dee7da", "766ccda7354b5f90", "0dbe3eb9ac9dee19"),
+    (13, (1, 3, 5, 7)): ("b8f1ed8837366d05", "5440d594f07dc981", "d8990d02ff7b8b85"),
+    (12, (1, 5, 7)): ("ab429c96d4fe2a9a", "1d865c2a96972e5a", "6b97ff81caa3ea1a"),
+    (18, (10, 15, 11)): ("675a1d022929b33c", "04dd1850fb672c17", "0452cef51d917a6c"),
+    (45, (19, 17, 32)): ("345649e007110a23", "eadaf5c54ed323f5", "80902e9c46b00ba6"),
+    (7, (3, 1)): ("dc5e999016a5cc04", "04603583c0122894", "b27f770dd0707c9d"),
+    (50, (13, 1)): ("8c54a7857e8518ea", "3a0cd91433e82466", "7607069181e7723f"),
+    (101, (37, 1)): ("744e6bd6cb8e1f7b", "fff5b5e4f4244700", "7ad749005fd17531"),
+    (1009, (400, 1)): ("5769592278d8fafd", "6453963383178fa4", "5769592278d8fafd"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMPLEX_OUTPUT_SHA))
+def test_simplex_enumerations_are_pinned(case):
+    order, chars = case
+    bound = 40 if len(chars) == 2 else 12
+    dual = dual_cone_points(quotient_to_cone(CyclicQuotientType(order, chars)), bound)
+    got = (
+        _monomials_sha(invariant_generators(order, chars, bound)),
+        _monomials_sha(dual.points),
+        _monomials_sha(dual.minimal),
+    )
+    assert got == SIMPLEX_OUTPUT_SHA[case]
+
+
+def test_every_cache_is_bounded():
+    caches = {
+        name: value
+        for name, value in vars(weighted_filtration).items()
+        if hasattr(value, "cache_info")
+        and getattr(value, "__module__", "") == weighted_filtration.__name__
+    }
+    assert {"_ideal_generators_cached", "_image_power", "substitute", "_term_pools"} <= set(caches)
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, name
 
 
 class TestCartify:
