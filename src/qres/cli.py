@@ -126,11 +126,13 @@ def _write_output(path: str, text: str) -> None:
 def _cmd_classify(args) -> int:
     m = _load_fan(args.file)
     p = m.characteristic
+    # every ray is named by each cone it generates: format it once
+    text = {g: _fmt_vec(g) for g in m.fan.ray_index}
     report = []
-    for i, cone in enumerate(m.fan.sorted_cones(), start=1):
+    for cone in m.fan.sorted_cones():
         desc = cone_descriptor(cone)
         entry = {
-            "cone": [_fmt_vec(g) for g in cone.generators],
+            "cone": [text[g] for g in cone.generators],
             "multiplicity": str(multiplicity(cone)),
             "invariants": [str(d) for d in desc.nontrivial],
             "cyclic": desc.cyclic,
@@ -140,7 +142,7 @@ def _cmd_classify(args) -> int:
             entry["type"] = str(desc.cqs)
             entry["tame"] = is_tame(order, p)
             entry["faithful_rays"] = [
-                _fmt_vec(g)
+                text[g]
                 for g, c in zip(cone.generators, chars)
                 if math.gcd(c, order) == 1
             ]

@@ -51,14 +51,15 @@ generator the other cone lacks vanishes on the shared rays and is
 nonnegative on its own cone; when it is strictly negative on every ray only
 the other cone has, no point of the other cone outside the shared face lies
 in this one, so the pair is settled by one row (a facet certificate).  The
-integer work is done per cone, not per pair: each row is dotted once with
-every ray of the fan, ``k * R`` dot products for a cone of dimension ``k``
-in a fan of ``R`` rays (fewer where the cones on the two sides of a facet
-share the row up to sign), and kept as the bit mask of the rays where it is
-negative; a pair then costs a few ``&`` of ray masks per row.  Only pairs
-that no single row of either cone settles go to the exact integer
-Fourier-Motzkin elimination, which decides whether a separating functional
-exists.
+integer work is done per distinct row, not per pair: every ray of the fan
+is packed into one lane of ``n`` big integers, one per coordinate, and a
+row's dot products with all ``R`` rays at once are ``n`` big-integer
+multiply-adds, whose lane sign bits give the bit mask of the rays where
+the row is negative and that of the rays where it is positive, the mask of
+the row the cone across the facet has (see :func:`_sign_masks`).  A pair
+then costs a few ``&`` of ray masks per row.  Only pairs that no single row
+of either cone settles go to the exact integer Fourier-Motzkin elimination,
+which decides whether a separating functional exists.
 """
 
 from __future__ import annotations
@@ -522,16 +523,69 @@ def _meet_in_common_face(sigma: Cone, tau: Cone) -> bool:
     return _fm_feasible(n, constraints)
 
 
+# translate tables from a lane's top byte to the binary digit "1" when the
+# lane's top bit is clear (bytes 0-127), and when it is set (bytes 128-255)
+_CLEAR_TOP = b"1" * 128 + b"0" * 128
+_SET_TOP = b"0" * 128 + b"1" * 128
+
+
+def _sign_masks(
+    rank: int, rows: Sequence[tuple[int, ...]], rays: Sequence[IntegerVector]
+) -> dict[tuple[int, ...], int]:
+    """Each row ``a`` and its negative ``-a``, each with the bit mask of the
+    rays it is strictly negative on: bit ``i`` for ``a . rays[i] < 0``.
+
+    Broadword arithmetic on Python ints: ray ``i`` owns the lane of ``W``
+    bits at bit ``W * i``, and coordinate ``j`` of every ray is packed into
+    one int ``cols[j]``.  ``s = sum_j a_j cols[j] + B * ones``, with ``B =
+    2^(W-1)`` and ``ones`` a 1 in every lane, holds ``a . r_i + B`` in lane
+    ``i``.  ``W`` is the least multiple of 8 above the bit length of the
+    bound ``rank * max|a_j| * max|r_ij|`` on every ``|a . r_i|`` and of
+    ``max|r_ij|``, so every ray entry and every lane value lies in
+    ``(-B, B)`` before the bias and in ``(0, 2B)`` after it: the lanes pack
+    and add without a carry or borrow between them.  The top bit of a lane
+    is then set exactly when ``a . r_i >= 0``, and that of ``s - ones``
+    exactly when ``a . r_i >= 1``, that is when ``-a . r_i < 0``.  The top
+    byte of every lane is one slice of the big-endian bytes of ``s``, turned
+    into the binary digits of the mask, ray ``R - 1`` first, by one
+    ``translate``.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    top = max((abs(x) for r in rays for x in r.entries), default=0)
+    bound = rank * max((abs(x) for row in rows for x in row), default=0) * top
+    width = max(bound, top).bit_length() // 8 + 1
+    size = width * len(rays)
+    half = 1 << (8 * width - 1)
+    ones = int.from_bytes((b"\0" * (width - 1) + b"\1") * len(rays), "big")
+    bias = half * ones
+    # cols[j] = sum_i r_ij 2^(W i), packed as the lanes r_ij + B less B * ones
+    cols = [
+        int.from_bytes(b"".join([(x + half).to_bytes(width, "big") for x in col]), "big")
+        - bias
+        for col in zip(*(r.entries for r in reversed(rays)))
+    ]
+    for row in rows:
+        if row in out:
+            continue
+        s = sum(map(operator.mul, row, cols), bias)
+        out[row] = int(s.to_bytes(size, "big")[::width].translate(_CLEAR_TOP), 2)
+        out[tuple(-x for x in row)] = int(
+            (s - ones).to_bytes(size, "big")[::width].translate(_SET_TOP), 2
+        )
+    return out
+
+
 def validate_fan(f: Fan) -> bool:
     """True iff every pairwise intersection of cones is a common face.
 
     The facet certificate (see the module docstring) runs as bit tests.
     Each of the ``R`` rays of the fan has one bit and each cone the mask
     ``M`` of its rays.  Each cofactor row ``C_j``, scaled to a primitive
-    row, is dotted once with every ray, giving the mask ``N_j`` of the rays
-    with ``C_j . r < 0`` (and that of its negative, the row the cone across
-    the facet has): at most ``k * R`` integer dot products per cone of
-    dimension ``k``.  A pair ``(sigma, tau)`` is settled by a row of
+    row, gets the mask ``N_j`` of the rays with ``C_j . r < 0`` and its
+    negative, the row the cone across the facet has, that of the rays with
+    ``C_j . r > 0``: :func:`_sign_masks` computes both for every ray at once
+    with ``n`` big-integer multiply-adds, ``n`` the ambient rank, once per
+    distinct row of the fan.  A pair ``(sigma, tau)`` is settled by a row of
     ``sigma`` when ``tau`` lacks its generator ``g_j`` and ``N_j`` covers
     ``M_tau & ~M_sigma``, the rays only ``tau`` has: ``M_tau`` is disjoint
     from the block ``~(N_j | M_sigma) | bit(g_j)``.  The same test is tried
@@ -543,22 +597,19 @@ def validate_fan(f: Fan) -> bool:
     rays = f.rays()
     bit = {r: 1 << i for i, r in enumerate(rays)}
     full = (1 << len(rays)) - 1
-    high_to_low = [r.entries for r in reversed(rays)]
-    negative: dict[tuple[int, ...], int] = {}
-    masks, blocks = [], []
+    keys = []
     for c in cones:
-        m = sum(bit[g] for g in c.generators)
         own = []
-        for g, row in zip(c.generators, c.cofactors):
+        for row in c.cofactors:
             d = math.gcd(*row)
-            key = tuple(x // d for x in row)
-            if key not in negative:
-                dots = [sum(map(operator.mul, key, e)) for e in high_to_low]
-                negative[key] = int("".join(["01"[x < 0] for x in dots]), 2)
-                negative[tuple(-x for x in key)] = int("".join(["01"[x > 0] for x in dots]), 2)
-            own.append(full & ~(negative[key] | m) | bit[g])
+            own.append(tuple(x // d for x in row))
+        keys.append(own)
+    negative = _sign_masks(f.rank, [key for own in keys for key in own], rays)
+    masks, blocks = [], []
+    for c, own in zip(cones, keys):
+        m = sum(bit[g] for g in c.generators)
         masks.append(m)
-        blocks.append(own)
+        blocks.append([full & ~(negative[key] | m) | bit[g] for g, key in zip(c.generators, own)])
     for i, (ms, own) in enumerate(zip(masks, blocks)):
         pending = range(i + 1, len(cones))
         for z in own:

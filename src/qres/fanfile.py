@@ -97,15 +97,22 @@ def _parse_vector_once(
     Only lists of ``str`` items, the form :func:`emit_trace` writes, are
     keys: ``(1, 0)`` equals ``(True, 0)`` and ``(1.0, 0)``, so a looser key
     would let a payload that :func:`_parse_int` rejects hit the entry of a
-    valid one.  Any other payload takes the full parse every time.
+    valid one.  A lookup needs no such check, since a tuple with an item
+    that is not a ``str`` equals no key; the items are checked only before
+    a parsed vector is stored.  Any other payload, an unhashable item
+    included, takes the full parse every time.
     """
-    if type(value) is not list or not all(type(x) is str for x in value):
-        vec = _parse_vector(value, lineno, what)
-    else:
+    vec = key = None
+    if type(value) is list:
         key = tuple(value)
-        vec = memo.get(key)
-        if vec is None:
-            vec = memo[key] = _parse_vector(value, lineno, what)
+        try:
+            vec = memo.get(key)
+        except TypeError:  # an unhashable item, such as a list or an object
+            key = None
+    if vec is None:
+        vec = _parse_vector(value, lineno, what)
+        if key is not None and all(type(x) is str for x in key):
+            memo[key] = vec
     if vec.rank != rank:
         raise FanParseError(f"{what} {vec} has rank {vec.rank}, expected {rank}", lineno)
     return vec
@@ -176,7 +183,11 @@ def parse_fan(text: str) -> MarkedFan:
             ids = obj.get("rays")
             if not isinstance(ids, list) or not ids:
                 raise FanParseError("cone record needs a nonempty 'rays' list", lineno)
-            cone_records.append((lineno, [_parse_int(x, lineno, "cone ray id") for x in ids]))
+            ids = [_parse_int(x, lineno, "cone ray id") for x in ids]
+            if len(set(ids)) != len(ids):
+                twice = next(rid for rid in ids if ids.count(rid) > 1)
+                raise FanParseError(f"cone names ray id {twice} twice", lineno)
+            cone_records.append((lineno, ids))
         elif kind == "marked":
             if "ray" not in obj:
                 raise FanParseError("marked record needs a 'ray' id", lineno)

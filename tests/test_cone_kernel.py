@@ -5,13 +5,14 @@ Every cone, full-dimensional or not, answers ``numerators``, ``contains``,
 minor ``det`` on its first column basis and its cofactor rows, builds the
 pieces of a subdivision from the parent's rows, and settles most pairs of
 the fan check with one cofactor row, run as bit masks of its signs on the
-rays of the fan.  These tests compare every answer with the ``Fraction``
+rays of the fan, computed for every ray at once in packed big-integer
+lanes.  These tests compare every answer with the ``Fraction``
 elimination of ``span_coordinates`` and ``matrix_rank``, the constructor's
 own elimination (and its closed forms with the Bareiss elimination), the
 Smith normal form, the all-pairs maximality rule, the
-one-ray-at-a-time reference subdivision and the ``Fraction``
-Fourier-Motzkin fan check written out below, on cones of rank 2-5 and of
-every dimension.
+one-ray-at-a-time reference subdivision, the one-dot-product-per-ray sign
+masks and the ``Fraction`` Fourier-Motzkin fan check written out below, on
+cones of rank 2-5 and of every dimension.
 """
 
 import functools
@@ -354,6 +355,12 @@ class TestFullDimensionalKernel:
         assert not z.contains(IntegerVector((1, 0, 0)))
 
 
+# faces of the orthant of rank 4 whose sorted generators have a first
+# maximal minor of each sign
+LOWER_NEG = Cone(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+LOWER_POS = Cone(4, [(-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+
+
 class TestSubdivideCone:
     def test_ray_outside_raises_measure_error(self):
         c = Cone(2, [(1, 0), (0, 1)])
@@ -367,6 +374,12 @@ class TestSubdivideCone:
     def test_pieces_from_parent_rows_equal_the_constructor(self):
         seen = set()
 
+        # a lower-dimensional cone of each minor sign, cut at an interior ray
+        # and at a ray of a proper face: each kind the assertion below needs
+        @example((LOWER_NEG, IntegerVector((1, 1, 1, 0)), [0, 1, 2]))
+        @example((LOWER_NEG, IntegerVector((0, 1, 1, 0)), [0, 1]))
+        @example((LOWER_POS, IntegerVector((-1, 1, 1, 0)), [0, 1, 2]))
+        @example((LOWER_POS, IntegerVector((-1, 0, 1, 0)), [0, 1]))
         @given(cone_and_ray())
         @settings(max_examples=300, deadline=None)
         def check(data):
@@ -424,9 +437,9 @@ def cone_and_ray(draw):
 
 
 @st.composite
-def mixed_cone_lists(draw):
+def mixed_cone_lists(draw, max_rank=4):
     """Full cones of one rank plus some of their faces and stray lower cones."""
-    n = draw(st.integers(2, 4))
+    n = draw(st.integers(2, max_rank))
     full = draw(st.lists(full_cones(n), min_size=1, max_size=4))
     cones = list(full)
     for c in full:
@@ -615,6 +628,52 @@ class TestFacetCertificate:
 ORTHANT = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
+def reference_sign_masks(rows, rays):
+    """The masks of ``_sign_masks`` one dot product at a time, as
+    ``validate_fan`` made them before it packed the rays into lanes: each
+    row and its negative with the mask of the rays it is negative on."""
+    out = {}
+    high_to_low = [r.entries for r in reversed(rays)]
+    for key in rows:
+        if key not in out:
+            dots = [sum(a * b for a, b in zip(key, e)) for e in high_to_low]
+            out[key] = int("".join(["01"[x < 0] for x in dots]), 2)
+            out[tuple(-x for x in key)] = int("".join(["01"[x > 0] for x in dots]), 2)
+    return out
+
+
+def fan_rows(fan):
+    """Every cofactor row of the fan scaled to a primitive row, in the order
+    ``validate_fan`` passes them to ``_sign_masks``."""
+    return [
+        tuple(x // math.gcd(*row) for x in row)
+        for c in fan.sorted_cones()
+        for row in c.cofactors
+    ]
+
+
+BIG = st.integers(-(2**64), 2**64)
+
+
+@st.composite
+def rows_and_rays(draw):
+    """Rows and rays of rank 2-5 with entries up to 2^64 of both signs,
+    plus rows whose dot with a drawn ray is exactly -1, 0 or 1, where the
+    lanes' sign bits change: such a ray ends in 1 and the row's last entry
+    makes up the dot."""
+    n = draw(st.integers(2, 5))
+    vectors = st.lists(BIG, min_size=n, max_size=n).filter(any)
+    rays = draw(st.lists(vectors, min_size=1, max_size=8))
+    rows = draw(st.lists(vectors, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 4))):
+        ray = draw(st.sampled_from(rays))
+        ray[-1] = 1
+        head = draw(st.lists(BIG, min_size=n - 1, max_size=n - 1))
+        dot = draw(st.sampled_from([-1, 0, 1]))
+        rows.append(head + [dot - sum(a * b for a, b in zip(head, ray))])
+    return n, [tuple(row) for row in rows], [IntegerVector(r) for r in rays]
+
+
 class TestSignMaskFanCheck:
     # rays on a facet hyperplane of the orthant, through its 2-face: a row
     # that is only nonpositive there must not settle the pair
@@ -642,3 +701,39 @@ class TestSignMaskFanCheck:
         assert len(fan.cones) == 103
         assert validate_fan(fan)
         assert len(calls) <= 50
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fans_without_rays_are_valid(self, n):
+        # no rows and no rays: nothing to pack into lanes
+        assert validate_fan(Fan(n, []))
+        assert validate_fan(Fan(n, [Cone(n, [])]))
+
+    @given(st.one_of(mixed_cone_lists(max_rank=5), subdivided_fans()))
+    @settings(max_examples=200, deadline=None)
+    def test_lane_masks_equal_the_dot_products_on_fans(self, data):
+        # equal masks give equal blocks, so the same pairs reach
+        # _meet_in_common_face as with one dot product per row and ray
+        n, cones = data
+        fan = Fan(n, cones)
+        rows, rays = fan_rows(fan), fan.rays()
+        assert cones_fans._sign_masks(n, rows, rays) == reference_sign_masks(rows, rays)
+
+    @example((2, [(1, 1)], [IntegerVector(v) for v in [(1, 0), (0, -1), (1, -1)]]))
+    @example((3, [(2**64, 1, -(2**64))], [IntegerVector((1, 0, 1)), IntegerVector((1, -1, 1))]))
+    @given(rows_and_rays())
+    @settings(max_examples=300, deadline=None)
+    def test_lane_masks_equal_the_dot_products_at_the_sign_boundaries(self, data):
+        n, rows, rays = data
+        assert cones_fans._sign_masks(n, rows, rays) == reference_sign_masks(rows, rays)
+
+    def test_large_fan_validates_and_rejects_an_overlapping_cone(self):
+        fan = resolve(marked_fan_from_characters(211, (1, 37, 101))).final.fan
+        assert len(fan.cones) == 1115
+        assert validate_fan(fan)
+        # a cone from the interior of one cone to that of another sharing no
+        # ray with it meets both outside any common face
+        cones = fan.sorted_cones()
+        sigma = cones[0]
+        tau = next(c for c in cones[1:] if not set(c.generators) & set(sigma.generators))
+        inner = [primitive(IntegerVector(combine(c, [1] * c.dim))) for c in (sigma, tau)]
+        assert not validate_fan(Fan(fan.rank, [*cones, Cone(fan.rank, inner)]))

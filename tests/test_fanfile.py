@@ -1,7 +1,8 @@
 """Trace parsing: error messages, step indices and the cost of a parse.
 
-A fan file's ray of the wrong rank is reported at its line, and every added
-ray of a trace must be the ray of a center of its step.
+A fan file's ray of the wrong rank and a cone naming one ray id twice are
+reported at their lines, and every added ray of a trace must be the ray of
+a center of its step.
 
 The parse errors for bad vector payloads in every kind of record are pinned
 as they read before ``parse_trace`` shared one vector per distinct payload,
@@ -190,6 +191,29 @@ def test_fan_ray_of_another_rank_is_reported_at_its_line(tmp_path, capsys):
     fan_file.write_text(FAN_WITH_A_SHORT_RAY, encoding="utf-8")
     assert cli.main(["classify", str(fan_file)]) == 3
     assert capsys.readouterr().err == "error: line 3: ray 1 has rank 2, expected 3\n"
+
+
+FAN_NAMING_A_RAY_TWICE = "\n".join(
+    [
+        '{"characteristic":"0","rank":"3","record":"fan"}',
+        '{"id":"0","record":"ray","v":["1","0","0"]}',
+        '{"id":"1","record":"ray","v":["0","1","0"]}',
+        '{"id":"2","record":"ray","v":["0","0","1"]}',
+        '{"rays":["0","0","1"],"record":"cone"}',
+    ]
+) + "\n"
+
+
+def test_cone_naming_a_ray_twice_is_rejected(tmp_path, capsys):
+    # the Cone constructor drops a repeated generator, so without the check
+    # the record would read as the cone on rays 0 and 1
+    with pytest.raises(FanParseError) as info:
+        fanfile.parse_fan(FAN_NAMING_A_RAY_TWICE)
+    assert info.value.line == 5
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(FAN_NAMING_A_RAY_TWICE, encoding="utf-8")
+    assert cli.main(["classify", str(fan_file)]) == 3
+    assert capsys.readouterr().err == "error: line 5: cone names ray id 0 twice\n"
 
 
 def _cut_marking(recs):

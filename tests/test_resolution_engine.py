@@ -812,6 +812,36 @@ def test_classify_runs_one_smith_normal_form_per_singular_cone(tmp_path, monkeyp
     assert singular[-1] == 0
 
 
+# sha256 of the classify report, --json and text, of the fans of 1/31(1,5,11)
+# after one blow-up step and at the end, as recorded before classify
+# formatted each ray once per report
+CLASSIFY_PINS = [
+    (
+        "step",
+        "e8d9578e69021bc144b2d589beb3810963c5384f7d94157a5e8b82319b040b4b",
+        "a699e8834a3256aee307a11b85fcb61eea2a3e2220c819bf3e5650f7d2a99cc1",
+    ),
+    (
+        "final",
+        "a1a9b99b568300b2db7f28ed774626012189d5fd5830d99c7ef99f1b7928f6ad",
+        "fec6b466072f64865358014e614a6bc968d5de7a0f18d33b53ba2d1670dfa755",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "which, json_sha, text_sha", CLASSIFY_PINS, ids=[pin[0] for pin in CLASSIFY_PINS]
+)
+def test_classify_report_bytes_are_pinned(which, json_sha, text_sha, tmp_path, capsys):
+    m, trace = traced(CASES[0])
+    fan = resolution_engine.blowup_step(m)[0] if which == "step" else trace.final
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(fanfile.emit_fan(fan), encoding="utf-8")
+    for flags, sha in ((["--json"], json_sha), ([], text_sha)):
+        assert cli.main(["classify", str(fan_file), *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
 def test_glue_check_rejects_negative_samples(capsys):
     assert cli.main(["glue-check", "1/7(1,3,1)", "--samples", "-3"]) == 2
     assert "--samples" in capsys.readouterr().err
