@@ -264,7 +264,7 @@ class Fan:
         return "Fan{" + ", ".join(repr(c) for c in self.sorted_cones()) + "}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def multiplicity(c: Cone) -> int:
     """Index of the generator sublattice inside its saturation.
 

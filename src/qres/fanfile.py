@@ -21,8 +21,8 @@ parses each distinct vector payload once per call and hands the same
 so later dict, set and fan comparisons of these vectors short-circuit on
 identity.  Every center and final cone is still built, and so checked, by
 the :class:`~qres.cones_fans.Cone` constructor.  The step records must carry
-the indices ``0..N-1``, in any order, every vector the header's rank, and
-there is one ``final_fan`` record.
+the indices ``0..N-1``, in any order, every vector the header's rank, which
+must be positive, and there is one ``final_fan`` record.
 """
 
 from __future__ import annotations
@@ -118,6 +118,15 @@ def _parse_vector_once(
     return vec
 
 
+def _rank_and_characteristic(header: dict, lineno: int) -> tuple[int, int]:
+    """The positive rank and the characteristic (default 0) of a fan or trace header."""
+    rank = _parse_int(header.get("rank"), lineno, "rank")
+    characteristic = _parse_int(header.get("characteristic", "0"), lineno, "characteristic")
+    if rank < 1:
+        raise FanParseError("rank must be positive", lineno)
+    return rank, characteristic
+
+
 # ---------------------------------------------------------------------------
 # fan files
 
@@ -149,6 +158,7 @@ def parse_fan(text: str) -> MarkedFan:
     header: Optional[dict] = None
     header_line = 0
     rays: dict[int, IntegerVector] = {}
+    ray_ids: dict[IntegerVector, int] = {}
     ray_lines: dict[int, int] = {}
     cone_records: list[tuple[int, list[int]]] = []
     marked_records: list[tuple[int, int]] = []
@@ -177,7 +187,11 @@ def parse_fan(text: str) -> MarkedFan:
             vec = _parse_vector(obj["v"], lineno, "ray coordinates")
             if not is_primitive(vec):
                 raise FanParseError(f"ray {vec} is not primitive", lineno)
+            # a cone naming both ids would silently lose one generator
+            if vec in ray_ids:
+                raise FanParseError(f"ray {rid} repeats the vector of ray {ray_ids[vec]}", lineno)
             rays[rid] = vec
+            ray_ids[vec] = rid
             ray_lines[rid] = lineno
         elif kind == "cone":
             ids = obj.get("rays")
@@ -196,10 +210,7 @@ def parse_fan(text: str) -> MarkedFan:
             raise FanParseError(f"unknown record type {kind!r}", lineno)
     if header is None:
         raise FanParseError("missing fan header record")
-    rank = _parse_int(header.get("rank"), header_line, "rank")
-    characteristic = _parse_int(header.get("characteristic", "0"), header_line, "characteristic")
-    if rank < 1:
-        raise FanParseError("rank must be positive", header_line)
+    rank, characteristic = _rank_and_characteristic(header, header_line)
     if not cone_records:
         raise FanParseError("fan file declares no cones")
     for rid, vec in rays.items():
@@ -361,8 +372,7 @@ def parse_trace(text: str) -> TraceDocument:
     digest = header.get("input")
     if not isinstance(digest, str):
         raise FanParseError("trace header lacks an input digest", header_line)
-    rank = _parse_int(header.get("rank"), header_line, "rank")
-    characteristic = _parse_int(header.get("characteristic", "0"), header_line, "characteristic")
+    rank, characteristic = _rank_and_characteristic(header, header_line)
     memo: dict[tuple[str, ...], IntegerVector] = {}
     groups = []
     hint_groups = []

@@ -156,7 +156,7 @@ def _snf_characters(
     return order, tuple(e % order for e in left[k])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def cone_characters(c: Cone) -> tuple[int, tuple[int, ...]]:
     """Order and characters of a cone's cyclic quotient, generator-aligned.
 

@@ -17,19 +17,19 @@ of the loop is checked explicitly and a failure raises
 A blow-up changes only the stars of its centers, so each step passes its
 state to the next instead of rebuilding it from the fan.  The fan carries
 its ray index (:attr:`~qres.cones_fans.Fan.ray_index`) and the marked fan
-its singular cones grouped by multiplicity (:attr:`MarkedFan.singular`),
-from which the measures and the targets are read.  The step's
+the order and characters of each singular cone (:attr:`MarkedFan.singular`),
+from which the measures, the targets and the centers are read.  The step's
 :func:`~qres.cones_fans.star_subdivide` records the cones it removed and
-added and the pieces of each cone it split: the child's groups are the
-parent's less the removed cones plus the singular added ones, only those
-are checked for a cyclic quotient, and each center's charts are the pieces
-the subdivision made of it.
+added and the pieces of each cone it split.  The step classifies each added
+cone once, which checks that its quotient is cyclic: the child's groups are
+the parent's less the removed cones plus the singular added ones, and each
+center's charts are the pieces the subdivision made of it, with their
+orders and characters from that classification.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -66,15 +66,18 @@ PHASE_NON_TAME = "non-tame"
 
 _STEP_BUDGET = 100_000
 
+# the order and generator-aligned characters of a cone's cyclic quotient
+Quotient = tuple[int, tuple[int, ...]]
+
 
 @dataclass(frozen=True)
 class MarkedFan:
     """Fan with ordered marked divisor rays and a base characteristic.
 
     ``marked_position`` maps each marked ray to its last position in the
-    marking, its creation index.  :attr:`singular` groups the singular cones
-    of the fan by multiplicity; like ``marked_position`` it is derived data,
-    not part of equality.
+    marking, its creation index.  :attr:`singular` holds the order and
+    characters of each singular cone; like ``marked_position`` it is
+    derived data, not part of equality.
     """
 
     fan: Fan
@@ -113,62 +116,52 @@ class MarkedFan:
         object.__setattr__(self, "marked_position", position)
 
     @cached_property
-    def singular(self) -> dict[int, frozenset[Cone]]:
-        """The singular cones of the fan by multiplicity; no multiplicity
-        maps to an empty set.  One scan of the fan, on first read, for a
-        constructed marked fan; a blow-up step derives it from its parent's
-        (see :meth:`_subdivided`)."""
-        groups: dict[int, set[Cone]] = {}
-        for c in self.fan.cones:
-            x = multiplicity(c)
-            if x > 1:
-                groups.setdefault(x, set()).add(c)
-        return {x: frozenset(cs) for x, cs in groups.items()}
-
-    @cached_property
-    def _unchecked(self) -> tuple[Cone, ...]:
-        """The singular cones whose quotient :func:`invariant` checks to be
-        cyclic, in sorted order: all of them for a constructed marked fan,
-        only those a blow-up step added for its result."""
-        return tuple(sorted(itertools.chain(*self.singular.values()), key=Cone.sort_key))
+    def singular(self) -> dict[int, dict[Cone, tuple[int, ...]]]:
+        """The singular cones of the fan by order, each with its characters;
+        no order maps to an empty dict.  Classified in sorted order on first
+        read for a constructed marked fan, so the first cone that is not
+        cyclic raises; a blow-up step derives it from its parent's."""
+        groups: dict[int, dict[Cone, tuple[int, ...]]] = {}
+        for c in self.fan.sorted_cones():
+            order, chars = cone_characters(c)
+            if order > 1:
+                groups.setdefault(order, {})[c] = chars
+        return groups
 
     def _subdivided(
-        self, fan: Fan, added_rays: tuple[IntegerVector, ...], done: Subdivision
+        self,
+        fan: Fan,
+        added_rays: tuple[IntegerVector, ...],
+        done: Subdivision,
+        classes: dict[Cone, Quotient],
     ) -> "MarkedFan":
         """The marked fan after a step that subdivided ``self.fan`` into
-        ``fan``, as ``done`` records, and marked ``added_rays``.
+        ``fan``, as ``done`` records, and marked ``added_rays``; ``classes``
+        holds the quotient of every cone in ``done.added``.
 
         Only what the step changed is computed: the groups of
         :attr:`singular` lose the removed cones and gain the singular added
-        ones, which alone are left for :func:`invariant` to check.  The added
-        rays need no check against the fan: :func:`star_subdivide` raises
-        unless each lands in a cone, and no ray of a split cone is lost.
+        ones.  The added rays need no check against the fan:
+        :func:`star_subdivide` raises unless each lands in a cone, and no ray
+        of a split cone is lost.
         """
-        changes: dict[int, tuple[list[Cone], list[Cone]]] = {}
+        changes: dict[int, tuple[set[Cone], dict[Cone, tuple[int, ...]]]] = {}
         for c in done.removed:
             x = multiplicity(c)
             if x > 1:
-                changes.setdefault(x, ([], []))[0].append(c)
-        fresh = []
-        for c in done.added:
-            x = multiplicity(c)
+                changes.setdefault(x, (set(), {}))[0].add(c)
+        for c, (x, chars) in classes.items():
             if x > 1:
-                changes.setdefault(x, ([], []))[1].append(c)
-                fresh.append(c)
+                changes.setdefault(x, (set(), {}))[1][c] = chars
         groups = dict(self.singular)
         for x, (drop, add) in changes.items():
-            group = groups.get(x, frozenset()).difference(drop).union(add)
-            if group:
-                groups[x] = group
-            else:
-                del groups[x]
+            groups[x] = {c: ch for c, ch in groups.get(x, {}).items() if c not in drop} | add
         n = len(self.marked_rays)
         position = dict(self.marked_position)
         position.update((ray, n + i) for i, ray in enumerate(added_rays))
         child = object.__new__(MarkedFan)
         child._set(fan, self.marked_rays + added_rays, self.characteristic, position)
-        child.__dict__["singular"] = groups
-        child.__dict__["_unchecked"] = tuple(sorted(fresh, key=Cone.sort_key))
+        child.__dict__["singular"] = {x: group for x, group in groups.items() if group}
         return child
 
 
@@ -259,14 +252,10 @@ def fan_digest(m: MarkedFan) -> str:
 def invariant(m: MarkedFan) -> tuple[int, int]:
     """Maximal cone multiplicity and how many maximal cones attain it.
 
-    Raises :class:`~qres.errors.UnsupportedInputError` at the first cone in
-    sorted order whose quotient is not cyclic.  Only singular cones are
-    checked, since a smooth cone's quotient is trivial, and of a blow-up
-    step's result only those the step added: the rest were checked in its
-    parent, so the first failure is the same.
+    Read from :attr:`MarkedFan.singular`, whose first read on a constructed
+    marked fan raises :class:`~qres.errors.UnsupportedInputError` at the
+    first cone in sorted order whose quotient is not cyclic.
     """
-    for cone in m._unchecked:
-        cone_characters(cone)
     groups = m.singular
     if not groups:
         return 1, len(m.fan.cones)
@@ -282,10 +271,9 @@ def _nontame_invariant(m: MarkedFan) -> Optional[tuple[int, int]]:
     return top, len(m.singular[top])
 
 
-def _center_for(m: MarkedFan, cone: Cone) -> Center:
-    order, chars = cone_characters(cone)
-    if order == 1:
-        raise PreconditionError(f"{cone} is already smooth")
+def _center_for(m: MarkedFan, cone: Cone, order: int) -> Center:
+    """The center of a singular cone of this order, from its carried characters."""
+    chars = m.singular[order][cone]
     gens = cone.generators
     position = m.marked_position
     unit_marked = [
@@ -313,20 +301,20 @@ def _center_for(m: MarkedFan, cone: Cone) -> Center:
 
 
 def _local_charts(
-    center: Center, characteristic: int, done: Subdivision
+    center: Center, characteristic: int, done: Subdivision, classes: dict[Cone, Quotient]
 ) -> tuple[ChartRecord, ...]:
     # no center splits another's cone: a center ray lies on a face carrying its
     # cone's whole group, so every target having that face has the same ray
     pieces = done.pieces.get((center.cone, center.ray))
-    if pieces is None:
+    if pieces is None or any(piece not in classes for piece in pieces):
         raise MeasureError(f"the step did not subdivide its center {center.cone}")
     expected = sorted(w for w in center.weights if w > 0)
-    got = sorted(multiplicity(piece) for piece in pieces)
+    got = sorted(classes[piece][0] for piece in pieces)
     if got != expected:
         raise MeasureError(f"chart orders {got} differ from weights {expected}")
     records = []
     for piece in sorted(pieces, key=Cone.sort_key):
-        order, chars = cone_characters(piece)
+        order, chars = classes[piece]
         pos = piece.generators.index(center.ray)
         exc = chars[pos]
         # the exceptional character is the center order mod the chart order,
@@ -373,13 +361,15 @@ def _apply_step(
     from ``m`` and the record of its subdivision.
     """
     top = nt_before[0] if phase == PHASE_NON_TAME else inv_before[0]
-    centers = tuple(_center_for(m, c) for c in _targets(m, top))
+    centers = tuple(_center_for(m, c, top) for c in _targets(m, top))
     cone_of = _center_cones(centers)
     added = tuple(sorted(cone_of, key=lambda v: v.entries))
     done = Subdivision()
     fan = star_subdivide(m.fan, added, [cone_of[u] for u in added], record=done)
-    new_m = m._subdivided(fan, added, done)
-    charts = tuple(_local_charts(center, m.characteristic, done) for center in centers)
+    # each added cone is classified once, in sorted order: the first not cyclic raises
+    classes = {c: cone_characters(c) for c in sorted(done.added, key=Cone.sort_key)}
+    new_m = m._subdivided(fan, added, done, classes)
+    charts = tuple(_local_charts(center, m.characteristic, done, classes) for center in centers)
     record = StepRecord(
         phase=phase,
         centers=centers,
@@ -428,9 +418,9 @@ def resolve(m: MarkedFan) -> ResolutionTrace:
     marking.  Raises :class:`MeasureError` when a recorded measure fails to
     decrease or the final fan is not smooth.
     """
-    for cone in m.fan.sorted_cones():
-        if multiplicity(cone) > 1:
-            _center_for(m, cone)
+    order_of = {c: x for x, group in m.singular.items() for c in group}
+    for cone in sorted(order_of, key=Cone.sort_key):
+        _center_for(m, cone, order_of[cone])
     steps: list[StepRecord] = []
     current = m
     inv, nt = invariant(m), _nontame_invariant(m)

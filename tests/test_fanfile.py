@@ -1,8 +1,9 @@
 """Trace parsing: error messages, step indices and the cost of a parse.
 
-A fan file's ray of the wrong rank and a cone naming one ray id twice are
-reported at their lines, and every added ray of a trace must be the ray of
-a center of its step.
+A fan file's ray of the wrong rank, a ray repeating another's vector and a
+cone naming one ray id twice are reported at their lines, a header rank
+below 1 at the header line of a fan or trace file, and every added ray of
+a trace must be the ray of a center of its step.
 
 The parse errors for bad vector payloads in every kind of record are pinned
 as they read before ``parse_trace`` shared one vector per distinct payload,
@@ -214,6 +215,43 @@ def test_cone_naming_a_ray_twice_is_rejected(tmp_path, capsys):
     fan_file.write_text(FAN_NAMING_A_RAY_TWICE, encoding="utf-8")
     assert cli.main(["classify", str(fan_file)]) == 3
     assert capsys.readouterr().err == "error: line 5: cone names ray id 0 twice\n"
+
+
+FAN_REPEATING_A_RAY = "\n".join(
+    [
+        '{"characteristic":"0","rank":"2","record":"fan"}',
+        '{"id":"0","record":"ray","v":["1","0"]}',
+        '{"id":"1","record":"ray","v":["1","0"]}',
+        '{"id":"2","record":"ray","v":["0","1"]}',
+        '{"rays":["0","1","2"],"record":"cone"}',
+    ]
+) + "\n"
+
+
+def test_two_rays_with_one_vector_are_rejected(tmp_path, capsys):
+    # the Cone constructor drops a repeated generator, so the cone record
+    # used to read as the 2-cone on (0,1) and (1,0) without a word
+    with pytest.raises(FanParseError) as info:
+        fanfile.parse_fan(FAN_REPEATING_A_RAY)
+    assert info.value.line == 3
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(FAN_REPEATING_A_RAY, encoding="utf-8")
+    assert cli.main(["classify", str(fan_file)]) == 3
+    assert capsys.readouterr().err == "error: line 3: ray 1 repeats the vector of ray 0\n"
+
+
+@pytest.mark.parametrize("rank", ["0", "-1"])
+def test_a_rank_below_one_is_reported_at_the_header_of_either_file(rank):
+    # a trace read the rank and compared the first added ray with it:
+    # "line 2: added ray (...) has rank 3, expected 0"
+    recs = records()
+    recs[1]["rank"] = rank
+    assert parse_error(recs) == ("line 1: rank must be positive", 1)
+    fan = fanfile.emit_fan(marked_fan_from_characters(31, (1, 5, 11)))
+    fan = fan.replace('"rank":"3"', f'"rank":"{rank}"')
+    with pytest.raises(FanParseError) as info:
+        fanfile.parse_fan(fan)
+    assert (str(info.value), info.value.line) == ("line 1: rank must be positive", 1)
 
 
 def _cut_marking(recs):

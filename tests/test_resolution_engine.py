@@ -7,7 +7,8 @@ and its errors for a center not containing its ray or naming a face an
 earlier ray split, that no center splits another's cone, pinned traces of
 larger types and bounds on the containment tests, sorts, multiplicities and
 subdivisions of one of them, the state each step carries to the next against
-a rebuild from the fan, the chart pieces against a fresh subdivision of
+a rebuild from the fan, one classification of each cone a step adds (also in
+a non-pure fan), the chart pieces against a fresh subdivision of
 their center, functoriality under lattice automorphisms, permutations of the
 characters, restriction to the cones after one step and smooth base change
 (the product with a ray), independence of the trace bytes from the hash
@@ -21,6 +22,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -360,6 +362,12 @@ LARGER_PINS = [
         919,
         "747f94e54f75fc2f2fdd4f4066d9962bf94331b2dc46130d76e842c760cfb8ae",
     ),
+    (
+        (131, (1, 7, 19, 31), 0),
+        64,
+        14523,
+        "d12a37a6c857f755b135fb16ec9cfcf80ac2fcbed70733ede4e0556b08762942",
+    ),
 ]
 
 
@@ -372,6 +380,48 @@ def test_larger_types_keep_their_traces(case, steps, cones, sha256):
     assert (len(trace.steps), len(trace.final.fan.cones)) == (steps, cones)
     text = fanfile.emit_trace(trace)
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+def _non_pure_fan():
+    """The cone of 1/31(1,5,11) beside a maximal 2-cone of type 1/2(1,1)
+    that meets it only at the origin, each with a marked ray."""
+    m = marked_fan_from_characters(31, (1, 5, 11))
+    tau = Cone(3, [(1, -1, -1), (1, 1, -1)])
+    return MarkedFan(Fan(3, [*m.fan.cones, tau]), m.marked_rays + tau.generators[1:])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: marked_fan_from_characters(211, (1, 37, 101)),
+        lambda: marked_fan_from_characters(12, (1, 5, 7), 2),
+        _non_pure_fan,
+    ],
+    ids=["1/211(1,37,101)", "1/12(1,5,7)@p=2", "non-pure-rank-3"],
+)
+def test_each_new_cone_is_classified_once(make, monkeypatch):
+    # the step that adds a cone classifies it, and the marked fan carries its
+    # order and characters to the charts, the measures and the next centers;
+    # read back from the cone_characters cache, each center piece was
+    # classified two or three times
+    m = make()
+    seen = []
+    uncached = quotient_classifier.cone_characters.__wrapped__
+    monkeypatch.setattr(
+        resolution_engine, "cone_characters", lambda c: seen.append(c) or uncached(c)
+    )
+    trace = resolve(m)
+    counts = Counter(seen)
+    assert any(c.dim < c.rank for c in counts) == (make is _non_pure_fan)
+    assert m.fan.cones <= counts.keys()
+    assert trace.final.fan.cones - m.fan.cones <= counts.keys()
+    assert [c for c, n in counts.items() if n > 1 and c not in m.fan.cones] == []
+    for step in trace.steps:
+        for charts in step.charts:
+            for chart in charts:
+                assert chart.chart_type == quotient_classifier.CyclicQuotientType(
+                    *uncached(chart.cone)
+                )
 
 
 @st.composite
@@ -395,14 +445,16 @@ def _rebuilt_index(fan):
 
 
 def _assert_state_is_rebuilt(m):
-    """The carried index, groups and measures of ``m`` against a scan of
-    every cone of its fan."""
+    """The carried index, groups, characters and measures of ``m`` against a
+    scan of every cone of its fan."""
     assert m.fan.ray_index == _rebuilt_index(m.fan)
     mults = {c: multiplicity(c) for c in m.fan.cones}
     groups = {}
     for c, x in mults.items():
         if x > 1:
-            groups.setdefault(x, set()).add(c)
+            order, chars = quotient_classifier.cone_characters.__wrapped__(c)
+            assert order == x
+            groups.setdefault(x, {})[c] = chars
     assert m.singular == groups
     top = max(mults.values())
     assert invariant(m) == (top, sum(1 for x in mults.values() if x == top))
@@ -457,7 +509,7 @@ def test_carried_step_state_equals_a_rebuild(case):
         else:
             break
         target = _targets(m, (nt or inv)[0])[0]
-        u = _center_for(m, target).ray
+        u = _center_for(m, target, (nt or inv)[0]).ray
         _assert_subdivision_leaves_input(m.fan, u, target, *_interior_ray(m.fan, u))
         m, record = _apply_step(m, phase, inv, nt)
         inv, nt = record.invariant_after, record.nontame_after
@@ -486,12 +538,13 @@ def test_chart_pieces_missing_from_the_subdivision_are_a_measure_error():
     m = marked_fan_from_characters(31, (1, 5, 11))
     (sigma,) = m.fan.cones
     e1, e2, _ = sigma.generators
-    center = _center_for(m, sigma)
+    center = _center_for(m, sigma, 31)
     done = Subdivision()
     star_subdivide(m.fan, [e1 + e2], [sigma], record=done)
     assert (sigma, e1 + e2) in done.pieces and (sigma, center.ray) not in done.pieces
+    classes = {c: quotient_classifier.cone_characters(c) for c in done.added}
     with pytest.raises(MeasureError, match="did not subdivide its center"):
-        resolution_engine._local_charts(center, 0, done)
+        resolution_engine._local_charts(center, 0, done, classes)
 
 
 @given(quotient_types(max_order=(60, 24, 12, 6)))

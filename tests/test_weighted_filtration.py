@@ -1,12 +1,15 @@
 import hashlib
+import importlib
 import itertools
 import math
+import pkgutil
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qres
 from qres import cli, weighted_filtration
 from qres.errors import DimensionError, GluePreconditionError
 from qres.quotient_classifier import (
@@ -414,13 +417,21 @@ def test_simplex_enumerations_are_pinned(case):
 
 
 def test_every_cache_is_bounded():
-    caches = {
-        name: value
-        for name, value in vars(weighted_filtration).items()
-        if hasattr(value, "cache_info")
-        and getattr(value, "__module__", "") == weighted_filtration.__name__
-    }
-    assert {"_ideal_generators_cached", "_image_power", "substitute", "_term_pools"} <= set(caches)
+    # every lru_cache of every qres module, not only this one's
+    caches = {}
+    for info in pkgutil.iter_modules(qres.__path__):
+        mod = importlib.import_module(f"qres.{info.name}")
+        for name, value in vars(mod).items():
+            if hasattr(value, "cache_info") and getattr(value, "__module__", "") == mod.__name__:
+                caches[f"{info.name}.{name}"] = value
+    assert {
+        "cones_fans.multiplicity",
+        "quotient_classifier.cone_characters",
+        "weighted_filtration._ideal_generators_cached",
+        "weighted_filtration._image_power",
+        "weighted_filtration.substitute",
+        "weighted_filtration._term_pools",
+    } <= set(caches)
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name
 
