@@ -6,8 +6,9 @@ Exit codes:
 - 0: success.
 - 1: ``glue-check`` ran, but some sampled substitution broke the filtration.
 - 2: precondition violation, for example ``--samples`` below 0, a
-  ``hilbert`` degree bound or a ``glue-check`` truncation below 1, a ray
-  outside the fan or a singular cone without a faithful marked ray.
+  ``hilbert`` degree bound or a ``glue-check`` truncation below 1, an
+  ``hj L A`` pair with ``A`` outside ``(0, L)`` or not coprime to ``L``, a
+  ray outside the fan or a singular cone without a faithful marked ray.
   argparse also exits 2 on malformed arguments.
 - 3: parse error or other invalid input, or an output file
   (``resolve --emit-trace``, ``blowup --emit``) that cannot be written,
@@ -317,7 +318,7 @@ def _cmd_glue_check(args) -> int:
     order, chars = parse_quotient_literal(args.type)
     if math.gcd(chars[-1], order) != 1:
         raise PreconditionError(
-            f"last coordinate of 1/{order}{chars} must carry a unit character"
+            f"last coordinate of {args.type.strip()} must carry a unit character"
         )
     w = WeightedFiltration(order, unit_weights(order, chars, len(chars) - 1))
     if args.kmax < 1:

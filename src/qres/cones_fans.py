@@ -39,8 +39,9 @@ is the set of cones containing the ray; a cone that does not contain its
 ray, or whose face is not a cone of the fan, is an error, never a reason
 to scan the fan.  The pieces of a cone take their ``det`` and cofactor rows
 from the parent's by one exact rank-one update each (see
-:func:`_subdivide_cone`), so a subdivision runs no elimination; cones hash
-once, in their constructor.
+:func:`_subdivide_cone`), so a subdivision runs no elimination, and keep the
+parent's sorted order with the new ray inserted where it sorts, so no piece
+is sorted again; cones hash once, in their constructor.
 On request a :class:`Subdivision` records the cones removed and added and
 the pieces of every cone split, so a caller can update what it derives from
 the fan instead of recomputing it.
@@ -72,7 +73,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInputError, DimensionError, MeasureError, SupportError
-from .exact_lattice import IntegerVector, adjugate, is_primitive, smith_rows
+from .exact_lattice import IntegerVector, adjugate, is_primitive, smith_elimination
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ class Cone:
         if v.rank != self.rank:
             raise DimensionError("vector rank does not match the cone")
         e = v.entries
-        nums = tuple(sum(a * b for a, b in zip(row, e)) for row in self.cofactors)
+        nums = tuple([sum(map(operator.mul, row, e)) for row in self.cofactors])
         if self.dim < self.rank and any(
             sum(x * g.entries[i] for x, g in zip(nums, self.generators)) != self.det * ei
             for i, ei in enumerate(e)
@@ -275,7 +276,7 @@ def multiplicity(c: Cone) -> int:
     """
     if c.det == 1 or c.is_full_dimensional():
         return c.det
-    return math.prod(smith_rows([g.entries for g in c.generators])[0])
+    return math.prod(smith_elimination([g.entries for g in c.generators])[0])
 
 
 def faces(c: Cone) -> frozenset[Cone]:
@@ -310,7 +311,11 @@ def _subdivide_cone(
     determine it, so the division is exact and equals what the constructor
     computes.  The constructor's checks hold by construction: ``u`` is
     primitive (callers check it once per ray), the other generators are the
-    parent's, and ``n_i > 0`` makes them independent.
+    parent's, and ``n_i > 0`` makes them independent.  So does its order: a
+    piece keeps the parent's sorted generators and their rows, less slot
+    ``i``, with ``u`` and its row inserted at the slot where ``u`` sorts
+    among them, found by one comparison pass per call.  The pieces come in
+    the order of the slots they replace.
     """
     if nums is None:
         nd = c.numerators(u)
@@ -321,25 +326,23 @@ def _subdivide_cone(
     slots = [i for i, x in enumerate(nums) if x > 0]
     if len(slots) == 1 and nums[slots[0]] == den:
         return (c,)
-    rows = c.cofactors
+    gens, rows = c.generators, c.cofactors
+    ue = u.entries
+    at = sum(g.entries < ue for g in gens)  # u is none of them
     pieces = []
     for i in slots:
         ni, ci = nums[i], rows[i]
-        gens = list(c.generators)
-        gens[i] = u
         new_rows = [
-            ci if j == i else tuple((ni * a - nj * b) // den for a, b in zip(rows[j], ci))
+            tuple([(ni * a - nj * b) // den for a, b in zip(rows[j], ci)])
             for j, nj in enumerate(nums)
+            if j != i
         ]
-        perm = sorted(range(c.dim), key=lambda j: gens[j].entries)
-        pieces.append(
-            Cone._from_parts(
-                c.rank,
-                tuple(gens[j] for j in perm),
-                ni,
-                tuple(new_rows[j] for j in perm),
-            )
-        )
+        new_gens = list(gens)
+        del new_gens[i]
+        slot = at - 1 if i < at else at
+        new_gens.insert(slot, u)
+        new_rows.insert(slot, ci)
+        pieces.append(Cone._from_parts(c.rank, tuple(new_gens), ni, tuple(new_rows)))
     return tuple(pieces)
 
 

@@ -17,11 +17,13 @@ other input takes one fraction-free (Bareiss) Gauss-Jordan elimination,
 closed forms.  :func:`span_coordinates` and :func:`matrix_rank` eliminate
 over ``Fraction`` and are only the reference the tests compare against.
 
-One Smith elimination, :func:`smith_rows`, works on plain int rows and
-returns the diagonal and both transforms as lists, so the classifier reads a
-cone's characters without building a matrix object per cone;
-:func:`smith_normal_form` wraps it for callers holding an
-:class:`IntegerMatrix` and returns a :class:`SmithDecomposition`.
+One Smith elimination, :func:`smith_elimination`, works on plain int rows
+and returns the diagonal and the left transform as lists, so the classifier
+reads a cone's characters without building a matrix object per cone.  It
+records its column operations instead of applying each one to a right
+transform, which no chart needs; only :func:`smith_rows` builds ``right``
+from that record, and :func:`smith_normal_form` wraps it for callers holding
+an :class:`IntegerMatrix` and returns a :class:`SmithDecomposition`.
 """
 
 from __future__ import annotations
@@ -308,14 +310,16 @@ def bareiss_adjugate(
     return tuple(pivots), sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
-def smith_rows(
+def smith_elimination(
     rows: Sequence[Sequence[int]],
-) -> tuple[tuple[int, ...], list[list[int]], list[list[int]]]:
-    """Smith normal form of ``k`` integer rows of length ``n``, given as int
-    sequences: ``(diagonal, left, right)`` with ``left`` (``k x k``) and
-    ``right`` (``n x n``) unimodular int rows and ``left @ rows @ right``
-    zero off its diagonal, whose ``min(k, n)`` entries are nonnegative and
-    each divide the next.
+) -> tuple[tuple[int, ...], list[list[int]], list[tuple[int, ...]]]:
+    """The Smith elimination of ``k`` integer rows of length ``n``, given as
+    int sequences: ``(diagonal, left, column_ops)`` with ``left`` (``k x k``)
+    unimodular int rows and ``left @ rows @ right`` zero off its diagonal,
+    whose ``min(k, n)`` entries are nonnegative and each divide the next.
+    ``right`` is the product of ``column_ops``, in order: ``(t, s)`` swaps
+    columns ``t`` and ``s``, ``(j, t, q)`` subtracts ``q`` times column
+    ``t`` from column ``j``; :func:`smith_rows` builds it.
 
     Pivoting is deterministic: the entry of smallest nonzero absolute value
     in the remaining submatrix wins, ties broken in row-major order, so the
@@ -331,7 +335,7 @@ def smith_rows(
         raise DimensionError("Smith normal form of an empty or ragged matrix")
     a = [list(r) for r in rows]
     left = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    right = [[int(i == j) for j in range(nc)] for i in range(nc)]
+    ops: list[tuple[int, ...]] = []
     size = min(nr, nc)
     t = 0
     while t < size:
@@ -350,8 +354,7 @@ def smith_rows(
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
-            for row in right:
-                row[t], row[pj] = row[pj], row[t]
+            ops.append((t, pj))
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             left[t] = [-x for x in left[t]]
@@ -370,8 +373,7 @@ def smith_rows(
             if q:
                 for row in a:
                     row[j] -= q * row[t]
-                for row in right:
-                    row[j] -= q * row[t]
+                ops.append((j, t, q))
             if r:
                 changed = True
         if changed:
@@ -383,7 +385,27 @@ def smith_rows(
         else:
             a[t] = [x + y for x, y in zip(at, a[viol])]
             left[t] = [x + y for x, y in zip(lt, left[viol])]
-    return tuple(a[i][i] for i in range(size)), left, right
+    return tuple(a[i][i] for i in range(size)), left, ops
+
+
+def smith_rows(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], list[list[int]], list[list[int]]]:
+    """Smith normal form of ``k`` integer rows of length ``n``:
+    ``(diagonal, left, right)`` of :func:`smith_elimination`, with the
+    unimodular ``right`` (``n x n`` int rows) built from its column
+    operations, applied in order to the columns of the identity."""
+    diagonal, left, ops = smith_elimination(rows)
+    n = len(rows[0])
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for op in ops:
+        if len(op) == 2:
+            t, s = op
+            cols[t], cols[s] = cols[s], cols[t]
+        else:
+            j, t, q = op
+            cols[j] = [x - q * y for x, y in zip(cols[j], cols[t])]
+    return diagonal, left, [list(r) for r in zip(*cols)]
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
@@ -425,7 +447,8 @@ def primitive(v: IntegerVector) -> IntegerVector:
 
 
 def is_primitive(v: IntegerVector) -> bool:
-    return not v.is_zero() and math.gcd(*[abs(e) for e in v.entries]) == 1
+    # the gcd of the entries is 0 for the zero vector
+    return math.gcd(*v.entries) == 1
 
 
 def span_coordinates(

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones_fans import Cone, Fan, multiplicity
-from .errors import DegenerateInputError, InfiniteQuotientError, MeasureError, QresError
+from .errors import (
+    DegenerateInputError,
+    InfiniteQuotientError,
+    MeasureError,
+    PreconditionError,
+)
 from .exact_lattice import IntegerMatrix, IntegerVector, adjugate
 from .quotient_classifier import _prime_factors, cone_characters, unit_weights
 
@@ -38,9 +43,9 @@ class HJExpansion:
 
 def _check_pair(l: int, a: int) -> None:
     if not 0 < a < l:
-        raise QresError(f"need 0 < a < l, got a={a}, l={l}")
+        raise PreconditionError(f"need 0 < a < l, got a={a}, l={l}")
     if math.gcd(a, l) != 1:
-        raise QresError(f"a={a} and l={l} are not coprime")
+        raise PreconditionError(f"a={a} and l={l} are not coprime")
 
 
 def hj_expansion(l: int, a: int) -> HJExpansion:

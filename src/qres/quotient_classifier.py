@@ -24,7 +24,7 @@ from .errors import (
     QresError,
     UnsupportedInputError,
 )
-from .exact_lattice import IntegerVector, primitive, smith_rows
+from .exact_lattice import IntegerVector, primitive, smith_elimination
 
 
 def _canonical_characters(order: int, chars: Sequence[int]) -> tuple[int, ...]:
@@ -143,7 +143,7 @@ def _snf_characters(
 ) -> tuple[int, tuple[int, ...]]:
     """Order and generator-aligned characters read off the diagonal and the
     left transform of a Smith normal form of the generator rows (see
-    :func:`~qres.exact_lattice.smith_rows`); raises
+    :func:`~qres.exact_lattice.smith_elimination`); raises
     :class:`UnsupportedInputError` when the quotient group is not cyclic."""
     heavy = [i for i, d in enumerate(diagonal) if d > 1]
     if len(heavy) > 1:
@@ -161,17 +161,19 @@ def cone_characters(c: Cone) -> tuple[int, tuple[int, ...]]:
     """Order and characters of a cone's cyclic quotient, generator-aligned.
 
     The characters are read off the distinguished quotient generator that
-    the Smith transform provides, so the result is deterministic; it is well
-    defined up to a unit rescaling.  The one elimination runs on the
-    generators' plain int rows (:func:`~qres.exact_lattice.smith_rows`), so
-    no matrix object is built per cone.  A cone with ``det`` 1 (every smooth
+    the left Smith transform provides, so the result is deterministic; it is
+    well defined up to a unit rescaling.  The one elimination runs on the
+    generators' plain int rows
+    (:func:`~qres.exact_lattice.smith_elimination`), so no matrix object is
+    built per cone, and reads only the diagonal and the left transform, so
+    no right transform is built either.  A cone with ``det`` 1 (every smooth
     full-dimensional cone, and the zero cone) has the trivial group, one
     zero character per generator, and skips the Smith normal form.  Raises
     :class:`UnsupportedInputError` when the quotient group is not cyclic.
     """
     if c.det == 1:
         return 1, (0,) * c.dim
-    diagonal, left, _ = smith_rows([g.entries for g in c.generators])
+    diagonal, left, _ = smith_elimination([g.entries for g in c.generators])
     return _snf_characters(diagonal, left)
 
 
@@ -184,7 +186,7 @@ def cone_descriptor(c: Cone) -> QuotientDescriptor:
     if c.det == 1:
         trivial = (0,) * c.dim
         return QuotientDescriptor((1,) * c.dim, True, CyclicQuotientType(1, trivial), trivial)
-    diagonal, left, _ = smith_rows([g.entries for g in c.generators])
+    diagonal, left, _ = smith_elimination([g.entries for g in c.generators])
     try:
         order, chars = _snf_characters(diagonal, left)
     except UnsupportedInputError:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
@@ -288,10 +289,7 @@ def _center_for(m: MarkedFan, cone: Cone, order: int) -> Center:
     divisor_index, k = max(unit_marked)
     divisor_ray = gens[k]
     weights = unit_weights(order, chars, k)
-    num = [0] * cone.rank
-    for w, g in zip(weights, gens):
-        for j in range(cone.rank):
-            num[j] += w * g.entries[j]
+    num = [sum(map(operator.mul, weights, col)) for col in zip(*(g.entries for g in gens))]
     if any(x % order for x in num):
         raise MeasureError(f"center of {cone} is not a lattice point")
     ray = IntegerVector([x // order for x in num])
@@ -301,30 +299,42 @@ def _center_for(m: MarkedFan, cone: Cone, order: int) -> Center:
 
 
 def _local_charts(
-    center: Center, characteristic: int, done: Subdivision, classes: dict[Cone, Quotient]
+    center: Center,
+    characteristic: int,
+    done: Subdivision,
+    classes: dict[Cone, Quotient],
+    trivial: CyclicQuotientType,
 ) -> tuple[ChartRecord, ...]:
+    """The chart records of a center's pieces, in sorted order, with their
+    quotients from the step's ``classes``; ``trivial`` is the type every
+    order-1 piece shares."""
     # no center splits another's cone: a center ray lies on a face carrying its
     # cone's whole group, so every target having that face has the same ray
-    pieces = done.pieces.get((center.cone, center.ray))
-    if pieces is None or any(piece not in classes for piece in pieces):
+    pieces = done.pieces.get((center.cone, center.ray), ())
+    charts = sorted((piece.sort_key(), piece, classes.get(piece)) for piece in pieces)
+    if not pieces or any(q is None for _, _, q in charts):
         raise MeasureError(f"the step did not subdivide its center {center.cone}")
     expected = sorted(w for w in center.weights if w > 0)
-    got = sorted(classes[piece][0] for piece in pieces)
+    got = sorted(q[0] for _, _, q in charts)
     if got != expected:
         raise MeasureError(f"chart orders {got} differ from weights {expected}")
     records = []
-    for piece in sorted(pieces, key=Cone.sort_key):
-        order, chars = classes[piece]
-        pos = piece.generators.index(center.ray)
-        exc = chars[pos]
+    for _, piece, (order, chars) in charts:
+        if order == 1:
+            # every character is 0, order 1 is tame and gcd(x, 1) = 1 passes
+            # both checks below
+            records.append(ChartRecord(piece, 1, trivial, True, 0))
+            continue
+        gens = piece.generators
+        exc = chars[gens.index(center.ray)]
         # the exceptional character is the center order mod the chart order,
         # hence a unit exactly when those two orders are coprime; singular
         # charts always keep the old divisor ray, whose character is -1
         if math.gcd(center.order, order) == 1 and math.gcd(exc, order) != 1:
             raise MeasureError(f"exceptional character of {piece} is not a unit")
-        if order > 1 and (
-            center.divisor_ray not in piece.generators
-            or math.gcd(chars[piece.generators.index(center.divisor_ray)], order) != 1
+        if (
+            center.divisor_ray not in gens
+            or math.gcd(chars[gens.index(center.divisor_ray)], order) != 1
         ):
             raise MeasureError(f"divisor ray lost faithfulness on {piece}")
         tame = is_tame(order, characteristic)
@@ -369,7 +379,12 @@ def _apply_step(
     # each added cone is classified once, in sorted order: the first not cyclic raises
     classes = {c: cone_characters(c) for c in sorted(done.added, key=Cone.sort_key)}
     new_m = m._subdivided(fan, added, done, classes)
-    charts = tuple(_local_charts(center, m.characteristic, done, classes) for center in centers)
+    # the type of every order-1 chart, one per dimension of a center
+    trivial = {d: CyclicQuotientType(1, (0,) * d) for d in {c.cone.dim for c in centers}}
+    charts = tuple(
+        _local_charts(center, m.characteristic, done, classes, trivial[center.cone.dim])
+        for center in centers
+    )
     record = StepRecord(
         phase=phase,
         centers=centers,

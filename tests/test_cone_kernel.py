@@ -376,6 +376,14 @@ class TestSubdivideCone:
 
         # a lower-dimensional cone of each minor sign, cut at an interior ray
         # and at a ray of a proper face: each kind the assertion below needs
+        # u sorting before every generator, after every generator and between
+        # them with a replaced generator on each side: every branch of the
+        # sorted insertion in _subdivide_cone
+        @example((Cone(2, [(2, -1), (2, 1)]), IntegerVector((1, 0)), [0, 1]))
+        @example((Cone(2, [(-2, -1), (-2, 1)]), IntegerVector((-1, 0)), [0, 1]))
+        @example(
+            (Cone(3, [(1, -1, 0), (1, 0, 1), (1, 1, 0)]), IntegerVector((1, 0, 0)), [0, 2])
+        )
         @example((LOWER_NEG, IntegerVector((1, 1, 1, 0)), [0, 1, 2]))
         @example((LOWER_NEG, IntegerVector((0, 1, 1, 0)), [0, 1]))
         @example((LOWER_POS, IntegerVector((-1, 1, 1, 0)), [0, 1, 2]))

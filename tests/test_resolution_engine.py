@@ -544,7 +544,8 @@ def test_chart_pieces_missing_from_the_subdivision_are_a_measure_error():
     assert (sigma, e1 + e2) in done.pieces and (sigma, center.ray) not in done.pieces
     classes = {c: quotient_classifier.cone_characters(c) for c in done.added}
     with pytest.raises(MeasureError, match="did not subdivide its center"):
-        resolution_engine._local_charts(center, 0, done, classes)
+        trivial = quotient_classifier.CyclicQuotientType(1, (0, 0, 0))
+        resolution_engine._local_charts(center, 0, done, classes, trivial)
 
 
 @given(quotient_types(max_order=(60, 24, 12, 6)))
@@ -847,10 +848,12 @@ def test_classify_runs_one_smith_normal_form_per_singular_cone(tmp_path, monkeyp
         m = resolution_engine.blowup_step(m)[0]
         fans.append(m)
     fans.append(traced(CASES[0])[1].final)
-    real = quotient_classifier.smith_rows
+    real = quotient_classifier.smith_elimination
     calls = []
     monkeypatch.setattr(
-        quotient_classifier, "smith_rows", lambda rows: calls.append(rows) or real(rows)
+        quotient_classifier,
+        "smith_elimination",
+        lambda rows: calls.append(rows) or real(rows),
     )
     fan_file = tmp_path / "fan.jsonl"
     singular = []
@@ -898,6 +901,30 @@ def test_classify_report_bytes_are_pinned(which, json_sha, text_sha, tmp_path, c
 def test_glue_check_rejects_negative_samples(capsys):
     assert cli.main(["glue-check", "1/7(1,3,1)", "--samples", "-3"]) == 2
     assert "--samples" in capsys.readouterr().err
+
+
+def test_glue_check_names_a_type_without_a_unit_divisor_as_typed(capsys):
+    assert cli.main(["glue-check", "1/7(1,3,0)", "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "last coordinate of 1/7(1,3,0) must carry a unit character" in captured.err
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (("5", "7"), "need 0 < a < l, got a=7, l=5"),
+        (("5", "0"), "need 0 < a < l, got a=0, l=5"),
+        (("6", "3"), "a=3 and l=6 are not coprime"),
+    ],
+    ids=["above", "zero", "not-coprime"],
+)
+def test_hj_rejects_a_pair_outside_its_precondition(pair, message, capsys):
+    # like every other numeric precondition, not invalid input (exit 3)
+    assert cli.main(["hj", *pair]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize(
