@@ -5,13 +5,16 @@ canonical (lexicographic) order, so equal cones compare equal and fans can
 be compared as sets.  Star subdivision and the shared-face fan check are
 exact; no floating point is used anywhere.
 
-Kernel.  Every cone computes once in its constructor, by
-:func:`~qres.exact_lattice.adjugate` of its ``k x n`` generator matrix
-``G`` (a closed form when the cone is full-dimensional of rank 2-4, one
-fraction-free elimination otherwise), its first column basis ``P``,
-``det = |det G_P|`` and ``k`` cofactor rows ``C_j``: ``sign(det G_P)``
+Kernel.  Every cone has ``det = |det G_P|``, set on construction, and
+``k`` cofactor rows ``C_j``, computed on first read, of its ``k x n``
+generator matrix ``G`` with first column basis ``P``: ``sign(det G_P)``
 times the columns of ``adj(G_P)``, zero off ``P``, so ``C_j . g_l`` is
-``det`` if ``j = l`` and 0 otherwise.  By Cramer's rule on ``P`` a vector
+``det`` if ``j = l`` and 0 otherwise.  One helper makes both, by
+:func:`~qres.exact_lattice.adjugate` (a closed form when the cone is
+full-dimensional of rank 2-4, one fraction-free elimination otherwise); the
+constructor runs it, for ``det`` and the independence check, and keeps the
+rows, while a piece of a subdivision gets ``det`` from its parent and runs
+the helper only if its rows are read.  By Cramer's rule on ``P`` a vector
 ``v`` of the span has coordinates ``C_j . v / det``, and ``v`` is in the
 span exactly when ``sum_j (C_j . v) g_j = det v``, which only a
 lower-dimensional cone can miss.  Containment is sign tests of integer dot
@@ -37,9 +40,9 @@ comes with a cone containing it, in a blow-up its center cone, and the
 index alone gives the star of that cone's face containing the ray, which
 is the set of cones containing the ray; a cone that does not contain its
 ray, or whose face is not a cone of the fan, is an error, never a reason
-to scan the fan.  The pieces of a cone take their ``det`` and cofactor rows
-from the parent's by one exact rank-one update each (see
-:func:`_subdivide_cone`), so a subdivision runs no elimination, and keep the
+to scan the fan.  The pieces of a cone take their ``det`` from the
+parent's numerators of the ray (see :func:`_subdivide_cone`), so a
+subdivision runs no elimination and makes no cofactor row, and keep the
 parent's sorted order with the new ray inserted where it sorts, so no piece
 is sorted again; cones hash once, in their constructor.
 On request a :class:`Subdivision` records the cones removed and added and
@@ -76,22 +79,46 @@ from .errors import DegenerateInputError, DimensionError, MeasureError, SupportE
 from .exact_lattice import IntegerVector, adjugate, is_primitive, smith_elimination
 
 
+def _kernel(
+    rank: int, gens: tuple[IntegerVector, ...]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``det`` and the cofactor rows of the generators ``gens``, the only
+    place cofactor rows are made (see the module docstring); raises
+    :class:`DegenerateInputError` when ``gens`` are dependent."""
+    pivots, det, adj = adjugate([g.entries for g in gens])
+    if adj is None:
+        raise DegenerateInputError("generators are linearly dependent")
+    # column j of adj(G_P), times sign(det), spread onto P is the row C_j
+    cols = zip(*adj) if det > 0 else (tuple(-x for x in col) for col in zip(*adj))
+    if len(pivots) == rank:
+        return abs(det), tuple(cols)
+    spread = []
+    for col in cols:
+        row = [0] * rank
+        for i, x in zip(pivots, col):
+            row[i] = x
+        spread.append(tuple(row))
+    return abs(det), tuple(spread)
+
+
 @dataclass(frozen=True)
 class Cone:
     """Simplicial cone spanned by primitive, independent lattice vectors.
 
     ``det`` is ``|det G_P|`` on the first column basis ``P`` of the
-    generator matrix and ``cofactors[j] . v / det`` is the ``j``-th
-    coordinate of any ``v`` in the span of the generators (see the module
-    docstring).  Below full dimension ``det`` is one maximal minor, a
-    multiple of the multiplicity.  The zero cone of a given ambient rank has
-    an empty generator tuple, ``det`` 1 and no cofactor rows.
+    generator matrix, set on construction, and ``cofactors[j] . v / det``
+    is the ``j``-th coordinate of any ``v`` in the span of the generators
+    (see the module docstring).  The constructor computes both and keeps
+    the rows; a cone made by :meth:`_from_parts` computes its rows when
+    ``cofactors`` is first read, by the same helper.  Below full dimension
+    ``det`` is one maximal minor, a multiple of the multiplicity.  The zero
+    cone of a given ambient rank has an empty generator tuple, ``det`` 1 and
+    no cofactor rows.
     """
 
     rank: int
     generators: tuple[IntegerVector, ...]
     det: int = field(init=False, repr=False, compare=False)
-    cofactors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, rank: int, generators: Iterable[Iterable[int] | IntegerVector]):
         gens = tuple(
@@ -107,50 +134,30 @@ class Cone:
                     raise DegenerateInputError("the zero vector cannot generate a ray")
                 raise DegenerateInputError(f"ray generator {g} is not primitive")
         gens = tuple(sorted(set(gens), key=lambda g: g.entries))
-        pivots, det, adj = adjugate([g.entries for g in gens])
-        if adj is None:
-            raise DegenerateInputError("generators are linearly dependent")
-        # column j of adj(G_P), times sign(det), spread onto P is the row C_j
-        cols = zip(*adj) if det > 0 else (tuple(-x for x in col) for col in zip(*adj))
-        if len(pivots) == rank:
-            cofactors = tuple(cols)
-        else:
-            spread = []
-            for col in cols:
-                row = [0] * rank
-                for i, x in zip(pivots, col):
-                    row[i] = x
-                spread.append(tuple(row))
-            cofactors = tuple(spread)
-        self._set(int(rank), gens, abs(det), cofactors)
+        det, cofactors = _kernel(rank, gens)
+        self._set(int(rank), gens, det)
+        # not through __dict__: reading it makes CPython keep the instance's
+        # attributes in a real dict, which slows every later attribute read
+        object.__setattr__(self, "cofactors", cofactors)
 
-    def _set(
-        self,
-        rank: int,
-        gens: tuple[IntegerVector, ...],
-        det: int,
-        cofactors: tuple[tuple[int, ...], ...],
-    ) -> None:
+    def _set(self, rank: int, gens: tuple[IntegerVector, ...], det: int) -> None:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "det", det)
-        object.__setattr__(self, "cofactors", cofactors)
         object.__setattr__(self, "_hash", hash((rank, gens)))
 
     @classmethod
-    def _from_parts(
-        cls,
-        rank: int,
-        gens: tuple[IntegerVector, ...],
-        det: int,
-        cofactors: tuple[tuple[int, ...], ...],
-    ) -> "Cone":
-        """A cone whose sorted generators, ``det`` and cofactor rows the
+    def _from_parts(cls, rank: int, gens: tuple[IntegerVector, ...], det: int) -> "Cone":
+        """A cone whose sorted, independent generators and ``det`` the
         caller has already established; see :func:`_subdivide_cone`, the
-        only caller."""
+        only caller.  Its cofactor rows are computed when first read."""
         cone = object.__new__(cls)
-        cone._set(rank, gens, det, cofactors)
+        cone._set(rank, gens, det)
         return cone
+
+    @cached_property
+    def cofactors(self) -> tuple[tuple[int, ...], ...]:
+        return _kernel(self.rank, self.generators)[1]
 
     def __hash__(self) -> int:
         # computed once: cones are hashed on every set insert and cache lookup
@@ -301,48 +308,38 @@ def _subdivide_cone(
     :class:`MeasureError` is raised when ``u`` is not in ``c``: callers only
     pass cones that contain it.
 
-    Each piece is built from the parent's kernel, with no elimination.  Let
-    ``D = det`` and ``n = C . u``, so ``C_j . g_k = D`` when ``j = k`` and 0
-    otherwise.  The piece replacing ``g_i`` by ``u`` spans the parent's
-    space (``n_i > 0``), hence has its column basis ``P``, which depends
-    only on that space; its ``det`` is ``n_i``, its row for ``u`` is ``C_i``
-    and its row for ``j != i`` is ``(n_i C_j - n_j C_i) / D``.  Each is zero
-    off ``P`` and satisfies the defining equations of the piece's row, which
-    determine it, so the division is exact and equals what the constructor
-    computes.  The constructor's checks hold by construction: ``u`` is
-    primitive (callers check it once per ray), the other generators are the
-    parent's, and ``n_i > 0`` makes them independent.  So does its order: a
-    piece keeps the parent's sorted generators and their rows, less slot
-    ``i``, with ``u`` and its row inserted at the slot where ``u`` sorts
-    among them, found by one comparison pass per call.  The pieces come in
-    the order of the slots they replace.
+    Each piece is built from the parent's data, with no elimination.  Let
+    ``D = det`` and ``n = C . u``, so ``D u = sum_j n_j g_j``.  The piece
+    replacing ``g_i`` by ``u`` has independent generators spanning the
+    parent's space because ``n_i > 0`` puts ``g_i`` in their span; so it has
+    the parent's column basis ``P``, which depends only on that space, and
+    its minor on ``P`` is ``n_i / D`` times the parent's, by linearity in
+    the replaced row: its ``det`` is ``n_i``.  The constructor's other
+    checks hold by construction: ``u`` is primitive (callers check it once
+    per ray) and the other generators are the parent's.  So does its order:
+    a piece keeps the parent's sorted generators, less slot ``i``, with
+    ``u`` inserted at the slot where it sorts among them, found by one
+    comparison pass per call.  Its cofactor rows are made on first read
+    (see :class:`Cone`): most pieces are final cones, never split again,
+    that need none.  The pieces come in the order of the slots they replace.
     """
     if nums is None:
         nd = c.numerators(u)
         if nd is None or any(x < 0 for x in nd[0]):
             raise MeasureError(f"subdivision ray {u} does not lie in {c}")
         nums = nd[0]
-    den = c.det
     slots = [i for i, x in enumerate(nums) if x > 0]
-    if len(slots) == 1 and nums[slots[0]] == den:
+    if len(slots) == 1 and nums[slots[0]] == c.det:
         return (c,)
-    gens, rows = c.generators, c.cofactors
+    gens = c.generators
     ue = u.entries
     at = sum(g.entries < ue for g in gens)  # u is none of them
     pieces = []
     for i in slots:
-        ni, ci = nums[i], rows[i]
-        new_rows = [
-            tuple([(ni * a - nj * b) // den for a, b in zip(rows[j], ci)])
-            for j, nj in enumerate(nums)
-            if j != i
-        ]
         new_gens = list(gens)
         del new_gens[i]
-        slot = at - 1 if i < at else at
-        new_gens.insert(slot, u)
-        new_rows.insert(slot, ci)
-        pieces.append(Cone._from_parts(c.rank, tuple(new_gens), ni, tuple(new_rows)))
+        new_gens.insert(at - 1 if i < at else at, u)
+        pieces.append(Cone._from_parts(c.rank, tuple(new_gens), nums[i]))
     return tuple(pieces)
 
 
@@ -451,8 +448,9 @@ def star_subdivide(
                     cs.add(piece)
     for u in set(rays):
         star = index[u]
-        if len({c.dim for c in star}) > 1 and any(
-            c.dim < d.dim and set(c.generators) <= set(d.generators)
+        if len({len(c.generators) for c in star}) > 1 and any(
+            len(c.generators) < len(d.generators)
+            and set(c.generators) <= set(d.generators)
             for c in star
             for d in star
         ):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .cones_fans import Cone, Fan, validate_fan
 from .errors import FanParseError, MeasureError, PreconditionError, QresError
@@ -154,14 +154,10 @@ def emit_fan(m: MarkedFan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_fan(text: str) -> MarkedFan:
-    header: Optional[dict] = None
-    header_line = 0
-    rays: dict[int, IntegerVector] = {}
-    ray_ids: dict[IntegerVector, int] = {}
-    ray_lines: dict[int, int] = {}
-    cone_records: list[tuple[int, list[int]]] = []
-    marked_records: list[tuple[int, int]] = []
+def _records(text: str) -> Iterator[tuple[int, Any, dict]]:
+    """Each nonblank line of ``text`` as its line number, ``record`` field
+    and JSON object; raises :class:`FanParseError` at a line that is not a
+    JSON object with a ``record`` field."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -172,7 +168,18 @@ def parse_fan(text: str) -> MarkedFan:
             raise FanParseError(f"invalid JSON at column {exc.colno}: {exc.msg}", lineno)
         if not isinstance(obj, dict) or "record" not in obj:
             raise FanParseError("expected a JSON object with a 'record' field", lineno)
-        kind = obj["record"]
+        yield lineno, obj["record"], obj
+
+
+def parse_fan(text: str) -> MarkedFan:
+    header: Optional[dict] = None
+    header_line = 0
+    rays: dict[int, IntegerVector] = {}
+    ray_ids: dict[IntegerVector, int] = {}
+    ray_lines: dict[int, int] = {}
+    cone_records: list[tuple[int, list[int]]] = []
+    marked_records: list[tuple[int, int]] = []
+    for lineno, kind, obj in _records(text):
         if kind == "fan":
             if header is not None:
                 raise FanParseError("duplicate fan header", lineno)
@@ -338,17 +345,7 @@ def parse_trace(text: str) -> TraceDocument:
     header_line = 0
     steps: list[tuple[int, dict]] = []
     final_record: Optional[tuple[int, dict]] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FanParseError(f"invalid JSON at column {exc.colno}: {exc.msg}", lineno)
-        if not isinstance(obj, dict) or "record" not in obj:
-            raise FanParseError("expected a JSON object with a 'record' field", lineno)
-        kind = obj["record"]
+    for lineno, kind, obj in _records(text):
         if kind == "trace":
             if header is not None:
                 raise FanParseError("duplicate trace header", lineno)

@@ -3,10 +3,10 @@
 Every cone, full-dimensional or not, answers ``numerators``, ``contains``,
 ``multiplicity`` and star subdivision from one cached
 minor ``det`` on its first column basis and its cofactor rows, builds the
-pieces of a subdivision from the parent's rows, and settles most pairs of
-the fan check with one cofactor row, run as bit masks of its signs on the
-rays of the fan, computed for every ray at once in packed big-integer
-lanes.  These tests compare every answer with the ``Fraction``
+pieces of a subdivision with ``det`` only, their rows made when first read
+by the constructor's ``adjugate`` helper, and settles most pairs of the fan
+check with one cofactor row, run as bit masks of its signs on the rays of
+the fan, computed for every ray at once in packed big-integer lanes.  These tests compare every answer with the ``Fraction``
 elimination of ``span_coordinates`` and ``matrix_rank``, the constructor's
 own elimination (and its closed forms with the Bareiss elimination), the
 Smith normal form, the all-pairs maximality rule, the
@@ -405,6 +405,8 @@ class TestSubdivideCone:
             for got, want in zip(pieces, expected):
                 assert got.generators == want.generators
                 assert got.det == want.det
+                # a piece makes its rows on first read, by the constructor's helper
+                assert "cofactors" not in got.__dict__
                 assert got.cofactors == want.cofactors
                 assert got == want and hash(got) == hash(want)
                 diag = smith_normal_form(IntegerMatrix(got.generators)).diagonal
@@ -421,7 +423,7 @@ class TestSubdivideCone:
         assert {(b, d) for a, b, d in seen if a} == {(b, d) for b in both for d in both}
         assert {b for a, b, _ in seen if not a} == {d for a, _, d in seen if not a} == both
 
-    def test_lower_dimensional_pieces_take_the_rank_one_update(self):
+    def test_lower_dimensional_pieces_read_the_constructor_rows(self):
         c = Cone(3, [(1, 0, 0), (-1, 2, 0)])
         pieces = _subdivide_cone(c, IntegerVector((0, 1, 0)))
         want = {Cone(3, [(0, 1, 0), (-1, 2, 0)]), Cone(3, [(1, 0, 0), (0, 1, 0)])}
@@ -429,7 +431,14 @@ class TestSubdivideCone:
         for p in pieces:
             (q,) = [w for w in want if w == p]
             assert p.det == q.det == 1
+            assert "cofactors" not in p.__dict__
             assert p.cofactors == q.cofactors
+
+    def test_final_cones_of_a_resolve_compute_no_rows(self):
+        trace = resolve(marked_fan_from_characters(31, (1, 5, 11)))
+        cones = trace.final.fan.cones
+        assert len(cones) == 115
+        assert not [c for c in cones if "cofactors" in c.__dict__]
 
 
 @st.composite
