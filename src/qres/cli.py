@@ -76,7 +76,7 @@ def _print_json(payload) -> None:
 
 
 def _fmt_vec(v: IntegerVector) -> str:
-    return "(" + ",".join(str(e) for e in v.entries) + ")"
+    return "(" + ",".join(map(str, v)) + ")"
 
 
 def _fmt_cone(c: Cone) -> str:
@@ -180,7 +180,7 @@ def _trace_summary(trace, as_json: bool) -> None:
     if as_json:
         payload = {
             "steps": str(len(trace.steps)),
-            "exceptional_rays": [[str(e) for e in u.entries] for u in trace.exceptional_rays],
+            "exceptional_rays": [[str(e) for e in u] for u in trace.exceptional_rays],
             "final_cones": str(len(trace.final.fan.cones)),
             "smooth": trace.all_smooth,
             "phases": [s.phase for s in trace.steps],
@@ -205,14 +205,14 @@ def _cmd_resolve(args) -> int:
     m = _load_fan(args.file)
     if args.oracle_check and m.fan.rank != 2:
         raise PreconditionError("--oracle-check requires a rank-2 fan")
-    if args.emit_trace:
+    if args.emit_trace is not None:
         _check_output_path(args.emit_trace)
     trace = resolve(m)
     try:
         replay(m, trace)
     except ReplayError as exc:
         raise MeasureError(f"the resolution does not replay: {exc}") from exc
-    if args.emit_trace:
+    if args.emit_trace is not None:
         _write_output(args.emit_trace, fanfile.emit_trace(trace))
     if args.oracle_check:
         checked = check_minimal_rays(m.fan, trace.final.fan)
@@ -224,14 +224,14 @@ def _cmd_resolve(args) -> int:
 
 def _cmd_blowup(args) -> int:
     m = _load_fan(args.file)
-    if args.emit:
+    if args.emit is not None:
         _check_output_path(args.emit)
     new_m, record = blowup_step(m)
-    if args.emit:
+    if args.emit is not None:
         _write_output(args.emit, fanfile.emit_fan(new_m))
     if args.json:
         payload = {
-            "added": [[str(e) for e in u.entries] for u in record.added_rays],
+            "added": [[str(e) for e in u] for u in record.added_rays],
             "centers": [
                 {
                     "cone": [_fmt_vec(g) for g in center.cone.generators],
@@ -288,7 +288,7 @@ def _cmd_hj(args) -> int:
             "coefficients": [str(b) for b in exp.coefficients],
         }
         if args.rays:
-            payload["rays"] = [[str(e) for e in r.entries] for r in hj_rays(args.l, args.a)]
+            payload["rays"] = [[str(e) for e in r] for r in hj_rays(args.l, args.a)]
         _print_json(payload)
         return 0
     print("[" + ",".join(str(b) for b in exp.coefficients) + "]")

@@ -1,9 +1,12 @@
 """Simplicial rational cones and fans.
 
 Cones are stored by their primitive, linearly independent generators in a
-canonical (lexicographic) order, so equal cones compare equal and fans can
-be compared as sets.  Star subdivision and the shared-face fan check are
-exact; no floating point is used anywhere.
+canonical order, so equal cones compare equal and fans can be compared as
+sets.  A generator is an :class:`~qres.exact_lattice.IntegerVector`, a
+tuple, so that order is plain tuple order, lexicographic in the entries,
+and the generator tuple itself is a cone's sort key; vectors hash in C, and
+a cone hashes once, in its constructor.  Star subdivision and the
+shared-face fan check are exact; no floating point is used anywhere.
 
 Kernel.  Every cone has ``det = |det G_P|``, set on construction, and
 ``k`` cofactor rows ``C_j``, computed on first read, of its ``k x n``
@@ -44,7 +47,7 @@ to scan the fan.  The pieces of a cone take their ``det`` from the
 parent's numerators of the ray (see :func:`_subdivide_cone`), so a
 subdivision runs no elimination and makes no cofactor row, and keep the
 parent's sorted order with the new ray inserted where it sorts, so no piece
-is sorted again; cones hash once, in their constructor.
+is sorted again.
 On request a :class:`Subdivision` records the cones removed and added and
 the pieces of every cone split, so a caller can update what it derives from
 the fan instead of recomputing it.
@@ -85,7 +88,7 @@ def _kernel(
     """``det`` and the cofactor rows of the generators ``gens``, the only
     place cofactor rows are made (see the module docstring); raises
     :class:`DegenerateInputError` when ``gens`` are dependent."""
-    pivots, det, adj = adjugate([g.entries for g in gens])
+    pivots, det, adj = adjugate(gens)
     if adj is None:
         raise DegenerateInputError("generators are linearly dependent")
     # column j of adj(G_P), times sign(det), spread onto P is the row C_j
@@ -128,12 +131,12 @@ class Cone:
             if g.rank != rank:
                 raise DimensionError(f"generator {g} does not live in rank {rank}")
             # the gcd of the entries is 0 only for the zero vector, 1 when primitive
-            d = math.gcd(*g.entries)
+            d = math.gcd(*g)
             if d != 1:
                 if d == 0:
                     raise DegenerateInputError("the zero vector cannot generate a ray")
                 raise DegenerateInputError(f"ray generator {g} is not primitive")
-        gens = tuple(sorted(set(gens), key=lambda g: g.entries))
+        gens = tuple(sorted(set(gens)))
         det, cofactors = _kernel(rank, gens)
         self._set(int(rank), gens, det)
         # not through __dict__: reading it makes CPython keep the instance's
@@ -177,11 +180,10 @@ class Cone:
         their span, which only a lower-dimensional cone can miss."""
         if v.rank != self.rank:
             raise DimensionError("vector rank does not match the cone")
-        e = v.entries
-        nums = tuple([sum(map(operator.mul, row, e)) for row in self.cofactors])
+        nums = tuple([sum(map(operator.mul, row, v)) for row in self.cofactors])
         if self.dim < self.rank and any(
-            sum(x * g.entries[i] for x, g in zip(nums, self.generators)) != self.det * ei
-            for i, ei in enumerate(e)
+            sum(x * g[i] for x, g in zip(nums, self.generators)) != self.det * vi
+            for i, vi in enumerate(v)
         ):
             return None
         return nums, self.det
@@ -190,8 +192,10 @@ class Cone:
         nd = self.numerators(v)
         return nd is not None and all(x >= 0 for x in nd[0])
 
-    def sort_key(self) -> tuple:
-        return tuple(g.entries for g in self.generators)
+    def sort_key(self) -> tuple[IntegerVector, ...]:
+        """The generators: sorted vectors, so cones order lexicographically
+        by their generators' entries."""
+        return self.generators
 
     def __repr__(self) -> str:
         return "Cone<" + ", ".join(repr(g) for g in self.generators) + ">"
@@ -265,8 +269,7 @@ class Fan:
         return tuple(sorted(self.cones, key=Cone.sort_key))
 
     def rays(self) -> tuple[IntegerVector, ...]:
-        seen = sorted({g for c in self.cones for g in c.generators}, key=lambda g: g.entries)
-        return tuple(seen)
+        return tuple(sorted(self.ray_index))
 
     def __repr__(self) -> str:
         return "Fan{" + ", ".join(repr(c) for c in self.sorted_cones()) + "}"
@@ -283,7 +286,7 @@ def multiplicity(c: Cone) -> int:
     """
     if c.det == 1 or c.is_full_dimensional():
         return c.det
-    return math.prod(smith_elimination([g.entries for g in c.generators])[0])
+    return math.prod(smith_elimination(c.generators)[0])
 
 
 def faces(c: Cone) -> frozenset[Cone]:
@@ -332,8 +335,7 @@ def _subdivide_cone(
     if len(slots) == 1 and nums[slots[0]] == c.det:
         return (c,)
     gens = c.generators
-    ue = u.entries
-    at = sum(g.entries < ue for g in gens)  # u is none of them
+    at = sum(g < u for g in gens)  # u is none of them
     pieces = []
     for i in slots:
         new_gens = list(gens)
@@ -515,12 +517,12 @@ def _meet_in_common_face(sigma: Cone, tau: Cone) -> bool:
     n = sigma.rank
     constraints: list[tuple[tuple[int, ...], int]] = []
     for g in common:
-        constraints.append((g.entries, 0))
-        constraints.append((tuple(-e for e in g.entries), 0))
+        constraints.append((g, 0))
+        constraints.append((-g, 0))
     for g in s_only:
-        constraints.append((g.entries, 1))
+        constraints.append((g, 1))
     for g in t_only:
-        constraints.append((tuple(-e for e in g.entries), 1))
+        constraints.append((-g, 1))
     return _fm_feasible(n, constraints)
 
 
@@ -552,7 +554,7 @@ def _sign_masks(
     ``translate``.
     """
     out: dict[tuple[int, ...], int] = {}
-    top = max((abs(x) for r in rays for x in r.entries), default=0)
+    top = max((abs(x) for r in rays for x in r), default=0)
     bound = rank * max((abs(x) for row in rows for x in row), default=0) * top
     width = max(bound, top).bit_length() // 8 + 1
     size = width * len(rays)
@@ -563,7 +565,7 @@ def _sign_masks(
     cols = [
         int.from_bytes(b"".join([(x + half).to_bytes(width, "big") for x in col]), "big")
         - bias
-        for col in zip(*(r.entries for r in reversed(rays)))
+        for col in zip(*reversed(rays))
     ]
     for row in rows:
         if row in out:

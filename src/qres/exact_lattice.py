@@ -5,6 +5,11 @@ Arbitrary-precision integer vectors and matrices with the integer solver
 values are immutable and every operation is a pure function; Python's
 native integers provide the arbitrary precision.
 
+A vector is its tuple: :class:`IntegerVector` subclasses ``tuple``, so
+hashing, equality and lexicographic order run in C, a vector sorts as its
+entries do, and every routine that takes int rows takes vectors as they
+are, with no unwrapping.
+
 One solver serves every cone.  :func:`adjugate` returns, for ``k``
 integer rows, their first column basis ``P``, ``det A_P`` and
 ``adj(A_P)``; from these every :class:`~qres.cones_fans.Cone`, of any
@@ -17,18 +22,20 @@ other input takes one fraction-free (Bareiss) Gauss-Jordan elimination,
 closed forms.  :func:`span_coordinates` and :func:`matrix_rank` eliminate
 over ``Fraction`` and are only the reference the tests compare against.
 
-One Smith elimination, :func:`smith_elimination`, works on plain int rows
-and returns the diagonal and the left transform as lists, so the classifier
-reads a cone's characters without building a matrix object per cone.  It
-records its column operations instead of applying each one to a right
-transform, which no chart needs; only :func:`smith_rows` builds ``right``
-from that record, and :func:`smith_normal_form` wraps it for callers holding
-an :class:`IntegerMatrix` and returns a :class:`SmithDecomposition`.
+One Smith elimination, :func:`smith_elimination`, works on int rows, such
+as a cone's generators, and returns the diagonal and the left transform as
+lists, so the classifier reads a cone's characters without building a
+matrix object per cone.  It records its column operations instead of
+applying each one to a right transform, which no chart needs; only
+:func:`smith_rows` builds ``right`` from that record, and
+:func:`smith_normal_form` wraps it for callers holding an
+:class:`IntegerMatrix` and returns a :class:`SmithDecomposition`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -36,53 +43,60 @@ from typing import Iterable, Optional, Sequence
 from .errors import DegenerateInputError, DimensionError
 
 
-@dataclass(frozen=True)
-class IntegerVector:
-    """Immutable integer vector; its length is the ambient lattice rank."""
+class IntegerVector(tuple):
+    """A lattice vector: the tuple of its integer entries, whose length is
+    the ambient lattice rank.
 
-    entries: tuple[int, ...]
+    Equality, hashing, ordering, indexing and ``len`` are the tuple's, so a
+    vector equals and hashes like the plain tuple of its entries, and
+    vectors sort lexicographically.  The arithmetic is the lattice's: ``+``
+    and ``-`` act entrywise on vectors of equal rank and ``k * v`` scales;
+    ``v * k`` is an error, not a repetition.
+    """
 
-    def __init__(self, entries: Iterable[int]):
-        ent = tuple(int(e) for e in entries)
-        if not ent:
+    __slots__ = ()
+
+    def __new__(cls, entries: Iterable[int]) -> "IntegerVector":
+        v = tuple.__new__(cls, map(int, entries))
+        if not v:
             raise DimensionError("a lattice vector needs at least one entry")
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "_hash", hash((ent,)))
+        return v
 
-    def __hash__(self) -> int:
-        # computed once: vectors are hashed on every set insert and cache lookup
-        return self._hash
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """The entries as a plain tuple, a copy; the vector is one already."""
+        return tuple(self)
 
     @property
     def rank(self) -> int:
-        return len(self.entries)
+        return len(self)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self)
 
     def dot(self, other: "IntegerVector") -> int:
         self._check_rank(other)
-        return sum(a * b for a, b in zip(self.entries, other.entries))
+        return sum(map(operator.mul, self, other))
 
     def __add__(self, other: "IntegerVector") -> "IntegerVector":
         self._check_rank(other)
-        return IntegerVector(a + b for a, b in zip(self.entries, other.entries))
+        return IntegerVector(map(operator.add, self, other))
 
     def __sub__(self, other: "IntegerVector") -> "IntegerVector":
         self._check_rank(other)
-        return IntegerVector(a - b for a, b in zip(self.entries, other.entries))
+        return IntegerVector(map(operator.sub, self, other))
 
     def __neg__(self) -> "IntegerVector":
-        return IntegerVector(-a for a in self.entries)
+        return IntegerVector(-a for a in self)
+
+    def __mul__(self, k: object) -> "IntegerVector":
+        return NotImplemented
 
     def __rmul__(self, k: int) -> "IntegerVector":
-        return IntegerVector(k * a for a in self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
+        return IntegerVector(k * a for a in self)
 
     def __repr__(self) -> str:
-        return f"({', '.join(str(e) for e in self.entries)})"
+        return f"({', '.join(map(str, self))})"
 
     def _check_rank(self, other: "IntegerVector") -> None:
         if self.rank != other.rank:
@@ -116,7 +130,7 @@ class IntegerMatrix:
         return self.rows[0].rank
 
     def entry(self, i: int, j: int) -> int:
-        return self.rows[i].entries[j]
+        return self.rows[i][j]
 
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(
@@ -130,7 +144,7 @@ class IntegerMatrix:
         return IntegerMatrix([[r.dot(c) for c in cols] for r in self.rows])
 
     def to_lists(self) -> list[list[int]]:
-        return [list(r.entries) for r in self.rows]
+        return [list(r) for r in self.rows]
 
     def __repr__(self) -> str:
         return "[" + "; ".join(repr(r) for r in self.rows) + "]"
@@ -170,7 +184,7 @@ def determinant(m: IntegerMatrix) -> int:
     (closed forms for sizes 2 to 4, Bareiss elimination otherwise)."""
     if m.nrows != m.ncols:
         raise DimensionError(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    return adjugate(m.to_lists())[1]
+    return adjugate(m.rows)[1]
 
 
 def adjugate(
@@ -412,7 +426,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form with explicit unimodular transforms, as a
     :class:`SmithDecomposition`: :func:`smith_rows` of the matrix's rows,
     wrapped for callers holding an :class:`IntegerMatrix`."""
-    diagonal, left, right = smith_rows(m.to_lists())
+    diagonal, left, right = smith_rows(m.rows)
     return SmithDecomposition(IntegerMatrix(left), diagonal, IntegerMatrix(right))
 
 
@@ -442,13 +456,13 @@ def primitive(v: IntegerVector) -> IntegerVector:
     """Divide out the gcd of the entries, preserving direction."""
     if v.is_zero():
         raise DegenerateInputError("the zero vector has no primitive representative")
-    g = math.gcd(*[abs(e) for e in v.entries])
-    return IntegerVector(e // g for e in v.entries)
+    g = math.gcd(*v)
+    return IntegerVector(e // g for e in v)
 
 
 def is_primitive(v: IntegerVector) -> bool:
     # the gcd of the entries is 0 for the zero vector
-    return math.gcd(*v.entries) == 1
+    return math.gcd(*v) == 1
 
 
 def span_coordinates(
@@ -467,7 +481,7 @@ def span_coordinates(
         raise DimensionError("row rank does not match target rank")
     # Solve sum_j x_j rows[j] = target as the n x m system A x = b.
     aug = [
-        [Fraction(rows[j].entries[i]) for j in range(m)] + [Fraction(target.entries[i])]
+        [Fraction(rows[j][i]) for j in range(m)] + [Fraction(target[i])]
         for i in range(n)
     ]
     r = 0

@@ -19,10 +19,12 @@ center rays, center cones, final cones and markings.  :func:`parse_trace`
 parses each distinct vector payload once per call and hands the same
 :class:`~qres.exact_lattice.IntegerVector` to every record that repeats it,
 so later dict, set and fan comparisons of these vectors short-circuit on
-identity.  Every center and final cone is still built, and so checked, by
-the :class:`~qres.cones_fans.Cone` constructor.  The step records must carry
-the indices ``0..N-1``, in any order, every vector the header's rank, which
-must be positive, and there is one ``final_fan`` record.
+identity: a dict or set lookup, and the item-by-item comparison of two
+generator tuples, test identity before comparing entries.  Every center and
+final cone is still built, and so checked, by the
+:class:`~qres.cones_fans.Cone` constructor.  The step records must carry the
+indices ``0..N-1``, in any order, every vector the header's rank, which must
+be positive, and there is one ``final_fan`` record.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def _s(x: int) -> str:
 
 
 def _vec(v: IntegerVector) -> list[str]:
-    return [_s(e) for e in v.entries]
+    return [_s(e) for e in v]
 
 
 class _VectorJson(dict):
@@ -57,7 +59,7 @@ class _VectorJson(dict):
     many center, chart and final cones."""
 
     def __missing__(self, v: IntegerVector) -> str:
-        out = self[v] = _json_strings(v.entries)
+        out = self[v] = _json_strings(v)
         return out
 
     def cone(self, c: Cone) -> str:

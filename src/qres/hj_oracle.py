@@ -76,10 +76,10 @@ def hj_rays(l: int, a: int) -> tuple[IntegerVector, ...]:
     v_cur = IntegerVector([0, 1])
     rays = [v_cur]
     for b in coeffs:
-        v_prev, v_cur = v_cur, IntegerVector([b * x - y for x, y in zip(v_cur.entries, v_prev.entries)])
+        v_prev, v_cur = v_cur, IntegerVector([b * x - y for x, y in zip(v_cur, v_prev)])
         rays.append(v_cur)
     end = rays.pop()
-    if end.entries != (-a, l):
+    if end != (-a, l):
         raise MeasureError(f"recursion ended at {end}, expected (-{a}, {l})")
     return tuple(rays)
 
@@ -96,15 +96,11 @@ def hj_cone_rays(cone: Cone) -> list[IntegerVector]:
     first, div = cone.generators[1 - d], cone.generators[d]
     a = unit_weights(order, chars, d)[1 - d]
     # image of e2 under the unimodular map sending the standard cone here
-    mid = IntegerVector(
-        [(x + a * f) // order for x, f in zip(div.entries, first.entries)]
-    )
+    mid = IntegerVector([(x + a * f) // order for x, f in zip(div, first)])
     out = []
     for ray in hj_rays(order, a):
-        x, y = ray.entries
-        out.append(
-            IntegerVector([x * f + y * m for f, m in zip(first.entries, mid.entries)])
-        )
+        x, y = ray
+        out.append(IntegerVector([x * f + y * m for f, m in zip(first, mid)]))
     return out
 
 

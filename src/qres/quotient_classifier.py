@@ -163,7 +163,7 @@ def cone_characters(c: Cone) -> tuple[int, tuple[int, ...]]:
     The characters are read off the distinguished quotient generator that
     the left Smith transform provides, so the result is deterministic; it is
     well defined up to a unit rescaling.  The one elimination runs on the
-    generators' plain int rows
+    generators themselves, which are int tuples
     (:func:`~qres.exact_lattice.smith_elimination`), so no matrix object is
     built per cone, and reads only the diagonal and the left transform, so
     no right transform is built either.  A cone with ``det`` 1 (every smooth
@@ -173,7 +173,7 @@ def cone_characters(c: Cone) -> tuple[int, tuple[int, ...]]:
     """
     if c.det == 1:
         return 1, (0,) * c.dim
-    diagonal, left, _ = smith_elimination([g.entries for g in c.generators])
+    diagonal, left, _ = smith_elimination(c.generators)
     return _snf_characters(diagonal, left)
 
 
@@ -186,7 +186,7 @@ def cone_descriptor(c: Cone) -> QuotientDescriptor:
     if c.det == 1:
         trivial = (0,) * c.dim
         return QuotientDescriptor((1,) * c.dim, True, CyclicQuotientType(1, trivial), trivial)
-    diagonal, left, _ = smith_elimination([g.entries for g in c.generators])
+    diagonal, left, _ = smith_elimination(c.generators)
     try:
         order, chars = _snf_characters(diagonal, left)
     except UnsupportedInputError:

@@ -243,8 +243,8 @@ def fan_digest(m: MarkedFan) -> str:
     payload = {
         "rank": m.fan.rank,
         "characteristic": m.characteristic,
-        "cones": [[list(g.entries) for g in c.generators] for c in m.fan.sorted_cones()],
-        "marked": [list(r.entries) for r in m.marked_rays],
+        "cones": [c.generators for c in m.fan.sorted_cones()],
+        "marked": m.marked_rays,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -289,7 +289,7 @@ def _center_for(m: MarkedFan, cone: Cone, order: int) -> Center:
     divisor_index, k = max(unit_marked)
     divisor_ray = gens[k]
     weights = unit_weights(order, chars, k)
-    num = [sum(map(operator.mul, weights, col)) for col in zip(*(g.entries for g in gens))]
+    num = [sum(map(operator.mul, weights, col)) for col in zip(*gens)]
     if any(x % order for x in num):
         raise MeasureError(f"center of {cone} is not a lattice point")
     ray = IntegerVector([x // order for x in num])
@@ -373,7 +373,7 @@ def _apply_step(
     top = nt_before[0] if phase == PHASE_NON_TAME else inv_before[0]
     centers = tuple(_center_for(m, c, top) for c in _targets(m, top))
     cone_of = _center_cones(centers)
-    added = tuple(sorted(cone_of, key=lambda v: v.entries))
+    added = tuple(sorted(cone_of))
     done = Subdivision()
     fan = star_subdivide(m.fan, added, [cone_of[u] for u in added], record=done)
     # each added cone is classified once, in sorted order: the first not cyclic raises

@@ -558,6 +558,36 @@ class TestStarSubdivide:
             assert fan.cones == expected
 
 
+def entries_key(c):
+    """The sort key of a cone when vectors wrapped their entries."""
+    return tuple(g.entries for g in c.generators)
+
+
+class TestSortOrder:
+    """Vectors are tuples, so the generator tuple is a cone's sort key."""
+
+    @given(mixed_cone_lists(max_rank=5))
+    @settings(max_examples=150, deadline=None)
+    def test_sort_key_orders_cones_as_their_entries(self, data):
+        _, cones = data
+        assert all(c.sort_key() is c.generators for c in cones)
+        assert sorted(cones, key=Cone.sort_key) == sorted(cones, key=entries_key)
+        for a, b in itertools.product(cones, repeat=2):
+            assert (a.sort_key() < b.sort_key()) == (entries_key(a) < entries_key(b))
+
+    @given(fan_and_rays())
+    @settings(max_examples=80, deadline=None)
+    def test_rays_are_the_generators_sorted_by_entries(self, data):
+        n, cones, rays = data
+        start = Fan(n, cones)
+        found = [containing_cone(start.cones, u) for u in rays[:1]]
+        for fan in (start, star_subdivide(start, rays[:1], found)):
+            gens = {g for c in fan.cones for g in c.generators}
+            expected = tuple(sorted(gens, key=lambda g: g.entries))
+            assert fan.rays() == expected
+            assert all(type(r) is IntegerVector for r in fan.rays())
+
+
 def reference_meet(sigma, tau):
     """Whether two cones meet in their common face: a separating functional
     (zero on the shared rays, >= 1 on the rays of ``sigma`` only, <= -1 on

@@ -140,6 +140,62 @@ class TestSmithNormalForm:
             smith_rows(rows)
 
 
+vector_entries = st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=4)
+
+
+class TestIntegerVector:
+    """A vector is the tuple of its entries, with lattice arithmetic."""
+
+    def test_is_a_slotted_tuple(self):
+        v = IntegerVector([3, -1])
+        assert isinstance(v, tuple)
+        assert IntegerVector.__slots__ == ()
+        assert not hasattr(v, "__dict__")
+        # equality, hashing and indexing are the tuple's own C slots
+        assert not {"__eq__", "__hash__", "_hash", "__getitem__"} & set(vars(IntegerVector))
+        assert type(v.entries) is tuple
+        assert v.entries == (3, -1)
+
+    @given(vector_entries, vector_entries)
+    def test_equality_hash_order_and_len_are_those_of_the_entries(self, a, b):
+        v, w = IntegerVector(a), IntegerVector(b)
+        assert (v == w) == (v.entries == w.entries)
+        assert hash(v) == hash(v.entries)
+        assert (v < w) == (v.entries < w.entries)
+        assert len(v) == len(v.entries) == v.rank
+        assert sorted([v, w]) == sorted([v.entries, w.entries])
+
+    def test_entries_are_coerced_to_int(self):
+        v = IntegerVector([True, 2.0, "7"])
+        assert v.entries == (1, 2, 7)
+        assert all(type(x) is int for x in v)
+
+    def test_repr(self):
+        assert repr(IntegerVector([5])) == "(5)"
+        assert repr(IntegerVector([1, -2, 3])) == "(1, -2, 3)"
+        assert f"{IntegerVector([5])}" == "(5)"
+
+    def test_scalar_multiple_scales_from_the_left_only(self):
+        v = IntegerVector([1, -2])
+        assert 3 * v == IntegerVector([3, -6])
+        assert type(3 * v) is IntegerVector
+        with pytest.raises(TypeError):
+            v * 3
+
+    def test_arithmetic_is_entrywise(self):
+        v, w = IntegerVector([1, -2]), IntegerVector([4, 5])
+        assert v + w == (5, 3) and type(v + w) is IntegerVector
+        assert v - w == (-3, -7) and type(v - w) is IntegerVector
+        assert -v == (-1, 2) and type(-v) is IntegerVector
+        assert v.dot(w) == -6
+        with pytest.raises(DimensionError):
+            v + IntegerVector([1, 2, 3])
+
+    def test_empty_vector_rejected(self):
+        with pytest.raises(DimensionError):
+            IntegerVector([])
+
+
 class TestPrimitive:
     def test_divides_gcd(self):
         assert primitive(IntegerVector([2, 4])) == IntegerVector([1, 2])

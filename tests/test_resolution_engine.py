@@ -972,7 +972,7 @@ def test_oracle_check_of_a_rank3_fan_exits_2_before_resolving(tmp_path, capsys, 
     assert "--oracle-check requires a rank-2 fan" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["missing-dir", "directory", "read-only-dir"])
+@pytest.mark.parametrize("kind", ["missing-dir", "directory", "empty", "read-only-dir"])
 @pytest.mark.parametrize("command", ["resolve", "blowup"])
 def test_unwritable_output_path_exits_3_with_one_line(
     command, kind, tmp_path, capsys, monkeypatch
@@ -990,6 +990,11 @@ def test_unwritable_output_path_exits_3_with_one_line(
         out, reason = tmp_path / "missing" / "x.out", os.strerror(errno.ENOENT)
     elif kind == "directory":
         out, reason = tmp_path, os.strerror(errno.EISDIR)
+    elif kind == "empty":
+        # an empty path is a path, not the absence of one: it names the
+        # working directory
+        monkeypatch.chdir(tmp_path)
+        out, reason = "", os.strerror(errno.EISDIR)
     else:
         locked = tmp_path / "locked"
         locked.mkdir(mode=0o500)
@@ -1006,7 +1011,7 @@ def test_unwritable_output_path_exits_3_with_one_line(
     err = capsys.readouterr().err
     assert err == f"error: cannot write {out}: {reason}\n"
     assert not (tmp_path / "missing").exists()
-    assert not out.is_file()
+    assert not Path(out).is_file()
 
 
 def test_closed_stdout_exits_141_without_traceback():
