@@ -181,7 +181,7 @@ class Cone:
         if v.rank != self.rank:
             raise DimensionError("vector rank does not match the cone")
         nums = tuple([sum(map(operator.mul, row, v)) for row in self.cofactors])
-        if self.dim < self.rank and any(
+        if len(self.generators) < self.rank and any(
             sum(x * g[i] for x, g in zip(nums, self.generators)) != self.det * vi
             for i, vi in enumerate(v)
         ):
@@ -228,9 +228,10 @@ class Fan:
         absorbed = {
             c
             for c in cs
-            if c.dim < rank
+            if len(c.generators) < rank
             and any(
-                c.dim < d.dim and set(c.generators) <= set(d.generators) for d in cs
+                len(c.generators) < len(d.generators) and set(c.generators) <= set(d.generators)
+                for d in cs
             )
         }
         object.__setattr__(self, "rank", int(rank))

@@ -25,10 +25,13 @@ over ``Fraction`` and are only the reference the tests compare against.
 One Smith elimination, :func:`smith_elimination`, works on int rows, such
 as a cone's generators, and returns the diagonal and the left transform as
 lists, so the classifier reads a cone's characters without building a
-matrix object per cone.  It records its column operations instead of
-applying each one to a right transform, which no chart needs; only
-:func:`smith_rows` builds ``right`` from that record, and
-:func:`smith_normal_form` wraps it for callers holding an
+matrix object per cone.  It works in place on one copy of the rows,
+touching only the rows and columns from the current pivot on, and skips
+the divisibility scan after a pivot of 1; the tests keep the earlier
+list-rebuilding elimination as its reference.  It records its column
+operations instead of applying each one to a right transform, which no
+chart needs; only :func:`smith_rows` builds ``right`` from that record,
+and :func:`smith_normal_form` wraps it for callers holding an
 :class:`IntegerMatrix` and returns a :class:`SmithDecomposition`.
 """
 
@@ -342,6 +345,12 @@ def smith_elimination(
     first.  A remainder repeats the step; so does an entry of the remaining
     submatrix that the pivot does not divide, after its row is added to the
     pivot's.
+
+    The work runs in place on one copy of the rows.  Before step ``t``
+    every row and column below ``t`` is zero off the diagonal, so row
+    operations touch columns ``t`` on and column operations rows ``t`` on
+    (``left`` is updated whole); a pivot of 1 divides everything, so it
+    needs no divisibility scan.
     """
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
@@ -365,40 +374,54 @@ def smith_elimination(
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
             left[t], left[pi] = left[pi], left[t]
+        at, lt = a[t], left[t]
         if pj != t:
-            for row in a:
+            for i in range(t, nr):
+                row = a[i]
                 row[t], row[pj] = row[pj], row[t]
             ops.append((t, pj))
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            left[t] = [-x for x in left[t]]
-        at, lt = a[t], left[t]
+        if at[t] < 0:
+            for j in range(t, nc):
+                at[j] = -at[j]
+            for j in range(nr):
+                lt[j] = -lt[j]
         p = at[t]
         changed = False
         for i in range(t + 1, nr):
-            q, r = divmod(a[i][t], p)
+            ai = a[i]
+            q, r = divmod(ai[t], p)
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], at)]
-                left[i] = [x - q * y for x, y in zip(left[i], lt)]
+                for j in range(t, nc):
+                    ai[j] -= q * at[j]
+                li = left[i]
+                for j in range(nr):
+                    li[j] -= q * lt[j]
             if r:
                 changed = True
         for j in range(t + 1, nc):
             q, r = divmod(at[j], p)
             if q:
-                for row in a:
+                for i in range(t, nr):
+                    row = a[i]
                     row[j] -= q * row[t]
                 ops.append((j, t, q))
             if r:
                 changed = True
         if changed:
             continue
-        # column and row t are clear beyond the pivot; enforce divisibility
-        viol = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None)
+        # column and row t are clear beyond the pivot; enforce divisibility,
+        # which a pivot of 1 always has
+        viol = None if p == 1 else next(
+            (i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None
+        )
         if viol is None:
             t += 1
         else:
-            a[t] = [x + y for x, y in zip(at, a[viol])]
-            left[t] = [x + y for x, y in zip(lt, left[viol])]
+            av, lv = a[viol], left[viol]
+            for j in range(t, nc):
+                at[j] += av[j]
+            for j in range(nr):
+                lt[j] += lv[j]
     return tuple(a[i][i] for i in range(size)), left, ops
 
 

@@ -380,10 +380,11 @@ def _apply_step(
     classes = {c: cone_characters(c) for c in sorted(done.added, key=Cone.sort_key)}
     new_m = m._subdivided(fan, added, done, classes)
     # the type of every order-1 chart, one per dimension of a center
-    trivial = {d: CyclicQuotientType(1, (0,) * d) for d in {c.cone.dim for c in centers}}
+    dims = {len(c.cone.generators) for c in centers}
+    trivial = {d: CyclicQuotientType(1, (0,) * d) for d in dims}
     charts = tuple(
-        _local_charts(center, m.characteristic, done, classes, trivial[center.cone.dim])
-        for center in centers
+        _local_charts(c, m.characteristic, done, classes, trivial[len(c.cone.generators)])
+        for c in centers
     )
     record = StepRecord(
         phase=phase,

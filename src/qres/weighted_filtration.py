@@ -14,12 +14,20 @@ which carries each tuple's weighted degree down from its prefix.  The
 sampler's correction-term pools for all coordinates come from a single
 such walk, in its fixed order, since the draws index into the pools.
 Every cache here is an ``lru_cache`` of finite size.
+
+With the pools built, a sample of ``glue-check`` costs its ``randrange``
+draws, one sort of each image's terms in the constructor, and one pass of
+:func:`glue_check` over the image terms that reads each term's weighted
+degree with ``map(operator.mul, ...)`` and stops at the first term too
+light; no polynomial is multiplied.  The draws are most of what is left,
+and their number and order fix which substitutions a seed yields.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -231,11 +239,13 @@ class TruncatedAutomorphism:
             raise QresError(f"coefficient modulus {modulus} must be prime")
         packed = []
         for img in images:
-            items = img.items() if isinstance(img, dict) else img
-            terms = tuple(
-                sorted((tuple(e), c % modulus) for e, c in items if c % modulus)
-            )
-            packed.append(terms)
+            terms = []
+            for e, c in img.items() if isinstance(img, dict) else img:
+                c %= modulus
+                if c:
+                    terms.append((e if type(e) is tuple else tuple(e), c))
+            terms.sort()
+            packed.append(tuple(terms))
         object.__setattr__(self, "images", tuple(packed))
         object.__setattr__(self, "modulus", int(modulus))
         object.__setattr__(self, "truncation", int(truncation))
@@ -249,7 +259,7 @@ class TruncatedAutomorphism:
 
     def unit_part(self, i: int) -> int:
         """Coefficient of ``x_i`` inside the image of ``x_i``."""
-        unit = tuple(1 if j == i else 0 for j in range(self.rank))
+        unit = (0,) * i + (1,) + (0,) * (self.rank - i - 1)
         # with a repeated exponent the last term counts, as in image_poly
         for e, c in reversed(self.images[i]):
             if e == unit:
@@ -358,14 +368,12 @@ def glue_check(w: WeightedFiltration, phi: TruncatedAutomorphism, k_max: int) ->
         raise GluePreconditionError("substitution does not fix the divisor ideal")
     if not phi.is_local():
         raise GluePreconditionError("substitution is not a local automorphism")
-    for a, image in zip(w.weights, phi.images):
+    weights, truncation = w.weights, phi.truncation
+    for a, image in zip(weights, phi.images):
         need = min(a, k_max)
-        if any(
-            sum(x * e for x, e in zip(w.weights, exps)) < need
-            for exps, _coeff in image
-            if sum(exps) <= phi.truncation
-        ):
-            return False
+        for exps, _coeff in image:
+            if sum(exps) <= truncation and sum(map(operator.mul, weights, exps)) < need:
+                return False
     return True
 
 
@@ -429,14 +437,15 @@ def sample_divisor_fixing_automorphism(
     """
     q = modulus if modulus is not None else smallest_prime_with_roots(w.order)
     n = w.rank
+    randrange = rng.randrange
     images = []
     for i, pool in enumerate(_term_pools(w.weights, w.order, truncation)):
-        unit = tuple(1 if j == i else 0 for j in range(n))
-        img: Poly = {unit: rng.randrange(1, q)}
+        unit = (0,) * i + (1,) + (0,) * (n - i - 1)
+        img: Poly = {unit: randrange(1, q)}
         if pool:
-            for _ in range(rng.randrange(_MAX_EXTRA_TERMS + 1)):
-                exps = pool[rng.randrange(len(pool))]
-                coeff = rng.randrange(1, q)
+            for _ in range(randrange(_MAX_EXTRA_TERMS + 1)):
+                exps = pool[randrange(len(pool))]
+                coeff = randrange(1, q)
                 img[exps] = (img.get(exps, 0) + coeff) % q
         images.append({e: c for e, c in img.items() if c})
     return TruncatedAutomorphism(images, q, truncation)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from qres.exact_lattice import (
     determinant,
     is_primitive,
     primitive,
+    smith_elimination,
     smith_normal_form,
     smith_rows,
     span_coordinates,
@@ -139,6 +141,108 @@ class TestSmithNormalForm:
         with pytest.raises(DimensionError):
             smith_rows(rows)
 
+
+# The list-based Smith elimination as it was before it ran in place, kept
+# verbatim as the reference: the in-place one must return the same
+# (diagonal, left, ops), since traces record the left transform's unit.
+def reference_smith_elimination(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], list[list[int]], list[tuple[int, ...]]]:
+    """The Smith elimination of ``k`` integer rows of length ``n``, given as
+    int sequences: ``(diagonal, left, column_ops)`` with ``left`` (``k x k``)
+    unimodular int rows and ``left @ rows @ right`` zero off its diagonal,
+    whose ``min(k, n)`` entries are nonnegative and each divide the next.
+    ``right`` is the product of ``column_ops``, in order: ``(t, s)`` swaps
+    columns ``t`` and ``s``, ``(j, t, q)`` subtracts ``q`` times column
+    ``t`` from column ``j``; :func:`smith_rows` builds it.
+
+    Pivoting is deterministic: the entry of smallest nonzero absolute value
+    in the remaining submatrix wins, ties broken in row-major order, so the
+    decomposition is reproducible across runs.  The pivot is made positive,
+    then its column and its row are reduced by floor division, the column
+    first.  A remainder repeats the step; so does an entry of the remaining
+    submatrix that the pivot does not divide, after its row is added to the
+    pivot's.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    if not nc or any(len(r) != nc for r in rows):
+        raise DimensionError("Smith normal form of an empty or ragged matrix")
+    a = [list(r) for r in rows]
+    left = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    ops: list[tuple[int, ...]] = []
+    size = min(nr, nc)
+    t = 0
+    while t < size:
+        best = pi = pj = 0
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                v = abs(row[j])
+                if v and (not best or v < best):
+                    best, pi, pj = v, i, j
+        if not best:
+            break
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            left[t], left[pi] = left[pi], left[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+            ops.append((t, pj))
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            left[t] = [-x for x in left[t]]
+        at, lt = a[t], left[t]
+        p = at[t]
+        changed = False
+        for i in range(t + 1, nr):
+            q, r = divmod(a[i][t], p)
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], at)]
+                left[i] = [x - q * y for x, y in zip(left[i], lt)]
+            if r:
+                changed = True
+        for j in range(t + 1, nc):
+            q, r = divmod(at[j], p)
+            if q:
+                for row in a:
+                    row[j] -= q * row[t]
+                ops.append((j, t, q))
+            if r:
+                changed = True
+        if changed:
+            continue
+        # column and row t are clear beyond the pivot; enforce divisibility
+        viol = next((i for i in range(t + 1, nr) if any(x % p for x in a[i][t + 1 :])), None)
+        if viol is None:
+            t += 1
+        else:
+            a[t] = [x + y for x, y in zip(at, a[viol])]
+            left[t] = [x + y for x, y in zip(lt, left[viol])]
+    return tuple(a[i][i] for i in range(size)), left, ops
+
+
+# entries in [-60, 60]; in half of the matrices some are 6-digit numbers
+smith_small = st.integers(-60, 60)
+smith_large = st.integers(100_000, 999_999) | st.integers(-999_999, -100_000)
+smith_matrices = st.sampled_from([smith_small, smith_small | smith_large]).flatmap(
+    lambda entries: st.integers(1, 5).flatmap(
+        lambda n: st.integers(1, 5).flatmap(
+            lambda m: st.lists(
+                st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n
+            )
+        )
+    )
+)
+
+
+@given(smith_matrices)
+@settings(max_examples=400)
+def test_in_place_smith_elimination_equals_the_reference(rows):
+    before = [r[:] for r in rows]
+    assert smith_elimination(rows) == reference_smith_elimination(rows)
+    assert rows == before
 
 vector_entries = st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=4)
 

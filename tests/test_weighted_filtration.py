@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import qres
 from qres import cli, weighted_filtration
-from qres.errors import DimensionError, GluePreconditionError
+from qres.errors import DimensionError, GluePreconditionError, QresError
+from qres.exact_lattice import IntegerVector
 from qres.quotient_classifier import (
     CyclicQuotientType,
     parse_quotient_literal,
@@ -249,6 +250,29 @@ class TestSmallestPrimeWithRoots:
         assert all(n % 100003 == 1 for n in calls)
 
 
+GLUE_LITERALS = ["1/11(2,5,3,1)", "1/7(1,3,1)"]
+
+
+def sampled_and_moved_cases(literal):
+    """``(w, psi, k_max)`` for substitutions the sampler draws for the
+    divisor of ``literal``, each followed by its moved variant: adding the
+    divisor coordinate (weight 1) to the image of the heaviest coordinate is
+    divisor-fixing but not action-compatible."""
+    order, chars = parse_quotient_literal(literal)
+    w = WeightedFiltration(order, unit_weights(order, chars, len(chars) - 1))
+    heavy = max(range(w.rank), key=lambda i: w.weights[i])
+    divisor = tuple(int(j == w.rank - 1) for j in range(w.rank))
+    rng = Random(literal)
+    for k_max, truncation in [(3, 12), (12, 12), (14, 6)]:
+        for _ in range(6):
+            phi = sample_divisor_fixing_automorphism(w, rng, truncation=truncation)
+            images = [phi.image_poly(i) for i in range(phi.rank)]
+            images[heavy][divisor] = 1
+            moved = TruncatedAutomorphism(images, phi.modulus, phi.truncation)
+            yield w, phi, k_max
+            yield w, moved, k_max
+
+
 class TestGlueCriterion:
     """The valuation criterion of ``glue_check`` against the brute-force
     substitution of every generator of every ``I_k``."""
@@ -269,27 +293,85 @@ class TestGlueCriterion:
             verdicts[got] += 1
         assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
 
-    @pytest.mark.parametrize("literal", ["1/11(2,5,3,1)", "1/7(1,3,1)"])
+    @pytest.mark.parametrize("literal", GLUE_LITERALS)
     def test_sampled_substitutions(self, literal):
-        order, chars = parse_quotient_literal(literal)
-        w = WeightedFiltration(order, unit_weights(order, chars, len(chars) - 1))
-        # adding the divisor coordinate (weight 1) to the image of the
-        # heaviest coordinate is divisor-fixing but not action-compatible
-        heavy = max(range(w.rank), key=lambda i: w.weights[i])
-        divisor = tuple(int(j == w.rank - 1) for j in range(w.rank))
-        rng = Random(literal)
         verdicts = set()
-        for k_max, truncation in [(3, 12), (12, 12), (14, 6)]:
-            for _ in range(6):
-                phi = sample_divisor_fixing_automorphism(w, rng, truncation=truncation)
-                images = [phi.image_poly(i) for i in range(phi.rank)]
-                images[heavy][divisor] = 1
-                moved = TruncatedAutomorphism(images, phi.modulus, phi.truncation)
-                for psi in (phi, moved):
-                    got = glue_check(w, psi, k_max)
-                    assert got == brute_force_glue_check(w, psi, k_max)
-                    verdicts.add(got)
+        for w, psi, k_max in sampled_and_moved_cases(literal):
+            got = glue_check(w, psi, k_max)
+            assert got == brute_force_glue_check(w, psi, k_max)
+            verdicts.add(got)
         assert verdicts == {True, False}
+
+    def test_glue_check_does_no_polynomial_arithmetic(self, monkeypatch):
+        # verdicts by brute force first, then again with the polynomial
+        # routines disabled: sampled substitutions, their moved variants and
+        # random ones that need not be action-compatible
+        cases = [case for literal in GLUE_LITERALS for case in sampled_and_moved_cases(literal)]
+        rng = Random(2)
+        for _ in range(200):
+            w, phi, k_max = random_glue_case(rng)
+            if phi.fixes_divisor() and phi.is_local():
+                cases.append((w, phi, k_max))
+        verdicts = [brute_force_glue_check(*case) for case in cases]
+        assert set(verdicts) == {True, False}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("glue_check must not multiply polynomials")
+
+        monkeypatch.setattr(weighted_filtration, "_poly_mul", forbidden)
+        monkeypatch.setattr(weighted_filtration, "substitute", forbidden)
+        substitute.cache_clear()
+        _image_power.cache_clear()
+        for case, verdict in zip(cases, verdicts):
+            assert glue_check(*case) is verdict
+
+
+class TestTruncatedAutomorphismEdges:
+    """What the constructor stores and what ``unit_part`` reads, pinned
+    from the generator-based implementation."""
+
+    def test_repeated_unit_exponent_last_match_counts(self):
+        # the sequence form keeps both terms; after the (e, c) sort the
+        # larger coefficient comes last, and that one counts, as in image_poly
+        for terms in ([((1, 0), 5), ((1, 0), 3)], [((1, 0), 3), ((1, 0), 5)]):
+            phi = TruncatedAutomorphism([terms, [((0, 1), 1)]], 7, 12)
+            assert phi.images[0] == (((1, 0), 3), ((1, 0), 5))
+            assert phi.unit_part(0) == 5 == phi.image_poly(0)[(1, 0)]
+
+    def test_exponent_of_total_degree_one_is_not_the_unit(self):
+        phi = TruncatedAutomorphism(
+            [[((1, 1, -1), 2)], [((0, 1, 0), 1)], [((0, 0, 1), 1)]], 7, 12
+        )
+        assert phi.unit_part(0) == 0
+        assert [phi.unit_part(i) for i in (1, 2)] == [1, 1]
+        assert not phi.is_local()
+
+    def test_exponents_are_stored_as_plain_tuples(self):
+        phi = TruncatedAutomorphism(
+            [[([1, 0], 2), (Monomial((1, 2)).exponents, 1)], {(0, 1): 1}], 7, 12
+        )
+        assert phi.images == ((((1, 0), 2), ((1, 2), 1)), (((0, 1), 1),))
+        assert all(type(e) is tuple for img in phi.images for e, _ in img)
+        vector = TruncatedAutomorphism([[(IntegerVector((1, 0)), 3)]], 7, 12)
+        assert type(vector.images[0][0][0]) is tuple
+        assert vector.images == ((((1, 0), 3),),)
+
+    def test_coefficients_are_reduced_and_zeros_dropped(self):
+        phi = TruncatedAutomorphism(
+            [{(1, 0): 8, (2, 0): 7, (1, 1): -1}, [((0, 1), 1), ((0, 2), -14)]], 7, 12
+        )
+        assert phi.images == ((((1, 0), 1), ((1, 1), 6)), (((0, 1), 1),))
+
+    def test_terms_sort_by_exponent_then_coefficient(self):
+        terms = [((0, 2), 1), ((1, 0), 4), ((0, 1), 3), ((1, 0), 2), ((0, 1), 1)]
+        phi = TruncatedAutomorphism([terms], 5, 12)
+        assert phi.images == (
+            (((0, 1), 1), ((0, 1), 3), ((0, 2), 1), ((1, 0), 2), ((1, 0), 4)),
+        )
+
+    def test_modulus_must_be_prime(self):
+        with pytest.raises(QresError):
+            TruncatedAutomorphism([{(1,): 1}], 8, 12)
 
 
 # JSON reports of `glue-check` at seeds 0-2 as produced by the brute-force
