@@ -125,51 +125,69 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _cmd_classify(args) -> int:
+    """One loop over the sorted cones writes either report.  The ``--json``
+    report is assembled directly, keys in sorted order, so its bytes equal
+    ``json.dumps`` with ``sort_keys=True`` and ``separators=(",", ":")``:
+    every value is a decimal string, a boolean or ASCII text the program
+    makes (a ray such as ``(1,-2)`` or a type ``1/l(c_1,...,c_n)``), none
+    needing escapes."""
     m = _load_fan(args.file)
     p = m.characteristic
     # every ray is named by each cone it generates: format it once
     text = {g: _fmt_vec(g) for g in m.fan.ray_index}
-    report = []
-    for cone in m.fan.sorted_cones():
+    cones = m.fan.sorted_cones()
+    out = []
+    if not args.json:
+        out.append(f"fan: rank {m.fan.rank}, characteristic {p}, {len(cones)} cone(s)")
+    for i, cone in enumerate(cones, start=1):
         desc = cone_descriptor(cone)
-        entry = {
-            "cone": [text[g] for g in cone.generators],
-            "multiplicity": str(multiplicity(cone)),
-            "invariants": [str(d) for d in desc.nontrivial],
-            "cyclic": desc.cyclic,
-        }
-        if desc.cyclic and desc.cqs is not None:
-            order, chars = desc.order, desc.characters
-            entry["type"] = str(desc.cqs)
-            entry["tame"] = is_tame(order, p)
-            entry["faithful_rays"] = [
+        rays = [text[g] for g in cone.generators]
+        mult = multiplicity(cone)
+        # a fan file declares no zero cone, so a cone is cyclic iff it has a type
+        typed = desc.cqs is not None
+        if typed:
+            order = desc.order
+            tame = is_tame(order, p)
+            faithful = [
                 text[g]
-                for g, c in zip(cone.generators, chars)
+                for g, c in zip(cone.generators, desc.characters)
                 if math.gcd(c, order) == 1
             ]
-        report.append(entry)
-    if args.json:
-        _print_json(
-            {
-                "rank": str(m.fan.rank),
-                "characteristic": str(p),
-                "cones": report,
-            }
-        )
-        return 0
-    print(f"fan: rank {m.fan.rank}, characteristic {p}, {len(report)} cone(s)")
-    for i, entry in enumerate(report, start=1):
-        print(f"cone {i}: <{', '.join(entry['cone'])}>")
-        print(f"  multiplicity: {entry['multiplicity']}")
-        if entry["cyclic"]:
-            print(f"  type: {entry.get('type')}")
-            print(f"  tame: {'yes' if entry.get('tame') else 'no'}")
-            rays = entry.get("faithful_rays", [])
-            print(f"  faithful rays: {', '.join(rays) if rays else 'none'}")
+        if args.json:
+            head = f'{{"cone":{_json_texts(rays)},"cyclic":{_JSON_BOOL[desc.cyclic]}'
+            tail = (
+                f'"invariants":{_json_texts([str(d) for d in desc.nontrivial])},'
+                f'"multiplicity":"{mult}"'
+            )
+            if typed:
+                out.append(
+                    f'{head},"faithful_rays":{_json_texts(faithful)},{tail},'
+                    f'"tame":{_JSON_BOOL[tame]},"type":"{desc.cqs}"}}'
+                )
+            else:
+                out.append(f"{head},{tail}}}")
+            continue
+        out.append(f"cone {i}: <{', '.join(rays)}>")
+        out.append(f"  multiplicity: {mult}")
+        if typed:
+            out.append(f"  type: {desc.cqs}")
+            out.append(f"  tame: {'yes' if tame else 'no'}")
+            out.append(f"  faithful rays: {', '.join(faithful) if faithful else 'none'}")
         else:
-            chain = " | ".join(entry["invariants"])
-            print(f"  not cyclic: invariant factors {chain}")
+            out.append(f"  not cyclic: invariant factors {' | '.join(map(str, desc.nontrivial))}")
+    if args.json:
+        print(f'{{"characteristic":"{p}","cones":[{",".join(out)}],"rank":"{m.fan.rank}"}}')
+    else:
+        print("\n".join(out))
     return 0
+
+
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _json_texts(items: list[str]) -> str:
+    """The JSON array of the strings ``items``, none needing escapes."""
+    return '["' + '","'.join(items) + '"]' if items else "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,18 @@ Kernel.  Every cone has ``det = |det G_P|``, set on construction, and
 ``k`` cofactor rows ``C_j``, computed on first read, of its ``k x n``
 generator matrix ``G`` with first column basis ``P``: ``sign(det G_P)``
 times the columns of ``adj(G_P)``, zero off ``P``, so ``C_j . g_l`` is
-``det`` if ``j = l`` and 0 otherwise.  One helper makes both, by
-:func:`~qres.exact_lattice.adjugate` (a closed form when the cone is
-full-dimensional of rank 2-4, one fraction-free elimination otherwise); the
-constructor runs it, for ``det`` and the independence check, and keeps the
-rows, while a piece of a subdivision gets ``det`` from its parent and runs
-the helper only if its rows are read.  By Cramer's rule on ``P`` a vector
-``v`` of the span has coordinates ``C_j . v / det``, and ``v`` is in the
-span exactly when ``sum_j (C_j . v) g_j = det v``, which only a
+``det`` if ``j = l`` and 0 otherwise.  One helper, :func:`_kernel`, makes
+both, by :func:`~qres.exact_lattice.adjugate` (a closed form when the cone
+is full-dimensional of rank 2-4, one fraction-free elimination otherwise),
+and it is the only place rows are made.  A full-dimensional cone of rank
+2-4 takes ``det``, which is all its independence check needs, from the
+closed-form determinant (:func:`~qres.exact_lattice.closed_determinant`),
+and a piece of a subdivision takes it from its parent; either runs the
+helper only when its rows are first read, which for a final cone of a
+parsed trace is never.  The constructor of any other cone runs the helper,
+as its independence check, and keeps the rows.  By Cramer's rule on ``P`` a
+vector ``v`` of the span has coordinates ``C_j . v / det``, and ``v`` is in
+the span exactly when ``sum_j (C_j . v) g_j = det v``, which only a
 lower-dimensional cone can miss.  Containment is sign tests of integer dot
 products and star subdivision reads the numerators ``C_j . v``.  For a
 full-dimensional cone ``P`` is every coordinate and ``det`` the
@@ -63,10 +67,14 @@ is packed into one lane of ``n`` big integers, one per coordinate, and a
 row's dot products with all ``R`` rays at once are ``n`` big-integer
 multiply-adds, whose lane sign bits give the bit mask of the rays where
 the row is negative and that of the rays where it is positive, the mask of
-the row the cone across the facet has (see :func:`_sign_masks`).  A pair
+the row the cone across the facet has (see :func:`_sign_masks`).  Each row
+is first scaled to a primitive row, except those of a cone with ``det`` 1:
+they are the columns of a unimodular matrix, primitive already.  A pair
 then costs a few ``&`` of ray masks per row.  Only pairs that no single row
-of either cone settles go to the exact integer Fourier-Motzkin elimination,
-which decides whether a separating functional exists.
+of either cone settles go to the exact check, which decides whether a
+separating functional exists: each shared ray's equality is removed by
+substitution, and the inequalities left go to an integer Fourier-Motzkin
+elimination (see :func:`_meet_in_common_face`).
 """
 
 from __future__ import annotations
@@ -79,7 +87,13 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateInputError, DimensionError, MeasureError, SupportError
-from .exact_lattice import IntegerVector, adjugate, is_primitive, smith_elimination
+from .exact_lattice import (
+    IntegerVector,
+    adjugate,
+    closed_determinant,
+    is_primitive,
+    smith_elimination,
+)
 
 
 def _kernel(
@@ -111,12 +125,16 @@ class Cone:
     ``det`` is ``|det G_P|`` on the first column basis ``P`` of the
     generator matrix, set on construction, and ``cofactors[j] . v / det``
     is the ``j``-th coordinate of any ``v`` in the span of the generators
-    (see the module docstring).  The constructor computes both and keeps
-    the rows; a cone made by :meth:`_from_parts` computes its rows when
-    ``cofactors`` is first read, by the same helper.  Below full dimension
-    ``det`` is one maximal minor, a multiple of the multiplicity.  The zero
-    cone of a given ambient rank has an empty generator tuple, ``det`` 1 and
-    no cofactor rows.
+    (see the module docstring).  For a full-dimensional cone of rank 2-4
+    the constructor computes ``det`` alone, by the closed-form determinant,
+    and raises :class:`DegenerateInputError` when it is 0; such a cone,
+    like one made by :meth:`_from_parts`, computes its rows by
+    :func:`_kernel` when ``cofactors`` is first read.  For any other cone
+    the constructor runs :func:`_kernel`, which raises the same error for
+    dependent generators, and keeps both.  Below full dimension ``det`` is
+    one maximal minor, a multiple of the multiplicity.  The zero cone of a
+    given ambient rank has an empty generator tuple, ``det`` 1 and no
+    cofactor rows.
     """
 
     rank: int
@@ -128,7 +146,7 @@ class Cone:
             g if isinstance(g, IntegerVector) else IntegerVector(g) for g in generators
         )
         for g in gens:
-            if g.rank != rank:
+            if len(g) != rank:
                 raise DimensionError(f"generator {g} does not live in rank {rank}")
             # the gcd of the entries is 0 only for the zero vector, 1 when primitive
             d = math.gcd(*g)
@@ -137,11 +155,15 @@ class Cone:
                     raise DegenerateInputError("the zero vector cannot generate a ray")
                 raise DegenerateInputError(f"ray generator {g} is not primitive")
         gens = tuple(sorted(set(gens)))
-        det, cofactors = _kernel(rank, gens)
-        self._set(int(rank), gens, det)
-        # not through __dict__: reading it makes CPython keep the instance's
-        # attributes in a real dict, which slows every later attribute read
-        object.__setattr__(self, "cofactors", cofactors)
+        det = closed_determinant(gens) if len(gens) == rank else None
+        if det is None:
+            det, cofactors = _kernel(rank, gens)
+            # not through __dict__: reading it makes CPython keep the instance's
+            # attributes in a real dict, which slows every later attribute read
+            object.__setattr__(self, "cofactors", cofactors)
+        elif det == 0:
+            raise DegenerateInputError("generators are linearly dependent")
+        self._set(int(rank), gens, abs(det))
 
     def _set(self, rank: int, gens: tuple[IntegerVector, ...], det: int) -> None:
         object.__setattr__(self, "rank", rank)
@@ -503,10 +525,21 @@ def _fm_feasible(num_vars: int, constraints: list[tuple[tuple[int, ...], int]]) 
 def _meet_in_common_face(sigma: Cone, tau: Cone) -> bool:
     """Whether two cones intersect exactly in the face they share.
 
-    A separating functional vanishing on the common rays, strictly positive
-    on the remaining rays of one cone and strictly negative on those of the
-    other, exists precisely when the intersection is a common face; its
-    existence is decided exactly by integer Fourier-Motzkin elimination.
+    They do precisely when a separating functional ``w`` exists: zero on the
+    common rays, ``>= 1`` on the rays only ``sigma`` has and ``<= -1`` on
+    those only ``tau`` has.  Each common ray ``g`` is the equality
+    ``g . w = 0``, removed exactly by substitution before any inequality is
+    combined (Ziegler, *Lectures on Polytopes*, section 1.2): with ``k`` the
+    coordinate of ``g`` of least nonzero absolute value, every other row
+    ``c`` becomes ``|g_k| c - sign(g_k) c_k g``, which is zero at ``k`` and
+    equals ``|g_k| c`` wherever ``g . w = 0``, and coordinate ``k`` is
+    dropped, since ``w_k`` is then fixed by the others; the right-hand sides
+    are scaled by ``|g_k|``.  The common rays are independent, so each
+    equality is still nonzero when its turn comes.  What is left,
+    inequalities in ``n`` less the number of common rays variables, goes to
+    the integer Fourier-Motzkin elimination :func:`_fm_feasible`, which
+    decides the same as for the equalities passed as the two inequalities
+    ``+-g . w >= 0`` but, unlike that, combines no pair of them.
     :func:`validate_fan` calls this only for the pairs that no facet
     certificate settles.
     """
@@ -515,16 +548,21 @@ def _meet_in_common_face(sigma: Cone, tau: Cone) -> bool:
     t_only = [g for g in tau.generators if g not in common]
     if not s_only and not t_only:
         return True
-    n = sigma.rank
-    constraints: list[tuple[tuple[int, ...], int]] = []
-    for g in common:
-        constraints.append((g, 0))
-        constraints.append((-g, 0))
-    for g in s_only:
-        constraints.append((g, 1))
-    for g in t_only:
-        constraints.append((-g, 1))
-    return _fm_feasible(n, constraints)
+    equalities = [g for g in sigma.generators if g in common]
+    rows = [(g, 1) for g in s_only] + [(tuple([-x for x in g]), 1) for g in t_only]
+    while equalities:
+        g = equalities.pop()
+        k = min((i for i, x in enumerate(g) if x), key=lambda i: abs(g[i]))
+        a, sign = abs(g[k]), 1 if g[k] > 0 else -1
+        rest = [i for i in range(len(g)) if i != k]
+
+        def substitute(c: Sequence[int]) -> tuple[int, ...]:
+            b = sign * c[k]
+            return tuple([a * c[i] - b * g[i] for i in rest])
+
+        equalities = [substitute(e) for e in equalities]
+        rows = [(substitute(c), a * r) for c, r in rows]
+    return _fm_feasible(sigma.rank - len(common), rows)
 
 
 # translate tables from a lane's top byte to the binary digit "1" when the
@@ -603,6 +641,10 @@ def validate_fan(f: Fan) -> bool:
     full = (1 << len(rays)) - 1
     keys = []
     for c in cones:
+        if c.det == 1:
+            # the columns of a unimodular adjugate are primitive already
+            keys.append(c.cofactors)
+            continue
         own = []
         for row in c.cofactors:
             d = math.gcd(*row)

@@ -19,7 +19,9 @@ every full-dimensional cone of rank 2 to 4, takes a closed form (cross
 products for size 3, the 2x2 minors of two row pairs for size 4); every
 other input takes one fraction-free (Bareiss) Gauss-Jordan elimination,
 :func:`bareiss_adjugate`, which the tests also use as the reference for the
-closed forms.  :func:`span_coordinates` and :func:`matrix_rank` eliminate
+closed forms.  The same sizes have a closed-form determinant alone,
+:func:`closed_determinant`, which :func:`determinant` and the cone
+constructor read.  :func:`span_coordinates` and :func:`matrix_rank` eliminate
 over ``Fraction`` and are only the reference the tests compare against.
 
 One Smith elimination, :func:`smith_elimination`, works on int rows, such
@@ -183,11 +185,22 @@ class SmithDecomposition:
 
 
 def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant of a square matrix, read from :func:`adjugate`
-    (closed forms for sizes 2 to 4, Bareiss elimination otherwise)."""
+    """Exact determinant of a square matrix: :func:`closed_determinant` for
+    sizes 2 to 4, the Bareiss elimination otherwise."""
     if m.nrows != m.ncols:
         raise DimensionError(f"determinant of a {m.nrows}x{m.ncols} matrix")
-    return adjugate(m.rows)[1]
+    det = closed_determinant(m.rows)
+    return bareiss_adjugate(m.rows)[1] if det is None else det
+
+
+def closed_determinant(rows: Sequence[Sequence[int]]) -> Optional[int]:
+    """``det A`` of a square ``A`` of size 2, 3 or 4 by its closed form, the
+    one :func:`adjugate` expands, or ``None`` for any other size; the caller
+    has checked that ``A`` is square.  It makes no adjugate, so a caller
+    that needs only the determinant, or needs the adjugate later if at all,
+    pays a few products."""
+    closed = _DETERMINANTS.get(len(rows))
+    return None if closed is None else closed(*rows)
 
 
 def adjugate(
@@ -274,7 +287,37 @@ def _adjugate4(r0, r1, r2, r3):
     ]
 
 
+def _determinant2(r0, r1):
+    a0, a1 = r0
+    b0, b1 = r1
+    return a0 * b1 - a1 * b0
+
+
+def _determinant3(r0, r1, r2):
+    a0, a1, a2 = r0
+    b0, b1, b2 = r1
+    c0, c1, c2 = r2
+    return a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
+
+
+def _determinant4(r0, r1, r2, r3):
+    # the Laplace expansion of _adjugate4 along rows 0-1
+    a0, a1, a2, a3 = r0
+    b0, b1, b2, b3 = r1
+    c0, c1, c2, c3 = r2
+    d0, d1, d2, d3 = r3
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
+
+
 _CLOSED_FORMS = {2: _adjugate2, 3: _adjugate3, 4: _adjugate4}
+_DETERMINANTS = {2: _determinant2, 3: _determinant3, 4: _determinant4}
 _ALL_COLUMNS = {n: tuple(range(n)) for n in _CLOSED_FORMS}
 
 

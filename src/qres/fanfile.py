@@ -3,6 +3,10 @@
 Every line is one JSON record; integers are written as decimal strings so
 consumers without big-integer support can stay exact.  Emission is
 byte-deterministic: keys are sorted, ordering of records is canonical.
+An integer field is read back from a string of an optional ``-`` and ASCII
+digits only: ``"+1"``, ``"1_0"``, ``" 1 "`` and non-ASCII digits, all of
+which ``int`` alone accepts, are parse errors.  A JSON integer is also
+read; a boolean or any other value is an error.
 
 :func:`emit_trace` writes its step and ``final_fan`` records directly, with
 no JSON encoder pass: each distinct vector is turned into its JSON text,
@@ -22,9 +26,14 @@ so later dict, set and fan comparisons of these vectors short-circuit on
 identity: a dict or set lookup, and the item-by-item comparison of two
 generator tuples, test identity before comparing entries.  Every center and
 final cone is still built, and so checked, by the
-:class:`~qres.cones_fans.Cone` constructor.  The step records must carry the
-indices ``0..N-1``, in any order, every vector the header's rank, which must
-be positive, and there is one ``final_fan`` record.
+:class:`~qres.cones_fans.Cone` constructor, which for a full-dimensional
+cone of rank 2 to 4 checks independence by a closed-form determinant and
+makes the cone's cofactor rows only when they are first read.  Replay reads
+them for the center cones, to place each ray; it compares the final cones
+only by their generators, so none of them ever holds rows.  The step
+records must carry the indices ``0..N-1``, in any order, every vector the
+header's rank, which must be positive, and there is one ``final_fan``
+record.
 """
 
 from __future__ import annotations
@@ -72,15 +81,22 @@ def _json_strings(xs: Iterable[int]) -> str:
 
 
 def _parse_int(value: Any, lineno: Optional[int], what: str) -> int:
+    """An integer field: a decimal string, the form every record here is
+    written in (see the module docstring), or a JSON integer."""
+    if isinstance(value, str):
+        # int() alone would also take "+1", "1_0", " 1 " and non-ASCII digits
+        if value.isascii() and (
+            value.isdigit() or value[:1] == "-" and value[1:].isdigit()
+        ):
+            try:
+                return int(value)
+            except ValueError:  # more digits than int() converts
+                pass
+        raise FanParseError(f"{what} is not a decimal integer: {value!r}", lineno)
     if isinstance(value, bool):
         raise FanParseError(f"{what} must be an integer, got a boolean", lineno)
     if isinstance(value, int):
         return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise FanParseError(f"{what} is not a decimal integer: {value!r}", lineno)
     raise FanParseError(f"{what} must be a decimal string, got {type(value).__name__}", lineno)
 
 
@@ -102,21 +118,25 @@ def _parse_vector_once(
     valid one.  A lookup needs no such check, since a tuple with an item
     that is not a ``str`` equals no key; the items are checked only before
     a parsed vector is stored.  Any other payload, an unhashable item
-    included, takes the full parse every time.
+    included, takes the full parse every time.  The rank is checked when a
+    vector is parsed, before it is stored, so a stored vector is returned
+    unchecked: ``memo`` serves one call, of one rank.
     """
-    vec = key = None
+    key = None
     if type(value) is list:
         key = tuple(value)
         try:
             vec = memo.get(key)
         except TypeError:  # an unhashable item, such as a list or an object
             key = None
-    if vec is None:
-        vec = _parse_vector(value, lineno, what)
-        if key is not None and all(type(x) is str for x in key):
-            memo[key] = vec
+        else:
+            if vec is not None:
+                return vec
+    vec = _parse_vector(value, lineno, what)
     if vec.rank != rank:
         raise FanParseError(f"{what} {vec} has rank {vec.rank}, expected {rank}", lineno)
+    if key is not None and all(type(x) is str for x in key):
+        memo[key] = vec
     return vec
 
 

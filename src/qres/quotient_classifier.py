@@ -177,15 +177,29 @@ def cone_characters(c: Cone) -> tuple[int, tuple[int, ...]]:
     return _snf_characters(diagonal, left)
 
 
+@lru_cache(maxsize=8)
+def _smooth_descriptor(dim: int) -> QuotientDescriptor:
+    """The descriptor of every cone of dimension ``dim`` with ``det`` 1: the
+    trivial group, made once and shared (descriptors are frozen)."""
+    trivial = (0,) * dim
+    return QuotientDescriptor((1,) * dim, True, CyclicQuotientType(1, trivial), trivial)
+
+
 def cone_descriptor(c: Cone) -> QuotientDescriptor:
-    """Divisor-chain descriptor of any simplicial cone (saturation-relative),
-    from one Smith normal form; a cone with ``det`` 1 needs none and has
-    ``dim`` trivial invariants and characters."""
+    """Divisor-chain descriptor of any simplicial cone (saturation-relative).
+
+    A cone with ``det`` 1, every smooth full-dimensional cone, has the
+    trivial group: ``dim`` invariants 1 and zero characters, of type
+    ``1/1(0,...,0)``.  Its descriptor depends on nothing but ``dim``, so all
+    such cones of one dimension share one, made on first use by a small
+    bounded cache, and no Smith normal form or quotient type is made per
+    cone.  Any other cone is read from one Smith normal form of its
+    generators; the zero cone has no invariants and no type.
+    """
     if not c.generators:
         return QuotientDescriptor((), True, None)
     if c.det == 1:
-        trivial = (0,) * c.dim
-        return QuotientDescriptor((1,) * c.dim, True, CyclicQuotientType(1, trivial), trivial)
+        return _smooth_descriptor(len(c.generators))
     diagonal, left, _ = smith_elimination(c.generators)
     try:
         order, chars = _snf_characters(diagonal, left)

@@ -12,7 +12,10 @@ own elimination (and its closed forms with the Bareiss elimination), the
 Smith normal form, the all-pairs maximality rule, the
 one-ray-at-a-time reference subdivision, the one-dot-product-per-ray sign
 masks and the ``Fraction`` Fourier-Motzkin fan check written out below, on
-cones of rank 2-5 and of every dimension.
+cones of rank 2-5 and of every dimension.  The constructor's closed-form
+determinant is compared with ``_kernel``, the one source of rows, and the
+exact check that substitutes each common ray's equality with the one that
+passed it to Fourier-Motzkin as two inequalities.
 """
 
 import functools
@@ -42,6 +45,7 @@ from qres.exact_lattice import (
     IntegerVector,
     adjugate,
     bareiss_adjugate,
+    closed_determinant,
     determinant,
     matrix_rank,
     primitive,
@@ -206,6 +210,8 @@ class TestAdjugate:
         n = len(rows)
         pivots, det, adj = adjugate(rows)
         assert det == determinant(IntegerMatrix(rows))
+        # the closed-form determinant alone covers sizes 2-4
+        assert closed_determinant(rows) == (det if 2 <= n <= 4 else None)
         if det == 0:
             assert adj is None
             return
@@ -227,6 +233,7 @@ class TestAdjugate:
         def check(rows):
             got = adjugate(rows)
             assert got == bareiss_adjugate(rows)
+            assert closed_determinant(rows) == got[1]
             singular.append(got[1] == 0)
 
         check()
@@ -353,6 +360,59 @@ class TestFullDimensionalKernel:
         assert z.numerators(IntegerVector((0, 1, 0))) is None
         assert z.contains(IntegerVector((0, 0, 0)))
         assert not z.contains(IntegerVector((1, 0, 0)))
+
+
+@st.composite
+def generator_lists(draw):
+    """Rank 1-5 and 1 to rank primitive vectors with small entries, the
+    last one often a combination of two others, so repeated and dependent
+    generators are common."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(primitive_vectors(n, 2), min_size=1, max_size=n))
+    if len(gens) > 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        v = [a * x + b * y for x, y in zip(gens[0], gens[1])]
+        if any(v):
+            gens[-1] = primitive(IntegerVector(v))
+    return n, gens
+
+
+class TestLeanConstructor:
+    """A full-dimensional cone of rank 2-4 takes ``det`` from the closed-form
+    determinant and makes its rows on first read; every cone's ``det`` and
+    rows are those of ``_kernel``, the one source of rows."""
+
+    def test_det_and_rows_equal_the_kernel(self):
+        seen = set()
+
+        @given(generator_lists())
+        @settings(max_examples=500, deadline=None)
+        def check(data):
+            n, gens = data
+            ordered = tuple(sorted(set(gens)))
+            full = len(ordered) == n
+            try:
+                det, rows = cones_fans._kernel(n, ordered)
+            except DegenerateInputError as exc:
+                with pytest.raises(DegenerateInputError) as info:
+                    Cone(n, gens)
+                assert str(info.value) == str(exc)
+                seen.add((full, "dependent"))
+                return
+            c = Cone(n, gens)
+            lean = full and 2 <= n <= 4
+            assert ("cofactors" in c.__dict__) is not lean
+            assert c.det == det and c.cofactors == rows
+            seen.add((full, "lean" if lean else "independent"))
+
+        check()
+        assert seen == {
+            (True, "lean"),
+            (True, "independent"),
+            (True, "dependent"),
+            (False, "independent"),
+            (False, "dependent"),
+        }
 
 
 # faces of the orthant of rank 4 whose sorted generators have a first
@@ -615,6 +675,24 @@ def reference_meet(sigma, tau):
     return all(r <= 0 for _, r in system)
 
 
+def paired_meet(sigma, tau):
+    """``_meet_in_common_face`` as it was before it substituted equalities:
+    each common ray ``g`` goes to ``_fm_feasible`` as the two inequalities
+    ``+-g . w >= 0``, which the elimination then combines with the others."""
+    common = set(sigma.generators) & set(tau.generators)
+    s_only = [g for g in sigma.generators if g not in common]
+    t_only = [g for g in tau.generators if g not in common]
+    if not s_only and not t_only:
+        return True
+    constraints = []
+    for g in common:
+        constraints.append((tuple(g), 0))
+        constraints.append((tuple(-x for x in g), 0))
+    constraints += [(tuple(g), 1) for g in s_only]
+    constraints += [(tuple(-x for x in g), 1) for g in t_only]
+    return cones_fans._fm_feasible(sigma.rank, constraints)
+
+
 @st.composite
 def cone_pairs(draw):
     """Two cones of rank 2-4 sharing some rays: the first a full cone of
@@ -650,15 +728,22 @@ class TestFacetCertificate:
                 got = _meet_in_common_face(sigma, tau)
             want = reference_meet(sigma, tau)
             assert got == want == reference_meet(tau, sigma)
+            # common rays substituted or passed as paired inequalities
+            assert got == paired_meet(sigma, tau) == _meet_in_common_face(tau, sigma)
             assert validate_fan(Fan(sigma.rank, [sigma, tau])) == want
             full = sigma.is_full_dimensional() and tau.is_full_dimensional()
-            seen.add((want, fm.called, full))
+            shared = bool(set(sigma.generators) & set(tau.generators))
+            seen.add((want, fm.called, full, shared))
 
         check()
         # the rows run only inside validate_fan, so invalid pairs, also of
-        # two full cones, and valid ones reach the elimination here
-        assert (False, True, True) in seen
-        assert (True, True) in {(want, fallback) for want, fallback, _ in seen}
+        # two full cones, and valid ones reach the elimination here, with
+        # and without common rays
+        assert (False, True, True) in {s[:3] for s in seen}
+        assert (True, True) in {s[:2] for s in seen}
+        assert {(want, shared) for want, _, _, shared in seen} == {
+            (a, b) for a in (True, False) for b in (True, False)
+        }
 
     def test_pair_no_row_settles_validates(self):
         # two cones of the resolved 1/97(1,13,41) fan
@@ -670,6 +755,35 @@ class TestFacetCertificate:
             assert _meet_in_common_face(sigma, tau)
             assert validate_fan(Fan(3, [sigma, tau]))
         assert fm.call_count == 2
+
+    def test_a_moved_rank4_cone_is_rejected(self):
+        fan = resolve(marked_fan_from_characters(8, (4, 3, 2, 7))).final.fan
+        assert validate_fan(fan)
+        cones = fan.sorted_cones()
+        # sigma and tau share a facet; sigma's other ray g is pushed past it,
+        # along tau's other ray h, so that sigma overlaps tau
+        sigma, tau = next(
+            (a, b)
+            for a, b in itertools.combinations(cones, 2)
+            if len(set(a.generators) & set(b.generators)) == 3
+        )
+        (g,) = set(sigma.generators) - set(tau.generators)
+        (h,) = set(tau.generators) - set(sigma.generators)
+        row = sigma.cofactors[sigma.generators.index(g)]  # zero on the facet
+
+        def side(v):
+            return sum(a * b for a, b in zip(row, v))
+
+        assert side(g) > 0 > side(h)
+        k = side(g) // -side(h) + 1
+        moved_ray = primitive(IntegerVector([x + k * y for x, y in zip(g, h)]))
+        assert side(moved_ray) < 0
+        moved = Cone(4, [moved_ray if v == g else v for v in sigma.generators])
+        assert not _meet_in_common_face(moved, tau)
+        assert not paired_meet(moved, tau)
+        rest = [c for c in cones if c != sigma]
+        assert validate_fan(Fan(4, rest))
+        assert not validate_fan(Fan(4, [*rest, moved]))
 
 
 ORTHANT = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])

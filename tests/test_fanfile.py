@@ -9,12 +9,16 @@ The parse errors for bad vector payloads in every kind of record are pinned
 as they read before ``parse_trace`` shared one vector per distinct payload,
 including payloads that equal a valid one as Python tuples (``[true,0,0]``
 after ``[1,0,0]``) or as a tuple of characters (``"100"``), which a memo
-keyed too loosely would accept.  Step indices must run ``0..N-1``, the
-final fan's markings must be a list, every vector must have the header's
-rank and there must be one final fan record; replay checks the final
-marking and characteristic against the input.  Parsing and replaying a
+keyed too loosely would accept, and strings ``int`` alone reads although
+they are not an optional ``-`` and ASCII digits (``"1_0"``, ``" 1 "``,
+``"+1"``, an Arabic-Indic digit), which ``qres classify`` rejects with exit
+3.  Step indices must run ``0..N-1``, the final fan's markings must be a
+list, every vector must have the header's rank and there must be one final
+fan record; replay checks the final marking and characteristic against the
+input.  Parsing and replaying a
 trace builds every recorded center and final cone, but by the closed-form
-kernel, without a Bareiss elimination.
+kernel, without a Bareiss elimination, and leaves every final cone, parsed
+or replayed, without cofactor rows.
 
 ``emit_trace`` writes its step and final fan records without a JSON
 encoder; its bytes are compared with the encoder's on the ladder cases and
@@ -25,7 +29,7 @@ import json
 
 import pytest
 from hypothesis import example, given, settings
-from test_resolution_engine import CASES, case_id, quotient_types
+from test_resolution_engine import CASES, case_id, quotient_types, traced
 
 from qres import cli, exact_lattice, fanfile
 from qres.cones_fans import Cone
@@ -95,6 +99,12 @@ PAYLOADS = {
     "nested": ([["1"], "0", "0"], "must be a decimal string, got list"),
     "dict": ([{"1": "0"}, "0", "0"], "must be a decimal string, got dict"),
     "boolean-after-int": ([True, 0, 0], "must be an integer, got a boolean"),
+    # int() alone reads these as 10, 1, 1 and 1: a decimal integer is an
+    # optional "-" and ASCII digits, nothing else
+    "underscore": (["1_0", "0", "0"], "is not a decimal integer: '1_0'"),
+    "spaces": ([" 1 ", "0", "0"], "is not a decimal integer: ' 1 '"),
+    "arabic-indic": (["\u0661", "0", "0"], "is not a decimal integer: '\u0661'"),
+    "plus": (["+1", "0", "0"], "is not a decimal integer: '+1'"),
 }
 
 
@@ -240,6 +250,28 @@ def test_two_rays_with_one_vector_are_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 3: ray 1 repeats the vector of ray 0\n"
 
 
+FAN_WITH_A_NON_DECIMAL_RAY = "\n".join(
+    [
+        '{"characteristic":"0","rank":"2","record":"fan"}',
+        '{"id":"0","record":"ray","v":["1_0"," 1 "]}',
+        '{"id":"1","record":"ray","v":["0","1"]}',
+        '{"rays":["0","1"],"record":"cone"}',
+    ]
+) + "\n"
+
+
+def test_a_ray_that_int_alone_would_read_is_rejected(tmp_path, capsys):
+    # int() reads the ray as (10,1), which classify used to report with exit 0
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(FAN_WITH_A_NON_DECIMAL_RAY, encoding="utf-8")
+    assert cli.main(["classify", str(fan_file), "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 2: ray coordinates is not a decimal integer: '1_0'\n"
+    )
+
+
 @pytest.mark.parametrize("rank", ["0", "-1"])
 def test_a_rank_below_one_is_reported_at_the_header_of_either_file(rank):
     # a trace read the rank and compared the first added ray with it:
@@ -350,6 +382,19 @@ def test_parse_and_replay_build_every_cone_without_an_elimination(monkeypatch):
         for g in cone.generators:
             assert g not in added or added[g] is g
     assert all(added.get(u, u) is u for u in doc.final.marked_rays)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
+def test_parse_and_replay_leave_every_final_cone_without_rows(case):
+    # the constructor checks a parsed cone by its determinant, and replay
+    # reads the rows of center cones only: no final cone, parsed or
+    # replayed, makes its rows
+    m, trace = traced(case)
+    doc = fanfile.parse_trace(fanfile.emit_trace(trace))
+    fan = replay(m, doc)
+    assert fan == doc.final.fan
+    for final in (fan, doc.final.fan):
+        assert not [c for c in final.cones if "cofactors" in c.__dict__]
 
 
 def _reference_trace(trace):

@@ -30,7 +30,7 @@ from qres.quotient_classifier import (
     standard_cone,
     unit_weights,
 )
-from qres.resolution_engine import MarkedFan, marked_fan_from_characters
+from qres.resolution_engine import MarkedFan, marked_fan_from_characters, resolve
 
 
 def Q(order, *chars):
@@ -192,6 +192,24 @@ class TestConeToQuotient:
                 snf.diagonal, True, CyclicQuotientType(order, chars), chars
             )
             assert len(chars) == len(cone_descriptor(f).invariants) == f.dim
+
+    def test_smooth_cones_share_one_descriptor_per_dimension(self):
+        # the faces with det 1 of a resolved rank-4 fan, of every dimension:
+        # each descriptor equals one built afresh, and one object serves a
+        # dimension
+        fan = resolve(marked_fan_from_characters(13, (1, 3, 5, 7))).final.fan
+        shared = {}
+        for c in fan.cones:
+            for f in faces(c):
+                if not f.generators or f.det != 1:
+                    continue
+                d = cone_descriptor(f)
+                trivial = (0,) * f.dim
+                assert d == QuotientDescriptor(
+                    (1,) * f.dim, True, CyclicQuotientType(1, trivial), trivial
+                )
+                assert shared.setdefault(f.dim, d) is d
+        assert sorted(shared) == [1, 2, 3, 4]
 
     def test_order_equals_multiplicity(self):
         for gens in [

@@ -870,26 +870,38 @@ def test_classify_runs_one_smith_normal_form_per_singular_cone(tmp_path, monkeyp
 
 # sha256 of the classify report, --json and text, of the fans of 1/31(1,5,11)
 # after one blow-up step and at the end, as recorded before classify
-# formatted each ray once per report
+# formatted each ray once per report, and of the final fan of 1/8(4,3,2,7),
+# rank 4 and smooth, whose fan check sends 45 pairs to Fourier-Motzkin, as
+# recorded before the check substituted the common rays' equalities and
+# before classify wrote its records directly (the package CI job checks the
+# --json sha256 in a bare venv)
 CLASSIFY_PINS = [
     (
         "step",
+        CASES[0],
         "e8d9578e69021bc144b2d589beb3810963c5384f7d94157a5e8b82319b040b4b",
         "a699e8834a3256aee307a11b85fcb61eea2a3e2220c819bf3e5650f7d2a99cc1",
     ),
     (
         "final",
+        CASES[0],
         "a1a9b99b568300b2db7f28ed774626012189d5fd5830d99c7ef99f1b7928f6ad",
         "fec6b466072f64865358014e614a6bc968d5de7a0f18d33b53ba2d1670dfa755",
+    ),
+    (
+        "final-rank4",
+        (8, (4, 3, 2, 7), 0),
+        "c396d4dbe3e5fb2ea5c127eef6f20be5749363033a0eca3bbb50f2bdca9a61d1",
+        "b9133f5bc44f710e99b1e98ace8db06aa75c4d00fba6cf8db347cc630a04850a",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "which, json_sha, text_sha", CLASSIFY_PINS, ids=[pin[0] for pin in CLASSIFY_PINS]
+    "which, case, json_sha, text_sha", CLASSIFY_PINS, ids=[pin[0] for pin in CLASSIFY_PINS]
 )
-def test_classify_report_bytes_are_pinned(which, json_sha, text_sha, tmp_path, capsys):
-    m, trace = traced(CASES[0])
+def test_classify_report_bytes_are_pinned(which, case, json_sha, text_sha, tmp_path, capsys):
+    m, trace = traced(case)
     fan = resolution_engine.blowup_step(m)[0] if which == "step" else trace.final
     fan_file = tmp_path / "fan.jsonl"
     fan_file.write_text(fanfile.emit_fan(fan), encoding="utf-8")
