@@ -27,13 +27,22 @@ over ``Fraction`` and are only the reference the tests compare against.
 One Smith elimination, :func:`smith_elimination`, works on int rows, such
 as a cone's generators, and returns the diagonal and the left transform as
 lists, so the classifier reads a cone's characters without building a
-matrix object per cone.  It works in place on one copy of the rows,
-touching only the rows and columns from the current pivot on, and skips
-the divisibility scan after a pivot of 1; the tests keep the earlier
-list-rebuilding elimination as its reference.  It records its column
-operations instead of applying each one to a right transform, which no
-chart needs; only :func:`smith_rows` builds ``right`` from that record,
-and :func:`smith_normal_form` wraps it for callers holding an
+matrix object per cone.  It dispatches on shape.  A square input of size 2
+or 3, every chart of rank 2 or 3, runs a kernel that holds its entries, its
+left transform and its pivot search in local variables: the 3x3 kernel
+clears the first row and column, then hands the trailing 2x2 block to the
+2x2 kernel's loop, which returns the block's diagonal and the 2x2 transform
+its row operations multiply the two trailing left rows by.  Every other
+shape runs the general loop, in place on one copy of the rows, touching
+only the rows and columns from the current pivot on; its pivot search
+stops at the first entry of absolute value 1, and it skips the
+divisibility scan after a pivot of 1.  Both follow the same steps in the
+same order, so a kernel returns exactly the general loop's result; the
+tests keep the earlier list-rebuilding elimination as the reference for
+both.  The elimination records its column operations instead of applying
+each one to a right transform, which no chart needs; only
+:func:`smith_rows` builds ``right`` from that record, and
+:func:`smith_normal_form` wraps it for callers holding an
 :class:`IntegerMatrix` and returns a :class:`SmithDecomposition`.
 """
 
@@ -389,16 +398,22 @@ def smith_elimination(
     submatrix that the pivot does not divide, after its row is added to the
     pivot's.
 
-    The work runs in place on one copy of the rows.  Before step ``t``
-    every row and column below ``t`` is zero off the diagonal, so row
-    operations touch columns ``t`` on and column operations rows ``t`` on
-    (``left`` is updated whole); a pivot of 1 divides everything, so it
-    needs no divisibility scan.
+    A square input of size 2 or 3 runs a kernel on local variables
+    (:func:`_smith2`, :func:`_smith3`) that takes these steps in this
+    order and returns the same result.  Every other shape runs in place on
+    one copy of the rows.  Before step ``t`` every row and column below
+    ``t`` is zero off the diagonal, so row operations touch columns ``t``
+    on and column operations rows ``t`` on (``left`` is updated whole).  An
+    entry of absolute value 1 is the row-major first minimum wherever it
+    stands, so the pivot search stops there; a pivot of 1 divides
+    everything, so it needs no divisibility scan.
     """
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
-    if not nc or any(len(r) != nc for r in rows):
+    if not nc or set(map(len, rows)) != {nc}:
         raise DimensionError("Smith normal form of an empty or ragged matrix")
+    if nr == nc and nr in _SMITH_KERNELS:
+        return _SMITH_KERNELS[nr](rows)
     a = [list(r) for r in rows]
     left = [[int(i == j) for j in range(nr)] for i in range(nr)]
     ops: list[tuple[int, ...]] = []
@@ -412,6 +427,11 @@ def smith_elimination(
                 v = abs(row[j])
                 if v and (not best or v < best):
                     best, pi, pj = v, i, j
+                    if v == 1:
+                        break
+            else:
+                continue
+            break
         if not best:
             break
         if pi != t:
@@ -466,6 +486,160 @@ def smith_elimination(
             for j in range(nr):
                 lt[j] += lv[j]
     return tuple(a[i][i] for i in range(size)), left, ops
+
+
+def _smith_block(a, b, c, d, t, ops):
+    """Steps ``t`` and ``t + 1`` of :func:`smith_elimination` on its trailing
+    2x2 block ``[[a, b], [c, d]]``, whose rows and columns are ``t`` and
+    ``t + 1``; column operations go to ``ops`` under those indices.  Returns
+    the block's diagonal and the entries ``m0, m1, m2, m3`` of the 2x2
+    transform by which its row operations multiply left rows ``t`` and
+    ``t + 1``."""
+    m0, m1, m2, m3 = 1, 0, 0, 1
+    while True:
+        # the smallest nonzero |entry|, row-major ties: k indexes a, b, c, d
+        k, best = 0, abs(a)
+        v = abs(b)
+        if v and (not best or v < best):
+            k, best = 1, v
+        v = abs(c)
+        if v and (not best or v < best):
+            k, best = 2, v
+        v = abs(d)
+        if v and (not best or v < best):
+            k, best = 3, v
+        if not best:
+            return a, d, m0, m1, m2, m3
+        if k > 1:
+            a, b, c, d = c, d, a, b
+            m0, m1, m2, m3 = m2, m3, m0, m1
+        if k & 1:
+            a, b, c, d = b, a, d, c
+            ops.append((t, t + 1))
+        if a < 0:
+            a, b, m0, m1 = -a, -b, -m0, -m1
+        q, r = divmod(c, a)
+        if q:
+            c -= q * a
+            d -= q * b
+            m2 -= q * m0
+            m3 -= q * m1
+        q, s = divmod(b, a)
+        if q:
+            b -= q * a
+            d -= q * c
+            ops.append((t + 1, t, q))
+        if r or s:
+            continue
+        if a == 1 or not d % a:
+            break
+        # b and c are 0: add row t + 1 to row t
+        b = d
+        m0 += m2
+        m1 += m3
+    if d < 0:
+        d, m2, m3 = -d, -m2, -m3
+    return a, d, m0, m1, m2, m3
+
+
+def _smith2(rows):
+    """:func:`smith_elimination` of two rows of length 2."""
+    (a, b), (c, d) = rows
+    ops: list[tuple[int, ...]] = []
+    d0, d1, m0, m1, m2, m3 = _smith_block(a, b, c, d, 0, ops)
+    return (d0, d1), [[m0, m1], [m2, m3]], ops
+
+
+def _smith3(rows):
+    """:func:`smith_elimination` of three rows of length 3: step 0 on the
+    entries ``a*``, ``b*``, ``c*`` and the left rows ``x*``, ``y*``, ``z*``,
+    then :func:`_smith_block` on the trailing block."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    x0, x1, x2, y0, y1, y2, z0, z1, z2 = 1, 0, 0, 0, 1, 0, 0, 0, 1
+    ops: list[tuple[int, ...]] = []
+    while True:
+        # the smallest nonzero |entry|, row-major ties: k = 3 * row + column
+        k, best = 0, abs(a0)
+        v = abs(a1)
+        if v and (not best or v < best):
+            k, best = 1, v
+        v = abs(a2)
+        if v and (not best or v < best):
+            k, best = 2, v
+        v = abs(b0)
+        if v and (not best or v < best):
+            k, best = 3, v
+        v = abs(b1)
+        if v and (not best or v < best):
+            k, best = 4, v
+        v = abs(b2)
+        if v and (not best or v < best):
+            k, best = 5, v
+        v = abs(c0)
+        if v and (not best or v < best):
+            k, best = 6, v
+        v = abs(c1)
+        if v and (not best or v < best):
+            k, best = 7, v
+        v = abs(c2)
+        if v and (not best or v < best):
+            k, best = 8, v
+        if not best:
+            return (a0, b1, c2), [[x0, x1, x2], [y0, y1, y2], [z0, z1, z2]], ops
+        if k > 5:
+            a0, a1, a2, x0, x1, x2, c0, c1, c2, z0, z1, z2 = (
+                c0, c1, c2, z0, z1, z2, a0, a1, a2, x0, x1, x2
+            )
+        elif k > 2:
+            a0, a1, a2, x0, x1, x2, b0, b1, b2, y0, y1, y2 = (
+                b0, b1, b2, y0, y1, y2, a0, a1, a2, x0, x1, x2
+            )
+        k %= 3
+        if k == 1:
+            a0, a1, b0, b1, c0, c1 = a1, a0, b1, b0, c1, c0
+            ops.append((0, 1))
+        elif k == 2:
+            a0, a2, b0, b2, c0, c2 = a2, a0, b2, b0, c2, c0
+            ops.append((0, 2))
+        if a0 < 0:
+            a0, a1, a2, x0, x1, x2 = -a0, -a1, -a2, -x0, -x1, -x2
+        q, r = divmod(b0, a0)
+        if q:
+            b0, b1, b2 = b0 - q * a0, b1 - q * a1, b2 - q * a2
+            y0, y1, y2 = y0 - q * x0, y1 - q * x1, y2 - q * x2
+        q, s = divmod(c0, a0)
+        if q:
+            c0, c1, c2 = c0 - q * a0, c1 - q * a1, c2 - q * a2
+            z0, z1, z2 = z0 - q * x0, z1 - q * x1, z2 - q * x2
+        q, u = divmod(a1, a0)
+        if q:
+            a1, b1, c1 = a1 - q * a0, b1 - q * b0, c1 - q * c0
+            ops.append((1, 0, q))
+        q, v = divmod(a2, a0)
+        if q:
+            a2, b2, c2 = a2 - q * a0, b2 - q * b0, c2 - q * c0
+            ops.append((2, 0, q))
+        if r or s or u or v:
+            continue
+        # row and column 0 are clear beyond a0: add the first row of the
+        # block that a0 does not divide to row 0
+        if a0 == 1:
+            break
+        if b1 % a0 or b2 % a0:
+            a1, a2, x0, x1, x2 = b1, b2, x0 + y0, x1 + y1, x2 + y2
+        elif c1 % a0 or c2 % a0:
+            a1, a2, x0, x1, x2 = c1, c2, x0 + z0, x1 + z1, x2 + z2
+        else:
+            break
+    d1, d2, m0, m1, m2, m3 = _smith_block(b1, b2, c1, c2, 1, ops)
+    return (a0, d1, d2), [
+        [x0, x1, x2],
+        [m0 * y0 + m1 * z0, m0 * y1 + m1 * z1, m0 * y2 + m1 * z2],
+        [m2 * y0 + m3 * z0, m2 * y1 + m3 * z1, m2 * y2 + m3 * z2],
+    ], ops
+
+
+_SMITH_KERNELS = {2: _smith2, 3: _smith3}
 
 
 def smith_rows(

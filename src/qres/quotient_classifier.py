@@ -34,21 +34,25 @@ def _canonical_characters(order: int, chars: Sequence[int]) -> tuple[int, ...]:
     is at least the minimal gcd ``g`` of a nonzero character, and ``g`` is
     reached.  Only the units sending some character ``c`` of gcd ``g`` to
     ``g`` can win: the lifts of ``(c/g)^-1 mod l/g`` to units mod ``l``.
+    For ``g = 1`` the one lift is ``c^-1 mod l`` itself.
     """
-    reduced = tuple(c % order for c in chars)
-    nonzero = [c for c in reduced if c]
+    reduced = tuple([c % order for c in chars])
+    nonzero = set(reduced)
+    nonzero.discard(0)
     if not nonzero:
-        return tuple(reduced)
-    g = min(math.gcd(c, order) for c in nonzero)
-    step = order // g
-    units = {
-        u
-        for c in set(nonzero)
-        if math.gcd(c, order) == g
-        for u in range(pow(c // g, -1, step), order, step)
-        if math.gcd(u, order) == 1
-    }
-    return min(tuple(sorted((u * c) % order for c in reduced)) for u in units)
+        return reduced
+    units = {pow(c, -1, order) for c in nonzero if math.gcd(c, order) == 1}
+    if not units:
+        g = min(math.gcd(c, order) for c in nonzero)
+        step = order // g
+        units = {
+            u
+            for c in nonzero
+            if math.gcd(c, order) == g
+            for u in range(pow(c // g, -1, step), order, step)
+            if math.gcd(u, order) == 1
+        }
+    return tuple(min([sorted([u * c % order for c in reduced]) for u in units]))
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,9 @@ class CyclicQuotientType:
 
     Invariants: ``0 <= c_i < l``, ``gcd(c_1, ..., c_n, l) = 1`` (the group
     acts with exact order ``l``), and the stored tuple is the canonical
-    representative of its equivalence class.
+    representative of its equivalence class.  The literal ``str`` returns
+    is made once, with the type, and is not a field, so equality and
+    hashing stay on ``order`` and ``characters``.
     """
 
     order: int
@@ -65,9 +71,12 @@ class CyclicQuotientType:
 
     def __init__(self, order: int, characters: Iterable[int]):
         order = int(order)
-        chars = _checked_characters(order, tuple(int(c) for c in characters))
+        chars = _canonical_characters(
+            order, _checked_characters(order, tuple(int(c) for c in characters))
+        )
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "characters", _canonical_characters(order, chars))
+        object.__setattr__(self, "characters", chars)
+        object.__setattr__(self, "_text", f"1/{order}({','.join(map(str, chars))})")
 
     @property
     def rank(self) -> int:
@@ -77,7 +86,7 @@ class CyclicQuotientType:
         return self.order == 1
 
     def __str__(self) -> str:
-        return f"1/{self.order}({','.join(str(c) for c in self.characters)})"
+        return self._text
 
 
 def parse_quotient_literal(text: str) -> tuple[int, tuple[int, ...]]:
@@ -119,6 +128,9 @@ class QuotientDescriptor:
 
     ``characters`` are the generator-aligned characters that
     :func:`cone_characters` returns, or ``()`` when the group is not cyclic.
+    ``order``, the product of the invariants, and ``nontrivial``, those
+    greater than 1, are plain attributes set once at construction; they are
+    not fields, so equality and hashing stay on the four fields.
     """
 
     invariants: tuple[int, ...]
@@ -126,16 +138,9 @@ class QuotientDescriptor:
     cqs: Optional[CyclicQuotientType]
     characters: tuple[int, ...] = ()
 
-    @property
-    def order(self) -> int:
-        prod = 1
-        for d in self.invariants:
-            prod *= d
-        return prod
-
-    @property
-    def nontrivial(self) -> tuple[int, ...]:
-        return tuple(d for d in self.invariants if d > 1)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "order", math.prod(self.invariants))
+        object.__setattr__(self, "nontrivial", tuple([d for d in self.invariants if d > 1]))
 
 
 def _snf_characters(
@@ -166,7 +171,11 @@ def cone_characters(c: Cone) -> tuple[int, tuple[int, ...]]:
     generators themselves, which are int tuples
     (:func:`~qres.exact_lattice.smith_elimination`), so no matrix object is
     built per cone, and reads only the diagonal and the left transform, so
-    no right transform is built either.  A cone with ``det`` 1 (every smooth
+    no right transform is built either.  Every chart of rank 2 or 3 is a
+    square matrix of that size, which the elimination hands to its kernel on
+    local variables; the kernels return exactly what the general loop does,
+    so the unit of the characters, which traces record, does not depend on
+    the path taken.  A cone with ``det`` 1 (every smooth
     full-dimensional cone, and the zero cone) has the trivial group, one
     zero character per generator, and skips the Smith normal form.  Raises
     :class:`UnsupportedInputError` when the quotient group is not cyclic.

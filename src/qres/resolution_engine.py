@@ -55,6 +55,7 @@ from .errors import (
 from .exact_lattice import IntegerVector, is_primitive
 from .quotient_classifier import (
     CyclicQuotientType,
+    _smooth_descriptor,
     _validate_characteristic,
     cone_characters,
     is_tame,
@@ -379,11 +380,12 @@ def _apply_step(
     # each added cone is classified once, in sorted order: the first not cyclic raises
     classes = {c: cone_characters(c) for c in sorted(done.added, key=Cone.sort_key)}
     new_m = m._subdivided(fan, added, done, classes)
-    # the type of every order-1 chart, one per dimension of a center
-    dims = {len(c.cone.generators) for c in centers}
-    trivial = {d: CyclicQuotientType(1, (0,) * d) for d in dims}
+    # every order-1 chart has the trivial type of its dimension, which the
+    # shared smooth descriptor of that dimension holds
     charts = tuple(
-        _local_charts(c, m.characteristic, done, classes, trivial[len(c.cone.generators)])
+        _local_charts(
+            c, m.characteristic, done, classes, _smooth_descriptor(len(c.cone.generators)).cqs
+        )
         for c in centers
     )
     record = StepRecord(

@@ -275,10 +275,24 @@ class TruncatedAutomorphism:
         return self.unit_part(last) != 0
 
     def is_local(self) -> bool:
-        """No constant terms and every linear unit part is nonzero."""
-        if any(self.unit_part(i) == 0 for i in range(self.rank)):
-            return False
-        return all(any(e) for img in self.images for e, _ in img)
+        """No constant terms and every linear unit part is nonzero.
+
+        One pass over the images: no stored coefficient is 0, so the unit
+        part of ``x_i`` is nonzero exactly when its image has the term
+        ``x_i``, and no :meth:`unit_part` scan is needed.
+        """
+        zero = (0,) * len(self.images)
+        for i, img in enumerate(self.images):
+            unit = zero[:i] + (1,) + zero[i + 1 :]
+            found = False
+            for e, _ in img:
+                if e == unit:
+                    found = True
+                elif not any(e):
+                    return False
+            if not found:
+                return False
+        return True
 
     @classmethod
     def identity(cls, n: int, modulus: int, truncation: int) -> "TruncatedAutomorphism":

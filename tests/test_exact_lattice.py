@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qres import cones_fans, quotient_classifier
 from qres.errors import DegenerateInputError, DimensionError
 from qres.exact_lattice import (
     IntegerMatrix,
@@ -20,7 +21,10 @@ from qres.exact_lattice import (
     smith_rows,
     span_coordinates,
 )
+from qres.resolution_engine import marked_fan_from_characters, resolve
 from fractions import Fraction
+
+from test_resolution_engine import CASES
 
 
 def det_by_permutation_expansion(rows):
@@ -243,6 +247,100 @@ def test_in_place_smith_elimination_equals_the_reference(rows):
     before = [r[:] for r in rows]
     assert smith_elimination(rows) == reference_smith_elimination(rows)
     assert rows == before
+
+
+# the 2x2 and 3x3 kernels: units and ties, 2-digit and 6-digit entries
+kernel_entries = st.integers(-3, 3) | st.integers(-60, 60) | st.integers(-999_999, 999_999)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """A square int matrix of size 2 or 3, free or with a zero row, a zero
+    column, one row a combination of the others, or a zero trailing block."""
+    n = draw(st.sampled_from([2, 3]))
+    rows = draw(
+        st.lists(st.lists(kernel_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    shape = draw(st.sampled_from(["free", "zero row", "zero column", "singular", "zero block"]))
+    i = draw(st.integers(0, n - 1))
+    if shape == "zero row":
+        rows[i] = [0] * n
+    elif shape == "zero column":
+        for row in rows:
+            row[i] = 0
+    elif shape == "singular":
+        others = [r for k, r in enumerate(rows) if k != i]
+        factors = draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
+        rows[i] = [sum(f * r[j] for f, r in zip(factors, others)) for j in range(n)]
+    elif shape == "zero block":
+        for row in rows[1:]:
+            row[1:] = [0] * (n - 1)
+    return rows
+
+
+@given(kernel_matrices())
+@settings(max_examples=1500)
+def test_kernels_equal_the_reference(rows):
+    before = [r[:] for r in rows]
+    assert smith_elimination(rows) == reference_smith_elimination(rows)
+    assert rows == before
+
+
+# one input per branch of the kernels, with the step that shows the branch
+KERNEL_BRANCHES = {
+    "column swap 2": ([[3, 1], [5, 7]], lambda d, l, ops: ops[0] == (0, 1)),
+    "row swap 2": ([[5, 7], [1, 3]], lambda d, l, ops: l[0] == [0, 1]),
+    "negative pivot 2": ([[-1, 4], [3, 5]], lambda d, l, ops: l[0] == [-1, 0]),
+    "remainder retry 2": ([[2, 3], [5, 7]], lambda d, l, ops: d == (1, 1)),
+    "divisibility fix-up 2": ([[2, 0], [0, 3]], lambda d, l, ops: d == (1, 6)),
+    "zero matrix 2": ([[0, 0], [0, 0]], lambda d, l, ops: d == (0, 0) and not ops),
+    "zero second step 2": ([[2, 4], [1, 2]], lambda d, l, ops: d == (1, 0)),
+    "negative second pivot 2": ([[1, 0], [0, -5]], lambda d, l, ops: l[1] == [0, -1]),
+    "column swap to 1": ([[4, 2, 6], [5, 3, 9], [7, 8, 4]], lambda d, l, ops: ops[0] == (0, 1)),
+    "column swap to 2": ([[4, 6, 2], [5, 9, 3], [7, 4, 8]], lambda d, l, ops: ops[0] == (0, 2)),
+    "row swap to 1": ([[0, 3, 5], [1, 0, 0], [0, 4, 7]], lambda d, l, ops: l[0] == [0, 1, 0]),
+    "row swap to 2": ([[0, 3, 5], [0, 4, 7], [1, 0, 0]], lambda d, l, ops: l[0] == [0, 0, 1]),
+    "negative pivot 3": ([[-1, 4, 6], [3, 5, 7], [2, 8, 9]], lambda d, l, ops: l[0] == [-1, 0, 0]),
+    "remainder retry 3": ([[2, 3, 5], [5, 7, 9], [4, 6, 11]], lambda d, l, ops: d[0] == 1),
+    "fix-up from row 1": ([[2, 0, 0], [0, 3, 0], [0, 0, 4]], lambda d, l, ops: d == (1, 2, 12)),
+    "fix-up from row 2": ([[2, 0, 0], [0, 4, 0], [0, 0, 3]], lambda d, l, ops: d == (1, 2, 12)),
+    "zero matrix 3": ([[0] * 3] * 3, lambda d, l, ops: d == (0, 0, 0) and not ops),
+    "zero trailing block": (
+        [[2, 4, 6], [0, 0, 0], [0, 0, 0]], lambda d, l, ops: d == (2, 0, 0)
+    ),
+    "zero last step": ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], lambda d, l, ops: d == (1, 3, 0)),
+}
+
+
+@pytest.mark.parametrize("rows, shows", KERNEL_BRANCHES.values(), ids=KERNEL_BRANCHES)
+def test_each_kernel_branch_equals_the_reference(rows, shows):
+    result = smith_elimination(rows)
+    assert result == reference_smith_elimination(rows)
+    assert shows(*result)
+
+
+def test_kernels_equal_the_reference_on_every_chart_matrix(monkeypatch):
+    # every Smith elimination that resolving the CASES types runs, replayed
+    # through smith_elimination (the kernels for 2x2 and 3x3) and the reference
+    seen = []
+
+    def recording(rows):
+        seen.append([list(r) for r in rows])
+        return smith_elimination(rows)
+
+    monkeypatch.setattr(quotient_classifier, "smith_elimination", recording)
+    monkeypatch.setattr(cones_fans, "smith_elimination", recording)
+    quotient_classifier.cone_characters.cache_clear()
+    try:
+        for order, chars, p in CASES:
+            resolve(marked_fan_from_characters(order, chars, p))
+    finally:
+        quotient_classifier.cone_characters.cache_clear()
+    sizes = {(len(rows), len(rows[0])) for rows in seen}
+    assert {(2, 2), (3, 3)} <= sizes
+    for rows in seen:
+        assert smith_elimination(rows) == reference_smith_elimination(rows)
+
 
 vector_entries = st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=4)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -210,6 +211,27 @@ class TestConeToQuotient:
                 )
                 assert shared.setdefault(f.dim, d) is d
         assert sorted(shared) == [1, 2, 3, 4]
+
+    @given(valid_type)
+    def test_text_order_and_nontrivial_are_read_not_rebuilt(self, lt):
+        # each is made once per object and is not a field: equality, hashing
+        # and repr stay on the declared fields
+        l, chars = lt
+        q = Q(l, *chars)
+        assert str(q) == f"1/{q.order}({','.join(str(c) for c in q.characters)})"
+        assert parse_quotient_literal(str(q)) == (q.order, q.characters)
+        assert [f.name for f in dataclasses.fields(q)] == ["order", "characters"]
+        assert hash(q) == hash((q.order, q.characters))
+        assume(any(math.gcd(c, l) == 1 for c in chars))
+        for c in faces(quotient_to_cone(q)):
+            d = cone_descriptor(c)
+            assert d.order == math.prod(d.invariants)
+            assert d.nontrivial == tuple(x for x in d.invariants if x > 1)
+            assert [f.name for f in dataclasses.fields(d)] == [
+                "invariants", "cyclic", "cqs", "characters"
+            ]
+            assert d == QuotientDescriptor(d.invariants, d.cyclic, d.cqs, d.characters)
+            assert hash(d) == hash((d.invariants, d.cyclic, d.cqs, d.characters))
 
     def test_order_equals_multiplicity(self):
         for gens in [

@@ -368,6 +368,14 @@ LARGER_PINS = [
         14523,
         "d12a37a6c857f755b135fb16ec9cfcf80ac2fcbed70733ede4e0556b08762942",
     ),
+    # rank 2, large entries: every chart is a 2x2 Smith elimination; the
+    # sha256 is the one perfbench/cases.json records for this case
+    (
+        (286861, (1, 282801), 0),
+        83,
+        84,
+        "8f733cf77e4b51240f98113ebf635160b9d6768f8de4354825339876854911e9",
+    ),
 ]
 
 

@@ -373,6 +373,37 @@ class TestTruncatedAutomorphismEdges:
         with pytest.raises(QresError):
             TruncatedAutomorphism([{(1,): 1}], 8, 12)
 
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.tuples(
+                        st.lists(st.integers(-1, 2), min_size=n, max_size=n).map(tuple),
+                        st.integers(-8, 8),
+                    ),
+                    max_size=4,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.data(),
+    )
+    @settings(max_examples=300)
+    def test_is_local_is_the_unit_part_rule(self, images, data):
+        # the one-pass scan against its definition: every unit_part nonzero
+        # and no term with the zero exponent, on images with repeated, zero,
+        # negative and constant terms
+        n = len(images)
+        for i, img in enumerate(images):
+            if data.draw(st.booleans()):
+                img.append((tuple(int(j == i) for j in range(n)), data.draw(st.integers(1, 6))))
+        phi = TruncatedAutomorphism(images, 7, 12)
+        expected = all(phi.unit_part(i) for i in range(n)) and all(
+            any(e) for img in phi.images for e, _ in img
+        )
+        assert phi.is_local() is expected
+
 
 # JSON reports of `glue-check` at seeds 0-2 as produced by the brute-force
 # substitution of every generator; sampling with the modulus computed once
