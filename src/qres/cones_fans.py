@@ -498,28 +498,65 @@ def _fm_feasible(num_vars: int, constraints: list[tuple[tuple[int, ...], int]]) 
     Integer throughout: eliminating ``w_k`` adds positive integer multiples
     of two inequalities, and each result is divided by the gcd of its
     coefficients and right-hand side, which keeps the system small without
-    changing its solutions.
+    changing its solutions.  Three exact rules keep it smaller still:
+
+    - each round eliminates the variable with the fewest pairs of a row
+      positive and a row negative on it; the order decides nothing;
+    - each row carries the set of input rows it is a positive combination
+      of, and after ``k`` eliminations a new row combining more than
+      ``k + 1`` of them is dropped (Chernikov 1965; Imbert 1990).  The rows
+      after ``k`` eliminations are ``y . (A, b)`` over the cone of
+      multipliers ``y >= 0`` vanishing on the eliminated columns; each
+      extreme ray of that cone has at most ``k + 1`` nonzero entries and is
+      a combination of two extreme rays of the cone one round before, or is
+      one, so every extreme row is kept with exactly its support as its
+      set, and by Farkas' lemma the system is infeasible exactly when some
+      extreme row reads ``0 >= rhs`` with ``rhs > 0``.  Rows are kept apart
+      by their sets, so no row stands in for another with a different set;
+    - a row with all coefficients zero decides at once: ``0 >= rhs`` fails
+      when ``rhs > 0`` and otherwise holds, and the row is dropped.
     """
-    system = set(constraints)
-    for k in range(num_vars):
-        pos, neg, rest = [], [], set()
-        for coeffs, rhs in system:
-            if coeffs[k] > 0:
-                pos.append((coeffs, rhs))
-            elif coeffs[k] < 0:
-                neg.append((coeffs, rhs))
-            else:
-                rest.add((coeffs, rhs))
-        for (cp, rp) in pos:
-            for (cn, rn) in neg:
+    system = set()
+    for i, (coeffs, rhs) in enumerate(dict.fromkeys(constraints)):
+        if any(coeffs):
+            system.add((coeffs, rhs, 1 << i))
+        elif rhs > 0:
+            return False
+    left = list(range(num_vars))
+    while system:
+        best = None
+        for k in left:
+            pos = [row for row in system if row[0][k] > 0]
+            neg = [row for row in system if row[0][k] < 0]
+            pairs = len(pos) * len(neg)
+            if best is None or pairs < best[0]:
+                best = pairs, k, pos, neg
+                if not pairs:
+                    break
+        _, k, pos, neg = best
+        left.remove(k)
+        limit = num_vars - len(left) + 1
+        rest = {row for row in system if not row[0][k]}
+        for cp, rp, hp in pos:
+            a = cp[k]
+            for cn, rn, hn in neg:
+                h = hp | hn
+                if h.bit_count() > limit:
+                    continue
                 # cp[k] * cn - cn[k] * cp eliminates w_k with a positive combination
-                a, b = cp[k], -cn[k]
-                coeffs = tuple(b * x + a * y for x, y in zip(cp, cn))
+                b = -cn[k]
+                coeffs = tuple([b * x + a * y for x, y in zip(cp, cn)])
                 rhs = b * rp + a * rn
-                g = math.gcd(*coeffs, rhs) or 1
-                rest.add((tuple(x // g for x in coeffs), rhs // g))
+                g = math.gcd(*coeffs, rhs)
+                if g > 1:
+                    coeffs = tuple([x // g for x in coeffs])
+                    rhs //= g
+                if any(coeffs):
+                    rest.add((coeffs, rhs, h))
+                elif rhs > 0:
+                    return False
         system = rest
-    return all(rhs <= 0 for _, rhs in system)
+    return True
 
 
 def _meet_in_common_face(sigma: Cone, tau: Cone) -> bool:
@@ -633,8 +670,11 @@ def validate_fan(f: Fan) -> bool:
     from the block ``~(N_j | M_sigma) | bit(g_j)``.  The same test is tried
     from ``tau``'s side, so a pair costs a few bit operations per row.  Only
     pairs that neither side settles go to :func:`_meet_in_common_face`,
-    which decides them exactly.
+    which decides them exactly.  A fan of fewer than two cones has no pair
+    and is valid before any row is made.
     """
+    if len(f.cones) < 2:
+        return True
     cones = f.sorted_cones()
     rays = f.rays()
     bit = {r: 1 << i for i, r in enumerate(rays)}

@@ -52,7 +52,7 @@ def _canonical_characters(order: int, chars: Sequence[int]) -> tuple[int, ...]:
             for u in range(pow(c // g, -1, step), order, step)
             if math.gcd(u, order) == 1
         }
-    return tuple(min([sorted([u * c % order for c in reduced]) for u in units]))
+    return min(tuple(sorted([u * c % order for c in reduced])) for u in units)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,10 @@ _STEP_BUDGET = 100_000
 # the order and generator-aligned characters of a cone's cyclic quotient
 Quotient = tuple[int, tuple[int, ...]]
 
+# chart types by order and sorted characters: the canonical form and the
+# faithfulness check read only the order and the multiset of characters
+TypeMemo = dict[Quotient, CyclicQuotientType]
+
 
 @dataclass(frozen=True)
 class MarkedFan:
@@ -149,7 +153,8 @@ class MarkedFan:
         """
         changes: dict[int, tuple[set[Cone], dict[Cone, tuple[int, ...]]]] = {}
         for c in done.removed:
-            x = multiplicity(c)
+            # a full-dimensional cone's multiplicity is its det
+            x = c.det if c.is_full_dimensional() else multiplicity(c)
             if x > 1:
                 changes.setdefault(x, (set(), {}))[0].add(c)
         for c, (x, chars) in classes.items():
@@ -305,10 +310,14 @@ def _local_charts(
     done: Subdivision,
     classes: dict[Cone, Quotient],
     trivial: CyclicQuotientType,
+    types: Optional[TypeMemo] = None,
 ) -> tuple[ChartRecord, ...]:
     """The chart records of a center's pieces, in sorted order, with their
     quotients from the step's ``classes``; ``trivial`` is the type every
-    order-1 piece shares."""
+    order-1 piece shares, and every other type is taken from, or made once
+    into, ``types`` (a memo of this call's own when none is given)."""
+    if types is None:
+        types = {}
     # no center splits another's cone: a center ray lies on a face carrying its
     # cone's whole group, so every target having that face has the same ray
     pieces = done.pieces.get((center.cone, center.ray), ())
@@ -338,10 +347,12 @@ def _local_charts(
             or math.gcd(chars[gens.index(center.divisor_ray)], order) != 1
         ):
             raise MeasureError(f"divisor ray lost faithfulness on {piece}")
+        key = (order, tuple(sorted(chars)))
+        chart_type = types.get(key)
+        if chart_type is None:
+            chart_type = types[key] = CyclicQuotientType(order, chars)
         tame = is_tame(order, characteristic)
-        records.append(
-            ChartRecord(piece, order, CyclicQuotientType(order, chars), tame, exc)
-        )
+        records.append(ChartRecord(piece, order, chart_type, tame, exc))
     return tuple(records)
 
 
@@ -364,12 +375,14 @@ def _apply_step(
     phase: str,
     inv_before: tuple[int, int],
     nt_before: Optional[tuple[int, int]],
+    types: Optional[TypeMemo] = None,
 ) -> tuple[MarkedFan, StepRecord]:
     """Blow up every cone of the order the phase targets.
 
     ``inv_before`` and ``nt_before`` are the measures of ``m``; the step
     computes only the measures of the result, from the state it derives
-    from ``m`` and the record of its subdivision.
+    from ``m`` and the record of its subdivision.  ``types`` is the memo of
+    chart types :func:`_local_charts` fills.
     """
     top = nt_before[0] if phase == PHASE_NON_TAME else inv_before[0]
     centers = tuple(_center_for(m, c, top) for c in _targets(m, top))
@@ -384,7 +397,12 @@ def _apply_step(
     # shared smooth descriptor of that dimension holds
     charts = tuple(
         _local_charts(
-            c, m.characteristic, done, classes, _smooth_descriptor(len(c.cone.generators)).cqs
+            c,
+            m.characteristic,
+            done,
+            classes,
+            _smooth_descriptor(len(c.cone.generators)).cqs,
+            types,
         )
         for c in centers
     )
@@ -406,7 +424,7 @@ def blowup_step(m: MarkedFan) -> tuple[MarkedFan, StepRecord]:
     inv = invariant(m)
     if inv[0] == 1:
         raise PreconditionError("fan is already smooth")
-    return _apply_step(m, PHASE_MAX_ORDER, inv, _nontame_invariant(m))
+    return _apply_step(m, PHASE_MAX_ORDER, inv, _nontame_invariant(m), {})
 
 
 def _check_step_measure(record: StepRecord) -> None:
@@ -440,6 +458,7 @@ def resolve(m: MarkedFan) -> ResolutionTrace:
     for cone in sorted(order_of, key=Cone.sort_key):
         _center_for(m, cone, order_of[cone])
     steps: list[StepRecord] = []
+    types: TypeMemo = {}
     current = m
     inv, nt = invariant(m), _nontame_invariant(m)
     while len(steps) <= _STEP_BUDGET:
@@ -449,7 +468,7 @@ def resolve(m: MarkedFan) -> ResolutionTrace:
             phase = PHASE_MAX_ORDER
         else:
             break
-        current, record = _apply_step(current, phase, inv, nt)
+        current, record = _apply_step(current, phase, inv, nt, types)
         _check_step_measure(record)
         steps.append(record)
         inv, nt = record.invariant_after, record.nontame_after

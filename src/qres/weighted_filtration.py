@@ -15,12 +15,15 @@ sampler's correction-term pools for all coordinates come from a single
 such walk, in its fixed order, since the draws index into the pools.
 Every cache here is an ``lru_cache`` of finite size.
 
-With the pools built, a sample of ``glue-check`` costs its ``randrange``
-draws, one sort of each image's terms in the constructor, and one pass of
-:func:`glue_check` over the image terms that reads each term's weighted
-degree with ``map(operator.mul, ...)`` and stops at the first term too
-light; no polynomial is multiplied.  The draws are most of what is left,
-and their number and order fix which substitutions a seed yields.
+With the pools built, a sample of ``glue-check`` costs its draws, each a
+``getrandbits`` call in C (see :func:`_draw_below`), the sort of each
+image's two or three terms, which the sampler hands to the constructor as
+they are stored, and one pass of :func:`glue_check` over the image terms
+that reads each term's weighted degree with ``map(operator.mul, ...)`` and
+stops at the first term too light; no polynomial is multiplied.  What is
+left is the interpreter's work on the sampler's loop and, a little less, on
+that pass, and per command the one walk that builds the pools.  The number
+and order of the draws fix which substitutions a seed yields.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .cones_fans import Cone
 from .errors import DimensionError, GluePreconditionError, QresError
@@ -246,9 +249,33 @@ class TruncatedAutomorphism:
                     terms.append((e if type(e) is tuple else tuple(e), c))
             terms.sort()
             packed.append(tuple(terms))
-        object.__setattr__(self, "images", tuple(packed))
-        object.__setattr__(self, "modulus", int(modulus))
-        object.__setattr__(self, "truncation", int(truncation))
+        self._set(tuple(packed), int(modulus), int(truncation))
+
+    def _set(
+        self,
+        images: tuple[tuple[tuple[tuple[int, ...], int], ...], ...],
+        modulus: int,
+        truncation: int,
+    ) -> None:
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "truncation", truncation)
+
+    @classmethod
+    def _from_parts(
+        cls,
+        images: tuple[tuple[tuple[tuple[int, ...], int], ...], ...],
+        modulus: int,
+        truncation: int,
+    ) -> "TruncatedAutomorphism":
+        """A substitution whose images are already what the public
+        constructor stores: per coordinate, the terms sorted as tuples, each
+        an exponent tuple with a coefficient in ``[1, modulus)``, over a
+        modulus the caller has checked to be prime; see
+        :func:`sample_divisor_fixing_automorphism`, the only caller."""
+        phi = object.__new__(cls)
+        phi._set(images, modulus, truncation)
+        return phi
 
     @property
     def rank(self) -> int:
@@ -430,6 +457,19 @@ def _term_pools(
     return tuple(out)
 
 
+def _draw_below(getrandbits: Callable[[int], int], n: int, bits: int) -> int:
+    """A uniform draw from ``range(n)``, ``n >= 1``, with ``bits`` equal to
+    ``n.bit_length()``: ``getrandbits(bits)`` is drawn again while it is at
+    least ``n``.  That is the rule of ``Random.randrange(n)`` on CPython
+    3.10-3.13, so both read the same Mersenne Twister words; the rule is
+    written here so that the sampled streams do not rest on ``randrange``'s
+    implementation, which the Python docs do not promise to keep."""
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
 def sample_divisor_fixing_automorphism(
     w: WeightedFiltration,
     rng: Random,
@@ -448,21 +488,39 @@ def sample_divisor_fixing_automorphism(
     in a bounded ``lru_cache``.  A draw is an index into a pool, so the
     pools' order (the walk's lexicographic order) fixes which substitutions
     a seed yields.
+
+    Per coordinate, in order, the draws are: the unit coefficient in
+    ``[1, q)``; if the pool is not empty, the number of correction terms in
+    ``[0, _MAX_EXTRA_TERMS]``, then for each term its pool index and its
+    coefficient in ``[1, q)``, a term drawn twice adding up its coefficients
+    mod ``q``.  Every draw is :func:`_draw_below` on ``rng.getrandbits``,
+    which yields what ``rng.randrange`` would.  A given ``modulus`` must be
+    prime, which is checked before any draw; each image is built as the
+    sorted terms the public constructor would store, and handed to
+    :meth:`TruncatedAutomorphism._from_parts`.
     """
-    q = modulus if modulus is not None else smallest_prime_with_roots(w.order)
+    if modulus is None:
+        q = smallest_prime_with_roots(w.order)
+    elif _is_prime(modulus):
+        q = int(modulus)
+    else:
+        raise QresError(f"coefficient modulus {modulus} must be prime")
     n = w.rank
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    span, span_bits = q - 1, (q - 1).bit_length()
+    counts, count_bits = _MAX_EXTRA_TERMS + 1, (_MAX_EXTRA_TERMS + 1).bit_length()
     images = []
     for i, pool in enumerate(_term_pools(w.weights, w.order, truncation)):
         unit = (0,) * i + (1,) + (0,) * (n - i - 1)
-        img: Poly = {unit: randrange(1, q)}
+        img = {unit: 1 + _draw_below(getrandbits, span, span_bits)}
         if pool:
-            for _ in range(randrange(_MAX_EXTRA_TERMS + 1)):
-                exps = pool[randrange(len(pool))]
-                coeff = randrange(1, q)
+            size, size_bits = len(pool), len(pool).bit_length()
+            for _ in range(_draw_below(getrandbits, counts, count_bits)):
+                exps = pool[_draw_below(getrandbits, size, size_bits)]
+                coeff = 1 + _draw_below(getrandbits, span, span_bits)
                 img[exps] = (img.get(exps, 0) + coeff) % q
-        images.append({e: c for e, c in img.items() if c})
-    return TruncatedAutomorphism(images, q, truncation)
+        images.append(tuple(sorted([term for term in img.items() if term[1]])))
+    return TruncatedAutomorphism._from_parts(tuple(images), q, truncation)
 
 
 # ---------------------------------------------------------------------------

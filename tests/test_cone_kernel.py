@@ -13,9 +13,11 @@ Smith normal form, the all-pairs maximality rule, the
 one-ray-at-a-time reference subdivision, the one-dot-product-per-ray sign
 masks and the ``Fraction`` Fourier-Motzkin fan check written out below, on
 cones of rank 2-5 and of every dimension.  The constructor's closed-form
-determinant is compared with ``_kernel``, the one source of rows, and the
+determinant is compared with ``_kernel``, the one source of rows, the
 exact check that substitutes each common ray's equality with the one that
-passed it to Fourier-Motzkin as two inequalities.
+passed it to Fourier-Motzkin as two inequalities, and the Fourier-Motzkin
+elimination that drops rows by Chernikov's rule with the one that combined
+every pair.
 """
 
 import functools
@@ -784,6 +786,114 @@ class TestFacetCertificate:
         rest = [c for c in cones if c != sigma]
         assert validate_fan(Fan(4, rest))
         assert not validate_fan(Fan(4, [*rest, moved]))
+
+
+def reference_fm_feasible(num_vars, constraints):
+    """``_fm_feasible`` as it was before it chose the variable, dropped rows
+    by Chernikov's rule and decided on zero rows: every variable in order,
+    every pair combined."""
+    system = set(constraints)
+    for k in range(num_vars):
+        pos, neg, rest = [], [], set()
+        for coeffs, rhs in system:
+            if coeffs[k] > 0:
+                pos.append((coeffs, rhs))
+            elif coeffs[k] < 0:
+                neg.append((coeffs, rhs))
+            else:
+                rest.add((coeffs, rhs))
+        for (cp, rp) in pos:
+            for (cn, rn) in neg:
+                # cp[k] * cn - cn[k] * cp eliminates w_k with a positive combination
+                a, b = cp[k], -cn[k]
+                coeffs = tuple(b * x + a * y for x, y in zip(cp, cn))
+                rhs = b * rp + a * rn
+                g = math.gcd(*coeffs, rhs) or 1
+                rest.add((tuple(x // g for x in coeffs), rhs // g))
+        system = rest
+    return all(rhs <= 0 for _, rhs in system)
+
+
+@st.composite
+def fm_systems(draw):
+    """Systems of up to 8 rows in 1-4 variables, small entries, so that both
+    verdicts, zero rows and repeated rows come up."""
+    n = draw(st.integers(1, 4))
+    bound = draw(st.sampled_from([1, 3, 9]))
+    row = st.tuples(
+        st.lists(st.integers(-bound, bound), min_size=n, max_size=n).map(tuple),
+        st.integers(-2, 2),
+    )
+    return n, draw(st.lists(row, max_size=8))
+
+
+# the final fans of the CASES and LARGER_PINS types of
+# test_resolution_engine.py, less 1/131(1,7,19,31): its 14,523 cones send
+# about 1.6 million systems to the elimination
+FM_FANS = [
+    (31, (1, 5, 11), 0),
+    (13, (1, 3, 5, 7), 0),
+    (12, (1, 5, 7), 2),
+    (18, (10, 15, 11), 3),
+    (45, (19, 17, 32), 5),
+    (7, (3, 1), 0),
+    (50, (13, 1), 0),
+    (101, (37, 1), 0),
+    (1009, (400, 1), 0),
+    (1009, (1, 400, 617), 0),
+    (101, (1, 7, 19, 31), 0),
+    (286861, (1, 282801), 0),
+]
+
+
+class TestFourierMotzkin:
+    # infeasible systems where two equal rows with different sets of input
+    # rows arise: keeping only one of them, with its set, loses the
+    # contradiction under Chernikov's rule
+    @example(
+        (
+            3,
+            [((2, 0, 1), 0), ((0, 1, 2), -1), ((1, -2, 0), 0), ((1, 1, -2), 0)]
+            + [((-1, 2, -2), 2), ((0, 0, -2), -1), ((-1, -2, -1), 0)],
+        )
+    )
+    @example(
+        (
+            3,
+            [((0, 0, -1), -1), ((2, 2, -1), 0), ((2, -2, 2), -1), ((-2, 2, -1), 2)]
+            + [((2, 0, 2), -1), ((-2, -1, -2), 1), ((-2, 0, 1), 0)],
+        )
+    )
+    @example((2, [((1, 0), 1), ((-1, 0), 0)]))
+    @example((3, [((0, 0, 0), 1)]))
+    @example((3, [((0, 0, 0), 0), ((1, -1, 0), 1)]))
+    @given(fm_systems())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_plain_elimination(self, system):
+        n, rows = system
+        assert cones_fans._fm_feasible(n, rows) == reference_fm_feasible(n, rows)
+
+    def test_fan_check_systems_match_the_plain_elimination(self, monkeypatch):
+        # every system validate_fan sends to the elimination for these fans,
+        # and, for every hundredth, the system with one row contradicted (the
+        # plain elimination takes about 0.15 s on each of those)
+        systems = []
+        real = cones_fans._fm_feasible
+
+        def recording(n, rows):
+            systems.append((n, list(rows)))
+            return real(n, rows)
+
+        monkeypatch.setattr(cones_fans, "_fm_feasible", recording)
+        for case in FM_FANS:
+            assert validate_fan(resolve(marked_fan_from_characters(*case)).final.fan)
+        assert len(systems) > 7000
+        for n, rows in systems:
+            assert real(n, rows) is reference_fm_feasible(n, rows) is True
+        for n, rows in systems[::100]:
+            coeffs, rhs = rows[-1]
+            rows = [*rows, (tuple(-x for x in coeffs), 1 - rhs)]
+            assert real(n, rows) is reference_fm_feasible(n, rows) is False
 
 
 ORTHANT = Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])

@@ -390,6 +390,19 @@ def test_larger_types_keep_their_traces(case, steps, cones, sha256):
     assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
+def test_a_removed_lower_dimensional_cone_leaves_by_its_multiplicity():
+    # a 2-cone of rank 3 whose minor det, 4, is not its multiplicity, 2: the
+    # step must drop it from the order-2 group, not look for it under 4
+    tau = Cone(3, [(1, 0, 0), (1, 4, 2)])
+    assert (tau.det, multiplicity(tau)) == (4, 2)
+    m = MarkedFan(Fan(3, [tau]), tau.generators[1:])
+    child, record = resolution_engine.blowup_step(m)
+    assert child.singular == {}
+    assert record.invariant_after == (1, 2)
+    trace = resolve(m)
+    assert len(trace.steps) == 1 and trace.all_smooth
+
+
 def _non_pure_fan():
     """The cone of 1/31(1,5,11) beside a maximal 2-cone of type 1/2(1,1)
     that meets it only at the origin, each with a marked ray."""
@@ -535,6 +548,24 @@ def test_chart_pieces_are_the_subdivision_of_their_center(case):
             assert _cone_data(ch.cone for ch in charts) == _cone_data(
                 _subdivide_cone(center.cone, center.ray)
             )
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_shared_chart_types_equal_fresh_ones(case):
+    # resolve makes one chart type per order and sorted characters and shares
+    # it across its steps; each equals the type built from its chart's own
+    # characters, and a lone step, with a memo of its own, records the same
+    # as the first step of a resolve that starts in the max-order phase
+    m, trace = traced(case)
+    for step in trace.steps:
+        for charts in step.charts:
+            for chart in charts:
+                order, chars = quotient_classifier.cone_characters(chart.cone)
+                fresh = quotient_classifier.CyclicQuotientType(order, chars)
+                assert chart.chart_type == fresh
+                assert str(chart.chart_type) == str(fresh)
+    if trace.steps[0].phase == PHASE_MAX_ORDER:
+        assert resolution_engine.blowup_step(m)[1] == trace.steps[0]
 
 
 def test_chart_pieces_missing_from_the_subdivision_are_a_measure_error():

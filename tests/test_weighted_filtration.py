@@ -455,6 +455,91 @@ def test_sampled_images_are_pinned(key):
     assert digest.hexdigest() == SAMPLED_IMAGES_SHA256[key]
 
 
+def draw_ranges():
+    """1-70, the numbers around each power of two up to 2^65, and every range
+    the sampler draws from for the glue-check types: ``q - 1`` for their
+    moduli, the count of correction terms and each pool's length."""
+    out = set(range(1, 71)) | {2**k + d for k in range(1, 66) for d in (-1, 0, 1)}
+    out.add(weighted_filtration._MAX_EXTRA_TERMS + 1)
+    for literal, truncation in [("1/11(2,5,3,1)", 12), ("1/7(1,3,1)", 14)]:
+        order, chars = parse_quotient_literal(literal)
+        w = WeightedFiltration(order, unit_weights(order, chars, len(chars) - 1))
+        out.add(smallest_prime_with_roots(order) - 1)
+        out.update(len(pool) for pool in _term_pools(w.weights, order, truncation) if pool)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_draws_follow_randrange(seed):
+    # the sampler's rule against Random.randrange on one shared Mersenne
+    # Twister state each: equal draws, and the same number of words read
+    mine, theirs = Random(seed), Random(seed)
+    draw = weighted_filtration._draw_below
+    for n in draw_ranges() * 3:
+        assert draw(mine.getrandbits, n, n.bit_length()) == theirs.randrange(n)
+        assert 1 + draw(mine.getrandbits, n, n.bit_length()) == theirs.randrange(1, n + 1)
+    assert mine.getstate() == theirs.getstate()
+
+
+def reference_sample(w, rng, modulus, truncation):
+    """The sampler as it was before it drew from ``getrandbits``: dicts of
+    ``randrange`` draws handed to the public constructor."""
+    q = modulus
+    n = w.rank
+    images = []
+    for i, pool in enumerate(_term_pools(w.weights, w.order, truncation)):
+        unit = (0,) * i + (1,) + (0,) * (n - i - 1)
+        img = {unit: rng.randrange(1, q)}
+        if pool:
+            for _ in range(rng.randrange(weighted_filtration._MAX_EXTRA_TERMS + 1)):
+                exps = pool[rng.randrange(len(pool))]
+                coeff = rng.randrange(1, q)
+                img[exps] = (img.get(exps, 0) + coeff) % q
+        images.append({e: c for e, c in img.items() if c})
+    return TruncatedAutomorphism(images, q, truncation)
+
+
+@pytest.mark.parametrize(
+    "literal, truncation",
+    [
+        ("1/11(2,5,3,1)", 12),
+        ("1/7(1,3,1)", 14),
+        ("1/5(2,1)", 9),
+        ("1/13(1,3,5,7,1)", 5),
+        ("1/3(1,1)", 2),
+    ],
+)
+def test_sampled_parts_equal_the_public_constructor(literal, truncation):
+    # the images _from_parts stores are those the public constructor builds
+    # from the same dicts, drawn with randrange, including repeated terms
+    # whose coefficients cancel mod q
+    order, chars = parse_quotient_literal(literal)
+    w = WeightedFiltration(order, unit_weights(order, chars, len(chars) - 1))
+    for modulus in (2, 3, smallest_prime_with_roots(order)):
+        mine, theirs = Random(literal), Random(literal)
+        for _ in range(150):
+            phi = sample_divisor_fixing_automorphism(
+                w, mine, modulus=modulus, truncation=truncation
+            )
+            want = reference_sample(w, theirs, modulus, truncation)
+            assert phi == want
+            assert phi.images == TruncatedAutomorphism(
+                [phi.image_poly(i) for i in range(phi.rank)], modulus, truncation
+            ).images
+            assert hash(phi) == hash(want)
+        assert mine.getstate() == theirs.getstate()
+
+
+def test_sampler_rejects_a_composite_modulus_before_drawing():
+    w = WeightedFiltration(7, (5, 1))
+    rng = Random(0)
+    state = rng.getstate()
+    for modulus in (8, 1, 0, -7):
+        with pytest.raises(QresError, match=f"coefficient modulus {modulus} must be prime"):
+            sample_divisor_fixing_automorphism(w, rng, modulus=modulus)
+    assert rng.getstate() == state
+
+
 def reference_simplex(n, bound):
     """Exponent tuples of length n with coordinate sum <= bound, the first
     coordinate varying slowest."""
