@@ -42,7 +42,7 @@ from random import Random
 from typing import Optional
 
 from . import fanfile
-from .cones_fans import Cone, multiplicity
+from .cones_fans import Cone
 from .errors import (
     FanParseError,
     MeasureError,
@@ -130,7 +130,9 @@ def _cmd_classify(args) -> int:
     ``json.dumps`` with ``sort_keys=True`` and ``separators=(",", ":")``:
     every value is a decimal string, a boolean or ASCII text the program
     makes (a ray such as ``(1,-2)`` or a type ``1/l(c_1,...,c_n)``), none
-    needing escapes."""
+    needing escapes.  Each cone's multiplicity is its descriptor's order,
+    the product of the invariant factors, which is the cone's index in its
+    saturation."""
     m = _load_fan(args.file)
     p = m.characteristic
     # every ray is named by each cone it generates: format it once
@@ -142,16 +144,15 @@ def _cmd_classify(args) -> int:
     for i, cone in enumerate(cones, start=1):
         desc = cone_descriptor(cone)
         rays = [text[g] for g in cone.generators]
-        mult = multiplicity(cone)
+        mult = desc.order
         # a fan file declares no zero cone, so a cone is cyclic iff it has a type
         typed = desc.cqs is not None
         if typed:
-            order = desc.order
-            tame = is_tame(order, p)
+            tame = is_tame(mult, p)
             faithful = [
                 text[g]
                 for g, c in zip(cone.generators, desc.characters)
-                if math.gcd(c, order) == 1
+                if math.gcd(c, mult) == 1
             ]
         if args.json:
             head = f'{{"cone":{_json_texts(rays)},"cyclic":{_JSON_BOOL[desc.cyclic]}'

@@ -16,7 +16,10 @@ keys in sorted order, so its bytes equal ``json.dumps`` with
 every value there is a decimal string, a boolean, ``null``, or ASCII text
 the program makes itself (a phase name or a ``1/l(c_1,...,c_n)`` type).
 The header record, which carries the input digest, the ``certificates``
-record and fan files go through the encoder.
+record and fan files go through the encoder.  The ``certificates`` record
+copies the verdicts the trace owns, ``all_smooth`` and ``measure_decreasing``
+of :class:`~qres.resolution_engine.ResolutionTrace`, and runs none of the
+engine's rules again.
 
 A trace names the same rays many times: every added ray comes back in
 center rays, center cones, final cones and markings.  :func:`parse_trace`
@@ -43,9 +46,9 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
 
 from .cones_fans import Cone, Fan, validate_fan
-from .errors import FanParseError, MeasureError, PreconditionError, QresError
+from .errors import FanParseError, PreconditionError, QresError
 from .exact_lattice import IntegerVector, is_primitive
-from .resolution_engine import MarkedFan, ResolutionTrace, StepRecord, _check_step_measure
+from .resolution_engine import MarkedFan, ResolutionTrace, StepRecord
 
 TRACE_FORMAT = "qres-trace-v1"
 
@@ -327,18 +330,12 @@ def emit_trace(trace: ResolutionTrace) -> str:
     cones = ",".join([vec.cone(c) for c in final.fan.sorted_cones()])
     marked = ",".join([vec[r] for r in final.marked_rays])
     lines.append(f'{{"cones":[{cones}],"marked":[{marked}],"record":"final_fan"}}')
-    measure_ok = True
-    try:
-        for step in trace.steps:
-            _check_step_measure(step)
-    except MeasureError:
-        measure_ok = False
     lines.append(
         _dump(
             {
                 "record": "certificates",
                 "all_smooth": trace.all_smooth,
-                "measure_decreasing": measure_ok,
+                "measure_decreasing": trace.measure_decreasing,
             }
         )
     )

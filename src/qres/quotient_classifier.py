@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .cones_fans import Cone, multiplicity
+from .cones_fans import Cone
 from .errors import (
     DimensionError,
     MeasureError,

@@ -240,6 +240,17 @@ class ResolutionTrace:
         """Whether every final cone has multiplicity 1; computed once."""
         return all(multiplicity(c) == 1 for c in self.final.fan.cones)
 
+    @cached_property
+    def measure_decreasing(self) -> bool:
+        """Whether every step's measure strictly drops by the rule
+        :func:`resolve` enforces on each step; computed once."""
+        try:
+            for step in self.steps:
+                _check_step_measure(step)
+        except MeasureError:
+            return False
+        return True
+
     @property
     def exceptional_rays(self) -> tuple[IntegerVector, ...]:
         return tuple(u for group in self.ray_groups for u in group)
@@ -309,15 +320,13 @@ def _local_charts(
     characteristic: int,
     done: Subdivision,
     classes: dict[Cone, Quotient],
-    trivial: CyclicQuotientType,
-    types: Optional[TypeMemo] = None,
+    types: TypeMemo,
 ) -> tuple[ChartRecord, ...]:
     """The chart records of a center's pieces, in sorted order, with their
-    quotients from the step's ``classes``; ``trivial`` is the type every
-    order-1 piece shares, and every other type is taken from, or made once
-    into, ``types`` (a memo of this call's own when none is given)."""
-    if types is None:
-        types = {}
+    quotients from the step's ``classes``.  Every order-1 piece has the
+    trivial type of the center's dimension, which the shared smooth
+    descriptor of that dimension holds; every other type is taken from, or
+    made once into, the memo ``types``."""
     # no center splits another's cone: a center ray lies on a face carrying its
     # cone's whole group, so every target having that face has the same ray
     pieces = done.pieces.get((center.cone, center.ray), ())
@@ -328,6 +337,7 @@ def _local_charts(
     got = sorted(q[0] for _, _, q in charts)
     if got != expected:
         raise MeasureError(f"chart orders {got} differ from weights {expected}")
+    trivial = _smooth_descriptor(len(center.cone.generators)).cqs
     records = []
     for _, piece, (order, chars) in charts:
         if order == 1:
@@ -375,14 +385,15 @@ def _apply_step(
     phase: str,
     inv_before: tuple[int, int],
     nt_before: Optional[tuple[int, int]],
-    types: Optional[TypeMemo] = None,
+    types: TypeMemo,
 ) -> tuple[MarkedFan, StepRecord]:
     """Blow up every cone of the order the phase targets.
 
     ``inv_before`` and ``nt_before`` are the measures of ``m``; the step
     computes only the measures of the result, from the state it derives
     from ``m`` and the record of its subdivision.  ``types`` is the memo of
-    chart types :func:`_local_charts` fills.
+    chart types :func:`_local_charts` reads and fills; :func:`resolve` keeps
+    one for all its steps.
     """
     top = nt_before[0] if phase == PHASE_NON_TAME else inv_before[0]
     centers = tuple(_center_for(m, c, top) for c in _targets(m, top))
@@ -393,18 +404,8 @@ def _apply_step(
     # each added cone is classified once, in sorted order: the first not cyclic raises
     classes = {c: cone_characters(c) for c in sorted(done.added, key=Cone.sort_key)}
     new_m = m._subdivided(fan, added, done, classes)
-    # every order-1 chart has the trivial type of its dimension, which the
-    # shared smooth descriptor of that dimension holds
     charts = tuple(
-        _local_charts(
-            c,
-            m.characteristic,
-            done,
-            classes,
-            _smooth_descriptor(len(c.cone.generators)).cqs,
-            types,
-        )
-        for c in centers
+        _local_charts(c, m.characteristic, done, classes, types) for c in centers
     )
     record = StepRecord(
         phase=phase,

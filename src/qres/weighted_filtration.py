@@ -13,7 +13,9 @@ degree at most a bound) goes through one walk, :func:`_weighted_simplex`,
 which carries each tuple's weighted degree down from its prefix.  The
 sampler's correction-term pools for all coordinates come from a single
 such walk, in its fixed order, since the draws index into the pools.
-Every cache here is an ``lru_cache`` of finite size.
+Every cache here is an ``lru_cache`` of finite size: the minimal generators
+of ``I_k`` by weights and degree, the sampler's pools by weights, order and
+truncation, and :func:`substitute` by substitution and monomial.
 
 With the pools built, a sample of ``glue-check`` costs its draws, each a
 ``getrandbits`` call in C (see :func:`_draw_below`), the sort of each
@@ -225,7 +227,10 @@ class TruncatedAutomorphism:
     """Per-coordinate substitution ``x_i -> u_i x_i + higher terms``.
 
     Coefficients live in the prime field of ``modulus``; ``truncation`` is
-    the total degree beyond which terms are dropped.
+    the total degree beyond which terms are dropped.  Images are canonical:
+    each is stored as its polynomial, the terms of one exponent summed mod
+    ``modulus``, zero sums dropped and the rest sorted, so every exponent
+    appears once with a coefficient in ``[1, modulus)``.
     """
 
     images: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
@@ -242,13 +247,11 @@ class TruncatedAutomorphism:
             raise QresError(f"coefficient modulus {modulus} must be prime")
         packed = []
         for img in images:
-            terms = []
+            poly: Poly = {}
             for e, c in img.items() if isinstance(img, dict) else img:
-                c %= modulus
-                if c:
-                    terms.append((e if type(e) is tuple else tuple(e), c))
-            terms.sort()
-            packed.append(tuple(terms))
+                e = e if type(e) is tuple else tuple(e)
+                poly[e] = (poly.get(e, 0) + c) % modulus
+            packed.append(tuple(sorted([term for term in poly.items() if term[1]])))
         self._set(tuple(packed), int(modulus), int(truncation))
 
     def _set(
@@ -269,10 +272,10 @@ class TruncatedAutomorphism:
         truncation: int,
     ) -> "TruncatedAutomorphism":
         """A substitution whose images are already what the public
-        constructor stores: per coordinate, the terms sorted as tuples, each
-        an exponent tuple with a coefficient in ``[1, modulus)``, over a
-        modulus the caller has checked to be prime; see
-        :func:`sample_divisor_fixing_automorphism`, the only caller."""
+        constructor stores: per coordinate, the canonical polynomial as its
+        sorted terms, each exponent tuple once with a coefficient in
+        ``[1, modulus)``, over a modulus the caller has checked to be prime;
+        see :func:`sample_divisor_fixing_automorphism`, the only caller."""
         phi = object.__new__(cls)
         phi._set(images, modulus, truncation)
         return phi
@@ -287,11 +290,7 @@ class TruncatedAutomorphism:
     def unit_part(self, i: int) -> int:
         """Coefficient of ``x_i`` inside the image of ``x_i``."""
         unit = (0,) * i + (1,) + (0,) * (self.rank - i - 1)
-        # with a repeated exponent the last term counts, as in image_poly
-        for e, c in reversed(self.images[i]):
-            if e == unit:
-                return c
-        return 0
+        return self.image_poly(i).get(unit, 0)
 
     def fixes_divisor(self) -> bool:
         """Image of the last coordinate lies in its ideal with unit lead."""
@@ -304,9 +303,9 @@ class TruncatedAutomorphism:
     def is_local(self) -> bool:
         """No constant terms and every linear unit part is nonzero.
 
-        One pass over the images: no stored coefficient is 0, so the unit
-        part of ``x_i`` is nonzero exactly when its image has the term
-        ``x_i``, and no :meth:`unit_part` scan is needed.
+        One pass over the images: they are canonical, so the unit part of
+        ``x_i`` is nonzero exactly when its image has the term ``x_i``, and
+        no :meth:`unit_part` lookup is needed.
         """
         zero = (0,) * len(self.images)
         for i, img in enumerate(self.images):
@@ -345,24 +344,17 @@ def _poly_mul(a: Poly, b: Poly, bound: int, modulus: int) -> Poly:
     return out
 
 
-@lru_cache(maxsize=1024)
-def _image_power(phi: TruncatedAutomorphism, i: int, e: int) -> tuple:
-    if e == 0:
-        return ((tuple(0 for _ in range(phi.rank)), 1),)
-    if e == 1:
-        return phi.images[i]
-    prev = dict(_image_power(phi, i, e - 1))
-    cur = _poly_mul(prev, phi.image_poly(i), phi.truncation, phi.modulus)
-    return tuple(sorted(cur.items()))
-
-
 @lru_cache(maxsize=4096)
 def substitute(phi: TruncatedAutomorphism, exponents: tuple[int, ...]) -> tuple:
-    """Image of a monomial under the substitution, truncated."""
-    acc: Poly = {tuple(0 for _ in range(phi.rank)): 1}
+    """Image of a monomial under the substitution, truncated: the product
+    of ``phi(x_i)`` taken ``e_i`` times, as its sorted terms.  No degree
+    falls in a product, so truncating each partial product drops no term of
+    the result."""
+    acc: Poly = {(0,) * phi.rank: 1}
     for i, e in enumerate(exponents):
-        if e:
-            acc = _poly_mul(acc, dict(_image_power(phi, i, e)), phi.truncation, phi.modulus)
+        image = phi.image_poly(i)
+        for _ in range(e):
+            acc = _poly_mul(acc, image, phi.truncation, phi.modulus)
     return tuple(sorted(acc.items()))
 
 

@@ -15,6 +15,7 @@ characters, restriction to the cones after one step and smooth base change
 seed, and the command-line checks, some of which must survive ``python -O``.
 """
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -168,6 +169,24 @@ def test_trace_round_trips(case):
     assert doc.final == trace.final
     assert replay(m, doc) == trace.final.fan
     assert '"measure_decreasing":true' in text
+
+
+@pytest.mark.parametrize("case", [CASES[0], CASES[2]], ids=case_id)
+def test_a_step_whose_measure_does_not_drop_turns_the_verdict_false(case):
+    # the first step of the phase the case starts in keeps its measure: the
+    # trace's verdict turns false and the certificates record says so
+    _, trace = traced(case)
+    assert trace.measure_decreasing is True
+    first = trace.steps[0]
+    if first.phase == PHASE_NON_TAME:
+        broken = dataclasses.replace(first, nontame_after=first.nontame_before)
+    else:
+        broken = dataclasses.replace(first, invariant_after=first.invariant_before)
+    edited = dataclasses.replace(trace, steps=(broken, *trace.steps[1:]))
+    assert edited.measure_decreasing is False
+    assert fanfile.emit_trace(edited).endswith(
+        '{"all_smooth":true,"measure_decreasing":false,"record":"certificates"}\n'
+    )
 
 
 def _document(trace, ray_groups=None, hint_groups=None):
@@ -532,7 +551,7 @@ def test_carried_step_state_equals_a_rebuild(case):
         target = _targets(m, (nt or inv)[0])[0]
         u = _center_for(m, target, (nt or inv)[0]).ray
         _assert_subdivision_leaves_input(m.fan, u, target, *_interior_ray(m.fan, u))
-        m, record = _apply_step(m, phase, inv, nt)
+        m, record = _apply_step(m, phase, inv, nt, {})
         inv, nt = record.invariant_after, record.nontame_after
 
 
@@ -583,8 +602,7 @@ def test_chart_pieces_missing_from_the_subdivision_are_a_measure_error():
     assert (sigma, e1 + e2) in done.pieces and (sigma, center.ray) not in done.pieces
     classes = {c: quotient_classifier.cone_characters(c) for c in done.added}
     with pytest.raises(MeasureError, match="did not subdivide its center"):
-        trivial = quotient_classifier.CyclicQuotientType(1, (0, 0, 0))
-        resolution_engine._local_charts(center, 0, done, classes, trivial)
+        resolution_engine._local_charts(center, 0, done, classes, {})
 
 
 @given(quotient_types(max_order=(60, 24, 12, 6)))

@@ -23,7 +23,6 @@ from qres.weighted_filtration import (
     Monomial,
     TruncatedAutomorphism,
     WeightedFiltration,
-    _image_power,
     _term_pools,
     cartify,
     dual_cone_points,
@@ -279,7 +278,6 @@ class TestGlueCriterion:
 
     def teardown_method(self):
         substitute.cache_clear()
-        _image_power.cache_clear()
 
     def test_random_filtrations_and_substitutions(self):
         rng = Random(1)
@@ -321,7 +319,6 @@ class TestGlueCriterion:
         monkeypatch.setattr(weighted_filtration, "_poly_mul", forbidden)
         monkeypatch.setattr(weighted_filtration, "substitute", forbidden)
         substitute.cache_clear()
-        _image_power.cache_clear()
         for case, verdict in zip(cases, verdicts):
             assert glue_check(*case) is verdict
 
@@ -330,13 +327,13 @@ class TestTruncatedAutomorphismEdges:
     """What the constructor stores and what ``unit_part`` reads, pinned
     from the generator-based implementation."""
 
-    def test_repeated_unit_exponent_last_match_counts(self):
-        # the sequence form keeps both terms; after the (e, c) sort the
-        # larger coefficient comes last, and that one counts, as in image_poly
+    def test_repeated_exponents_are_summed(self):
+        # the sequence form may repeat an exponent: its coefficients are
+        # summed mod p, in either order, and unit_part reads the sum
         for terms in ([((1, 0), 5), ((1, 0), 3)], [((1, 0), 3), ((1, 0), 5)]):
             phi = TruncatedAutomorphism([terms, [((0, 1), 1)]], 7, 12)
-            assert phi.images[0] == (((1, 0), 3), ((1, 0), 5))
-            assert phi.unit_part(0) == 5 == phi.image_poly(0)[(1, 0)]
+            assert phi.images[0] == (((1, 0), 1),)
+            assert phi.unit_part(0) == 1 == phi.image_poly(0)[(1, 0)]
 
     def test_exponent_of_total_degree_one_is_not_the_unit(self):
         phi = TruncatedAutomorphism(
@@ -362,16 +359,43 @@ class TestTruncatedAutomorphismEdges:
         )
         assert phi.images == ((((1, 0), 1), ((1, 1), 6)), (((0, 1), 1),))
 
-    def test_terms_sort_by_exponent_then_coefficient(self):
+    def test_merged_terms_sort_by_exponent(self):
         terms = [((0, 2), 1), ((1, 0), 4), ((0, 1), 3), ((1, 0), 2), ((0, 1), 1)]
         phi = TruncatedAutomorphism([terms], 5, 12)
-        assert phi.images == (
-            (((0, 1), 1), ((0, 1), 3), ((0, 2), 1), ((1, 0), 2), ((1, 0), 4)),
-        )
+        assert phi.images == ((((0, 1), 4), ((0, 2), 1), ((1, 0), 1)),)
 
     def test_modulus_must_be_prime(self):
         with pytest.raises(QresError):
             TruncatedAutomorphism([{(1,): 1}], 8, 12)
+
+    # p = 29 is the glue-check modulus of order 7, and 2 + 27 and 1 + 28
+    # vanish mod 29: the images below are canonical only once merged
+
+    def test_cancelling_light_terms_keep_the_filtration(self):
+        # y^2 has weight 2 < 3 under 1/7(3,1), but its two terms cancel, so
+        # phi is the identity and fixes every I_k
+        w = WeightedFiltration(7, (3, 1))
+        phi = TruncatedAutomorphism(
+            [[((1, 0), 1), ((0, 2), 2), ((0, 2), 27)], [((0, 1), 1)]], 29, 12
+        )
+        assert phi.images == TruncatedAutomorphism.identity(2, 29, 12).images
+        assert glue_check(w, phi, 12) is True
+        assert brute_force_glue_check(w, phi, 12)
+
+    def test_a_cancelling_unit_part_is_not_local(self):
+        phi = TruncatedAutomorphism(
+            [[((1, 0), 1), ((1, 0), 28), ((0, 2), 3)], [((0, 1), 1)]], 29, 12
+        )
+        assert phi.unit_part(0) == 0
+        assert phi.is_local() is False
+
+    def test_a_cancelling_pair_leaves_no_term(self):
+        phi = TruncatedAutomorphism(
+            [[((1, 0), 1), ((1, 1), 5), ((1, 1), 24)], [((0, 1), 1)]], 29, 12
+        )
+        assert phi.image_poly(0) == {(1, 0): 1}
+        assert substitute(phi, (1, 0)) == (((1, 0), 1),)
+        assert substitute(phi, (2, 1)) == (((2, 1), 1),)
 
     @given(
         st.integers(1, 4).flatmap(
@@ -626,7 +650,6 @@ def test_every_cache_is_bounded():
         "cones_fans.multiplicity",
         "quotient_classifier.cone_characters",
         "weighted_filtration._ideal_generators_cached",
-        "weighted_filtration._image_power",
         "weighted_filtration.substitute",
         "weighted_filtration._term_pools",
     } <= set(caches)
