@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
@@ -69,10 +68,6 @@ from .weighted_filtration import (
     sample_divisor_fixing_automorphism,
     smallest_prime_with_roots,
 )
-
-
-def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def _fmt_vec(v: IntegerVector) -> str:
@@ -155,15 +150,18 @@ def _cmd_classify(args) -> int:
                 if math.gcd(c, mult) == 1
             ]
         if args.json:
-            head = f'{{"cone":{_json_texts(rays)},"cyclic":{_JSON_BOOL[desc.cyclic]}'
+            head = (
+                f'{{"cone":{fanfile.json_strings(rays)},'
+                f'"cyclic":{fanfile.JSON_BOOL[desc.cyclic]}'
+            )
             tail = (
-                f'"invariants":{_json_texts([str(d) for d in desc.nontrivial])},'
+                f'"invariants":{fanfile.json_strings(desc.nontrivial)},'
                 f'"multiplicity":"{mult}"'
             )
             if typed:
                 out.append(
-                    f'{head},"faithful_rays":{_json_texts(faithful)},{tail},'
-                    f'"tame":{_JSON_BOOL[tame]},"type":"{desc.cqs}"}}'
+                    f'{head},"faithful_rays":{fanfile.json_strings(faithful)},{tail},'
+                    f'"tame":{fanfile.JSON_BOOL[tame]},"type":"{desc.cqs}"}}'
                 )
             else:
                 out.append(f"{head},{tail}}}")
@@ -183,14 +181,6 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-_JSON_BOOL = {True: "true", False: "false"}
-
-
-def _json_texts(items: list[str]) -> str:
-    """The JSON array of the strings ``items``, none needing escapes."""
-    return '["' + '","'.join(items) + '"]' if items else "[]"
-
-
 # ---------------------------------------------------------------------------
 # resolve / blowup
 
@@ -204,7 +194,7 @@ def _trace_summary(trace, as_json: bool) -> None:
             "smooth": trace.all_smooth,
             "phases": [s.phase for s in trace.steps],
         }
-        _print_json(payload)
+        print(fanfile.dump_json(payload))
         return
     print(f"steps: {len(trace.steps)}")
     for i, step in enumerate(trace.steps, start=1):
@@ -264,7 +254,7 @@ def _cmd_blowup(args) -> int:
                 for center, charts in zip(record.centers, record.charts)
             ],
         }
-        _print_json(payload)
+        print(fanfile.dump_json(payload))
         return 0
     for center, charts in zip(record.centers, record.charts):
         print(f"center {_fmt_cone(center.cone)} of order {center.order}")
@@ -286,13 +276,12 @@ def _cmd_hilbert(args) -> int:
     gens = invariant_generators(order, chars, args.bound)
     ordered = sorted(gens, key=lambda mn: (mn.total_degree, mn.exponents))
     if args.json:
-        _print_json(
-            {
-                "type": args.type.strip(),
-                "bound": str(args.bound),
-                "generators": [[str(e) for e in mn.exponents] for mn in ordered],
-            }
-        )
+        payload = {
+            "type": args.type.strip(),
+            "bound": str(args.bound),
+            "generators": [[str(e) for e in mn.exponents] for mn in ordered],
+        }
+        print(fanfile.dump_json(payload))
         return 0
     print(", ".join(str(mn) for mn in ordered) if ordered else "(none)")
     return 0
@@ -308,7 +297,7 @@ def _cmd_hj(args) -> int:
         }
         if args.rays:
             payload["rays"] = [[str(e) for e in r] for r in hj_rays(args.l, args.a)]
-        _print_json(payload)
+        print(fanfile.dump_json(payload))
         return 0
     print("[" + ",".join(str(b) for b in exp.coefficients) + "]")
     if args.rays:
@@ -325,7 +314,8 @@ def _cmd_cartify(args) -> int:
     new_order, new_chars = cartify(order, chars, args.ray - 1)
     result = CyclicQuotientType(new_order, new_chars)
     if args.json:
-        _print_json({"input": args.type.strip(), "ray": str(args.ray), "result": str(result)})
+        payload = {"input": args.type.strip(), "ray": str(args.ray), "result": str(result)}
+        print(fanfile.dump_json(payload))
         return 0
     print(str(result))
     return 0
@@ -351,16 +341,15 @@ def _cmd_glue_check(args) -> int:
             passed += 1
     ok = passed == args.samples
     if args.json:
-        _print_json(
-            {
-                "type": args.type.strip(),
-                "samples": str(args.samples),
-                "passed": str(passed),
-                "seed": str(args.seed),
-                "truncation": str(args.kmax),
-                "ok": ok,
-            }
-        )
+        payload = {
+            "type": args.type.strip(),
+            "samples": str(args.samples),
+            "passed": str(passed),
+            "seed": str(args.seed),
+            "truncation": str(args.kmax),
+            "ok": ok,
+        }
+        print(fanfile.dump_json(payload))
     else:
         print(f"glue check: {passed}/{args.samples} substitutions preserve the filtration")
     return 0 if ok else 1

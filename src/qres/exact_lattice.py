@@ -1,7 +1,9 @@
 """Exact integer lattice arithmetic.
 
 Arbitrary-precision integer vectors and matrices with the integer solver
-(determinants and adjugates), the Smith normal form and primitivity.  All
+(determinants and adjugates), the Smith normal form and primitivity, and
+:func:`parse_decimal`, the one rule by which qres reads an integer from
+text, in fan and trace files and in quotient literals alike.  All
 values are immutable and every operation is a pure function; Python's
 native integers provide the arbitrary precision.
 
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import DegenerateInputError, DimensionError
+from .errors import DegenerateInputError, DimensionError, MeasureError
 
 
 class IntegerVector(tuple):
@@ -396,7 +398,10 @@ def smith_elimination(
     then its column and its row are reduced by floor division, the column
     first.  A remainder repeats the step; so does an entry of the remaining
     submatrix that the pivot does not divide, after its row is added to the
-    pivot's.
+    pivot's.  The pivot is the loop variant: a pass whose pivot exceeds
+    the previous pass's in the same step, or equals it twice running,
+    raises :class:`~qres.errors.MeasureError`, which correct code never
+    does.
 
     A square input of size 2 or 3 runs a kernel on local variables
     (:func:`_smith2`, :func:`_smith3`) that takes these steps in this
@@ -419,6 +424,9 @@ def smith_elimination(
     ops: list[tuple[int, ...]] = []
     size = min(nr, nc)
     t = 0
+    # the pivot of step t's previous pass, 0 before its first, and whether
+    # that pass's pivot equalled the one before it
+    last, repeated = 0, False
     while t < size:
         best = pi = pj = 0
         for i in range(t, nr):
@@ -434,6 +442,12 @@ def smith_elimination(
             break
         if not best:
             break
+        # the loop variant: after a remainder the pivot is at most that
+        # remainder; after a row added for divisibility it may repeat once,
+        # and that pass leaves a remainder
+        if last and (best > last or best == last and repeated):
+            raise MeasureError(f"Smith elimination step {t}: pivot {best} after {last}")
+        last, repeated = best, best == last
         if pi != t:
             a[t], a[pi] = a[pi], a[t]
             left[t], left[pi] = left[pi], left[t]
@@ -479,6 +493,7 @@ def smith_elimination(
         )
         if viol is None:
             t += 1
+            last = 0
         else:
             av, lv = a[viol], left[viol]
             for j in range(t, nc):
@@ -703,6 +718,17 @@ def primitive(v: IntegerVector) -> IntegerVector:
 def is_primitive(v: IntegerVector) -> bool:
     # the gcd of the entries is 0 for the zero vector
     return math.gcd(*v) == 1
+
+
+def parse_decimal(text: str) -> int:
+    """The integer that ``text`` writes in ASCII decimal digits, with an
+    optional leading ``-``: the one form in which qres reads an integer
+    from text.  ``int()`` alone would also take ``+1``, ``1_0``, `` 1 ``
+    and non-ASCII digits.  Raises ``ValueError`` on any other text, and on
+    more digits than ``int()`` converts."""
+    if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
+        return int(text)
+    raise ValueError(f"not a decimal integer: {text!r}")
 
 
 def span_coordinates(

@@ -47,13 +47,15 @@ from typing import Any, Iterable, Iterator, Optional
 
 from .cones_fans import Cone, Fan, validate_fan
 from .errors import FanParseError, PreconditionError, QresError
-from .exact_lattice import IntegerVector, is_primitive
+from .exact_lattice import IntegerVector, is_primitive, parse_decimal
 from .resolution_engine import MarkedFan, ResolutionTrace, StepRecord
 
 TRACE_FORMAT = "qres-trace-v1"
 
 
-def _dump(obj: Any) -> str:
+def dump_json(obj: Any) -> str:
+    """``obj`` as one line of JSON, keys sorted, no spaces: the form of
+    every record and report qres writes."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -71,31 +73,27 @@ class _VectorJson(dict):
     many center, chart and final cones."""
 
     def __missing__(self, v: IntegerVector) -> str:
-        out = self[v] = _json_strings(v)
+        out = self[v] = json_strings(v)
         return out
 
     def cone(self, c: Cone) -> str:
         return "[" + ",".join([self[g] for g in c.generators]) + "]"
 
 
-def _json_strings(xs: Iterable[int]) -> str:
-    """The JSON text of the decimal strings of the integers ``xs``."""
-    return "[" + ",".join([f'"{int(x)}"' for x in xs]) + "]"
+def json_strings(items: Iterable[Any]) -> str:
+    """The JSON array of the strings of ``items``: texts that need no
+    escapes, such as a ray ``(1,-2)``, or integers, written in decimal."""
+    return "[" + ",".join([f'"{x}"' for x in items]) + "]"
 
 
 def _parse_int(value: Any, lineno: Optional[int], what: str) -> int:
     """An integer field: a decimal string, the form every record here is
     written in (see the module docstring), or a JSON integer."""
     if isinstance(value, str):
-        # int() alone would also take "+1", "1_0", " 1 " and non-ASCII digits
-        if value.isascii() and (
-            value.isdigit() or value[:1] == "-" and value[1:].isdigit()
-        ):
-            try:
-                return int(value)
-            except ValueError:  # more digits than int() converts
-                pass
-        raise FanParseError(f"{what} is not a decimal integer: {value!r}", lineno)
+        try:
+            return parse_decimal(value)
+        except ValueError:
+            raise FanParseError(f"{what} is not a decimal integer: {value!r}", lineno) from None
     if isinstance(value, bool):
         raise FanParseError(f"{what} must be an integer, got a boolean", lineno)
     if isinstance(value, int):
@@ -160,7 +158,7 @@ def emit_fan(m: MarkedFan) -> str:
     rays = list(m.fan.rays())
     index = {ray: i for i, ray in enumerate(rays)}
     lines = [
-        _dump(
+        dump_json(
             {
                 "record": "fan",
                 "rank": _s(m.fan.rank),
@@ -169,13 +167,13 @@ def emit_fan(m: MarkedFan) -> str:
         )
     ]
     for i, ray in enumerate(rays):
-        lines.append(_dump({"record": "ray", "id": _s(i), "v": _vec(ray)}))
+        lines.append(dump_json({"record": "ray", "id": _s(i), "v": _vec(ray)}))
     for cone in m.fan.sorted_cones():
         lines.append(
-            _dump({"record": "cone", "rays": [_s(index[g]) for g in cone.generators]})
+            dump_json({"record": "cone", "rays": [_s(index[g]) for g in cone.generators]})
         )
     for ray in m.marked_rays:
-        lines.append(_dump({"record": "marked", "ray": _s(index[ray])}))
+        lines.append(dump_json({"record": "marked", "ray": _s(index[ray])}))
     return "\n".join(lines) + "\n"
 
 
@@ -277,11 +275,12 @@ def parse_fan(text: str) -> MarkedFan:
 # trace files
 
 
-_JSON_BOOL = {True: "true", False: "false"}
+# the JSON text of a boolean
+JSON_BOOL = {True: "true", False: "false"}
 
 
 def _measure_json(pair: Optional[tuple[int, int]]) -> str:
-    return "null" if pair is None else _json_strings(pair)
+    return "null" if pair is None else json_strings(pair)
 
 
 def _step_line(index: int, step: StepRecord, vec: _VectorJson) -> str:
@@ -290,7 +289,7 @@ def _step_line(index: int, step: StepRecord, vec: _VectorJson) -> str:
         chart_lines = [
             f'{{"cone":{vec.cone(ch.cone)},'
             f'"exceptional_character":"{int(ch.exceptional_character)}",'
-            f'"order":"{int(ch.order)}","tame":{_JSON_BOOL[ch.tame]},'
+            f'"order":"{int(ch.order)}","tame":{JSON_BOOL[ch.tame]},'
             f'"type":"{ch.chart_type}"}}'
             for ch in charts
         ]
@@ -298,7 +297,7 @@ def _step_line(index: int, step: StepRecord, vec: _VectorJson) -> str:
             f'{{"charts":[{",".join(chart_lines)}],"cone":{vec.cone(center.cone)},'
             f'"divisor_index":"{int(center.divisor_index)}",'
             f'"divisor_ray":{vec[center.divisor_ray]},"order":"{int(center.order)}",'
-            f'"ray":{vec[center.ray]},"weights":{_json_strings(center.weights)}}}'
+            f'"ray":{vec[center.ray]},"weights":{json_strings(center.weights)}}}'
         )
     added = ",".join([vec[u] for u in step.added_rays])
     return (
@@ -315,7 +314,7 @@ def emit_trace(trace: ResolutionTrace) -> str:
     final = trace.final
     vec = _VectorJson()
     lines = [
-        _dump(
+        dump_json(
             {
                 "record": "trace",
                 "format": TRACE_FORMAT,
@@ -331,7 +330,7 @@ def emit_trace(trace: ResolutionTrace) -> str:
     marked = ",".join([vec[r] for r in final.marked_rays])
     lines.append(f'{{"cones":[{cones}],"marked":[{marked}],"record":"final_fan"}}')
     lines.append(
-        _dump(
+        dump_json(
             {
                 "record": "certificates",
                 "all_smooth": trace.all_smooth,

@@ -24,7 +24,7 @@ from .errors import (
     QresError,
     UnsupportedInputError,
 )
-from .exact_lattice import IntegerVector, primitive, smith_elimination
+from .exact_lattice import IntegerVector, parse_decimal, primitive, smith_elimination
 
 
 def _canonical_characters(order: int, chars: Sequence[int]) -> tuple[int, ...]:
@@ -100,8 +100,8 @@ def parse_quotient_literal(text: str) -> tuple[int, tuple[int, ...]]:
         raise QresError(f"cannot parse quotient type {text!r}")
     head, inner = s[2:-1].split("(", 1)
     try:
-        order = int(head)
-        chars = tuple(int(p) for p in inner.split(",")) if inner else ()
+        order = parse_decimal(head)
+        chars = tuple(parse_decimal(p) for p in inner.split(",")) if inner else ()
     except ValueError as exc:
         raise QresError(f"cannot parse quotient type {text!r}") from exc
     return order, _checked_characters(order, chars)

@@ -8,9 +8,10 @@ Usage, from anywhere, with pytest and hypothesis installed::
 
 A mutant is a file under ``src/``, an exact snippet of it and the text that
 replaces the snippet, with the test ids that must kill it.  For each mutant
-the runner copies ``src/``, ``tests/`` and ``pyproject.toml`` into a fresh
-temporary directory, so that tests which locate the sources from their own
-path, or start the package in a subprocess, see the mutated copy.  The
+the runner copies ``src/``, ``tests/``, ``pyproject.toml`` and
+``perfbench/cases.json``, whose trace pins ``tests/pins.py`` reads, into a
+fresh temporary directory, so that tests which locate the sources from
+their own path, or start the package in a subprocess, see the mutated copy.  The
 snippet must occur exactly once in the copy's file, or the entry is stale
 and the run fails.  The named tests run there under one timeout: a failing
 test, an import error or the timeout kills the mutant, a pass means it
@@ -51,6 +52,8 @@ def _copy_tree(into: Path) -> None:
     shutil.copytree(ROOT / "src", into / "src", ignore=ignore)
     shutil.copytree(ROOT / "tests", into / "tests", ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+    (into / "perfbench").mkdir()
+    shutil.copy2(ROOT / "perfbench" / "cases.json", into / "perfbench" / "cases.json")
 
 
 def _stale(entry: dict) -> str | None:

@@ -827,9 +827,9 @@ def fm_systems(draw):
     return n, draw(st.lists(row, max_size=8))
 
 
-# the final fans of the CASES and LARGER_PINS types of
-# test_resolution_engine.py, less 1/131(1,7,19,31): its 14,523 cones send
-# about 1.6 million systems to the elimination
+# the final fans of the CASES types of test_resolution_engine.py and of
+# three types whose traces tests/pins.py pins; 1/131(1,7,19,31) is left out,
+# as its 14,523 cones send about 1.6 million systems to the elimination
 FM_FANS = [
     (31, (1, 5, 11), 0),
     (13, (1, 3, 5, 7), 0),

@@ -1,7 +1,4 @@
-import hashlib
 import itertools
-import json
-import random
 from typing import Sequence
 
 import pytest
@@ -24,6 +21,7 @@ from qres.exact_lattice import (
 from qres.resolution_engine import marked_fan_from_characters, resolve
 from fractions import Fraction
 
+import pins
 from test_resolution_engine import CASES
 
 
@@ -71,8 +69,6 @@ class TestDeterminant:
         assert determinant(IntegerMatrix(rows)) == det_by_permutation_expansion(rows)
 
 
-SNF_GOLDEN_SHA256 = "6ffbca823baa03907d0780702a5dbe88dbcd1d0c8c021cdeaaf2e0fb167b266b"
-
 matrices = st.integers(1, 3).flatmap(
     lambda n: st.integers(1, 3).flatmap(
         lambda m: st.lists(
@@ -118,25 +114,17 @@ class TestSmithNormalForm:
         assert first == second
 
     def test_transforms_are_pinned(self):
-        # the left transform carries the unit of each chart's characters,
-        # which traces record, so the whole decomposition (pivot rule, sign,
-        # reduction order, divisibility fix-up) is pinned, not just the
-        # diagonal; the digest was recorded from the IntegerMatrix-based
-        # elimination that smith_rows replaced
-        rng = random.Random("snf-golden")
-        digest = hashlib.sha256()
-        for _ in range(3000):
-            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-            rows = [[rng.randint(-40, 40) for _ in range(nc)] for _ in range(nr)]
-            snf = smith_normal_form(IntegerMatrix(rows))
-            before = [r[:] for r in rows]
-            diagonal, left, right = smith_rows(rows)
-            assert rows == before
-            assert (diagonal, left, right) == (
-                snf.diagonal, snf.left.to_lists(), snf.right.to_lists()
-            )
-            digest.update(json.dumps([list(diagonal), left, right]).encode())
-        assert digest.hexdigest() == SNF_GOLDEN_SHA256
+        # smith_rows equals the IntegerMatrix wrapper and leaves its input
+        # alone on every pinned matrix, and the decompositions keep their digest
+        for seed, sha in pins.SMITH_GOLDEN_SHA256.items():
+            for rows in pins.smith_golden_matrices(seed):
+                snf = smith_normal_form(IntegerMatrix(rows))
+                before = [r[:] for r in rows]
+                assert smith_rows(rows) == (
+                    snf.diagonal, snf.left.to_lists(), snf.right.to_lists()
+                )
+                assert rows == before
+            assert pins.smith_golden_sha256(seed) == sha
 
     @pytest.mark.parametrize(
         "rows", [[], [[]], [[1, 2], [3]]], ids=["no-rows", "empty-row", "ragged"]

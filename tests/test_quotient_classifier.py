@@ -104,6 +104,33 @@ class TestCanonicalForm:
             parse_quotient_literal("5(2,1)")
 
 
+# an order or a character that int() reads but that is not an optional "-"
+# and ASCII digits, the rule fan and trace files are read by
+NON_DECIMAL_LITERALS = {
+    "underscore": "1/1_1(1_0,3)",
+    "plus": "1/+7(1,+3)",
+    "full-width": "1/\uff17(1,3)",
+    "arabic-indic": "1/7(1,\u0663)",
+}
+
+
+@pytest.mark.parametrize("literal", NON_DECIMAL_LITERALS.values(), ids=NON_DECIMAL_LITERALS)
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("hilbert", ["--bound", "2"]),
+        ("cartify", ["--ray", "1"]),
+        ("glue-check", ["--samples", "1"]),
+    ],
+    ids=["hilbert", "cartify", "glue-check"],
+)
+def test_commands_reject_a_literal_with_a_non_decimal_integer(command, flags, literal, capsys):
+    assert cli.main([command, literal, *flags, "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot parse quotient type {literal!r}" in captured.err
+
+
 class TestQuotientToCone:
     def test_half_1_1(self):
         assert quotient_to_cone(Q(2, 1, 1)) == Cone(2, [(1, 0), (-1, 2)])

@@ -60,6 +60,8 @@ from qres.resolution_engine import (
     resolve,
 )
 
+import pins
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # (order, characters, characteristic)
@@ -293,9 +295,6 @@ def test_replay_rejects_a_group_with_a_ray_dropped():
         replay(m, _document(trace, tuple(groups), tuple(cones)))
 
 
-PINNED_TRACE_SHA256 = "69382e548bce858accc1476909e55b6a498c087527a30c84338d9c2ee1591dbf"
-
-
 def _count_calls(monkeypatch, modules, fn):
     """Replace every binding of ``fn`` in ``modules`` by a counting wrapper."""
     calls = []
@@ -309,6 +308,9 @@ def _count_calls(monkeypatch, modules, fn):
             if value is fn:
                 monkeypatch.setattr(mod, key, counting)
     return calls
+
+
+FEW_CONES_CASE = (211, (1, 37, 101), 0)
 
 
 def test_larger_type_is_pinned_and_tests_few_cones(monkeypatch):
@@ -334,16 +336,14 @@ def test_larger_type_is_pinned_and_tests_few_cones(monkeypatch):
     engine_modules = (cones_fans, resolution_engine, quotient_classifier)
     mults = _count_calls(monkeypatch, engine_modules, cones_fans.multiplicity)
     splits = _count_calls(monkeypatch, engine_modules, cones_fans._subdivide_cone)
-    trace = resolve(marked_fan_from_characters(211, (1, 37, 101)))
+    trace = resolve(marked_fan_from_characters(*FEW_CONES_CASE))
     assert len(calls["contains"]) + len(calls["numerators"]) <= 5000
     assert len(calls["numerators"]) <= 1400
     assert len(sorts) <= 8000
     assert len(mults) <= 8000
     assert len(splits) <= 800
     assert sum(len(step.centers) for step in trace.steps) == 770
-    assert (len(trace.steps), len(trace.final.fan.cones)) == (56, 1115)
-    text = fanfile.emit_trace(trace)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TRACE_SHA256
+    assert pins.trace_pin(trace) == pins.TRACES[FEW_CONES_CASE]
 
 
 @pytest.mark.parametrize(
@@ -368,45 +368,11 @@ def test_resolve_and_replay_build_fans_from_the_star(case, monkeypatch):
     assert len(calls) == len(trace.steps) + 1
 
 
-LARGER_PINS = [
-    (
-        (1009, (1, 400, 617), 0),
-        69,
-        1715,
-        "7e1a871f985e51e4f7c973696d9b8d696056977f21ada72079ecc68b5861d295",
-    ),
-    (
-        (101, (1, 7, 19, 31), 0),
-        26,
-        919,
-        "747f94e54f75fc2f2fdd4f4066d9962bf94331b2dc46130d76e842c760cfb8ae",
-    ),
-    (
-        (131, (1, 7, 19, 31), 0),
-        64,
-        14523,
-        "d12a37a6c857f755b135fb16ec9cfcf80ac2fcbed70733ede4e0556b08762942",
-    ),
-    # rank 2, large entries: every chart is a 2x2 Smith elimination; the
-    # sha256 is the one perfbench/cases.json records for this case
-    (
-        (286861, (1, 282801), 0),
-        83,
-        84,
-        "8f733cf77e4b51240f98113ebf635160b9d6768f8de4354825339876854911e9",
-    ),
-]
-
-
 @pytest.mark.parametrize(
-    "case, steps, cones, sha256", LARGER_PINS, ids=[case_id(pin[0]) for pin in LARGER_PINS]
+    "case", [case for case in pins.TRACES if case != FEW_CONES_CASE], ids=case_id
 )
-def test_larger_types_keep_their_traces(case, steps, cones, sha256):
-    order, chars, p = case
-    trace = resolve(marked_fan_from_characters(order, chars, p))
-    assert (len(trace.steps), len(trace.final.fan.cones)) == (steps, cones)
-    text = fanfile.emit_trace(trace)
-    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+def test_larger_types_keep_their_traces(case):
+    assert pins.resolved_trace(case) == pins.TRACES[case]
 
 
 def test_a_removed_lower_dimensional_cone_leaves_by_its_multiplicity():
@@ -925,46 +891,9 @@ def test_classify_runs_one_smith_normal_form_per_singular_cone(tmp_path, monkeyp
     assert singular[-1] == 0
 
 
-# sha256 of the classify report, --json and text, of the fans of 1/31(1,5,11)
-# after one blow-up step and at the end, as recorded before classify
-# formatted each ray once per report, and of the final fan of 1/8(4,3,2,7),
-# rank 4 and smooth, whose fan check sends 45 pairs to Fourier-Motzkin, as
-# recorded before the check substituted the common rays' equalities and
-# before classify wrote its records directly (the package CI job checks the
-# --json sha256 in a bare venv)
-CLASSIFY_PINS = [
-    (
-        "step",
-        CASES[0],
-        "e8d9578e69021bc144b2d589beb3810963c5384f7d94157a5e8b82319b040b4b",
-        "a699e8834a3256aee307a11b85fcb61eea2a3e2220c819bf3e5650f7d2a99cc1",
-    ),
-    (
-        "final",
-        CASES[0],
-        "a1a9b99b568300b2db7f28ed774626012189d5fd5830d99c7ef99f1b7928f6ad",
-        "fec6b466072f64865358014e614a6bc968d5de7a0f18d33b53ba2d1670dfa755",
-    ),
-    (
-        "final-rank4",
-        (8, (4, 3, 2, 7), 0),
-        "c396d4dbe3e5fb2ea5c127eef6f20be5749363033a0eca3bbb50f2bdca9a61d1",
-        "b9133f5bc44f710e99b1e98ace8db06aa75c4d00fba6cf8db347cc630a04850a",
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "which, case, json_sha, text_sha", CLASSIFY_PINS, ids=[pin[0] for pin in CLASSIFY_PINS]
-)
-def test_classify_report_bytes_are_pinned(which, case, json_sha, text_sha, tmp_path, capsys):
-    m, trace = traced(case)
-    fan = resolution_engine.blowup_step(m)[0] if which == "step" else trace.final
-    fan_file = tmp_path / "fan.jsonl"
-    fan_file.write_text(fanfile.emit_fan(fan), encoding="utf-8")
-    for flags, sha in ((["--json"], json_sha), ([], text_sha)):
-        assert cli.main(["classify", str(fan_file), *flags]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+@pytest.mark.parametrize("fan", pins.CLASSIFY_SHA256)
+def test_classify_report_bytes_are_pinned(fan):
+    assert pins.classify_sha256(fan) == pins.CLASSIFY_SHA256[fan]
 
 
 def test_glue_check_rejects_negative_samples(capsys):

@@ -1,4 +1,3 @@
-import hashlib
 import importlib
 import itertools
 import math
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qres
-from qres import cli, weighted_filtration
+from qres import weighted_filtration
 from qres.errors import DimensionError, GluePreconditionError, QresError
 from qres.exact_lattice import IntegerVector
 from qres.quotient_classifier import (
@@ -34,6 +33,8 @@ from qres.weighted_filtration import (
     smallest_prime_with_roots,
     substitute,
 )
+
+import pins
 
 
 def M(*exps):
@@ -429,54 +430,15 @@ class TestTruncatedAutomorphismEdges:
         assert phi.is_local() is expected
 
 
-# JSON reports of `glue-check` at seeds 0-2 as produced by the brute-force
-# substitution of every generator; sampling with the modulus computed once
-# and the valuation criterion must reproduce them byte for byte
-GLUE_REPORTS = {
-    ("1/11(2,5,3,1)", "--samples", "40", "--kmax", "12"): (
-        '{"ok":true,"passed":"40","samples":"40","seed":"%d","truncation":"12",'
-        '"type":"1/11(2,5,3,1)"}\n'
-    ),
-    ("1/7(1,3,1)", "--kmax", "14"): (
-        '{"ok":true,"passed":"100","samples":"100","seed":"%d","truncation":"14",'
-        '"type":"1/7(1,3,1)"}\n'
-    ),
-}
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("argv", sorted(GLUE_REPORTS))
-def test_glue_check_report_bytes(argv, seed, capsys):
-    assert cli.main(["glue-check", *argv, "--seed", str(seed), "--json"]) == 0
-    assert capsys.readouterr().out == GLUE_REPORTS[argv] % seed
+@pytest.mark.parametrize("argv", sorted({argv for argv, _ in pins.GLUE_REPORTS}))
+def test_glue_check_report_bytes(argv, seed):
+    assert pins.glue_report((argv, seed)) == pins.GLUE_REPORTS[argv, seed]
 
 
-# sha256 of repr(phi.images) over the first 40 substitutions that the
-# sampler draws at each seed, with the modulus and truncation of
-# `glue-check`; every draw passes, so the report bytes cannot tell a change
-# of the pools' order
-SAMPLED_IMAGES_SHA256 = {
-    ("1/11(2,5,3,1)", 12, 0): "cc28fe612c8755fbc11d2b9e8b9eac7a23bf7fd0cb4ba423ee8eeaf377b6b64e",
-    ("1/11(2,5,3,1)", 12, 1): "d0beaba940669231e82dbbbbb9337d942cf4eee26ac5e99d944bea6bda49d7f9",
-    ("1/11(2,5,3,1)", 12, 2): "2a16abb74760c88f2d01f37a8220e3ff2e11fb8752ec70a18156c78f782534b7",
-    ("1/7(1,3,1)", 14, 0): "2ba54e43f2b536af7f515ffe78764d48872bdcd8cf3026e446717f7e5692926c",
-    ("1/7(1,3,1)", 14, 1): "c8e0d55f77c2a8437a9a9feb3de297157356c71a6d163812bbd4eeb67620077a",
-    ("1/7(1,3,1)", 14, 2): "5cb681085615ffad373ff92adefc588c7dab4c742ac19dcc14aa1689c9a97bb7",
-}
-
-
-@pytest.mark.parametrize("key", sorted(SAMPLED_IMAGES_SHA256))
+@pytest.mark.parametrize("key", sorted(pins.SAMPLED_IMAGES_SHA256))
 def test_sampled_images_are_pinned(key):
-    literal, truncation, seed = key
-    order, chars = parse_quotient_literal(literal)
-    w = WeightedFiltration(order, unit_weights(order, chars, len(chars) - 1))
-    modulus = smallest_prime_with_roots(w.order)
-    rng = Random(seed)
-    digest = hashlib.sha256()
-    for _ in range(40):
-        phi = sample_divisor_fixing_automorphism(w, rng, modulus=modulus, truncation=truncation)
-        digest.update(repr(phi.images).encode())
-    assert digest.hexdigest() == SAMPLED_IMAGES_SHA256[key]
+    assert pins.sampled_images_sha256(key) == pins.SAMPLED_IMAGES_SHA256[key]
 
 
 def draw_ranges():
@@ -605,37 +567,9 @@ def test_term_pools_equal_the_per_coordinate_filter(weights, order, bound):
         assert pool == reference_term_pool(weights, order, i, bound), i
 
 
-def _monomials_sha(monomials):
-    return hashlib.sha256(repr(sorted(m.exponents for m in monomials)).encode()).hexdigest()[:16]
-
-
-# digests of invariant_generators and of dual_cone_points (points, minimal)
-# on the types of CASES in test_resolution_engine, at degree bound 40 for
-# rank 2 and 12 otherwise
-SIMPLEX_OUTPUT_SHA = {
-    (31, (1, 5, 11)): ("fcafdbcf94dee7da", "766ccda7354b5f90", "0dbe3eb9ac9dee19"),
-    (13, (1, 3, 5, 7)): ("b8f1ed8837366d05", "5440d594f07dc981", "d8990d02ff7b8b85"),
-    (12, (1, 5, 7)): ("ab429c96d4fe2a9a", "1d865c2a96972e5a", "6b97ff81caa3ea1a"),
-    (18, (10, 15, 11)): ("675a1d022929b33c", "04dd1850fb672c17", "0452cef51d917a6c"),
-    (45, (19, 17, 32)): ("345649e007110a23", "eadaf5c54ed323f5", "80902e9c46b00ba6"),
-    (7, (3, 1)): ("dc5e999016a5cc04", "04603583c0122894", "b27f770dd0707c9d"),
-    (50, (13, 1)): ("8c54a7857e8518ea", "3a0cd91433e82466", "7607069181e7723f"),
-    (101, (37, 1)): ("744e6bd6cb8e1f7b", "fff5b5e4f4244700", "7ad749005fd17531"),
-    (1009, (400, 1)): ("5769592278d8fafd", "6453963383178fa4", "5769592278d8fafd"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(SIMPLEX_OUTPUT_SHA))
+@pytest.mark.parametrize("case", sorted(pins.SIMPLEX_OUTPUT_SHA))
 def test_simplex_enumerations_are_pinned(case):
-    order, chars = case
-    bound = 40 if len(chars) == 2 else 12
-    dual = dual_cone_points(quotient_to_cone(CyclicQuotientType(order, chars)), bound)
-    got = (
-        _monomials_sha(invariant_generators(order, chars, bound)),
-        _monomials_sha(dual.points),
-        _monomials_sha(dual.minimal),
-    )
-    assert got == SIMPLEX_OUTPUT_SHA[case]
+    assert pins.simplex_sha(case) == pins.SIMPLEX_OUTPUT_SHA[case]
 
 
 def test_every_cache_is_bounded():
