@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--json", action="store_true")
     r.set_defaults(func=_cmd_resolve)
 
-    b = sub.add_parser("blowup", help="one simultaneous blow-up step")
+    b = sub.add_parser("blowup", help="the next step of resolve: one simultaneous blow-up")
     b.add_argument("file")
     b.add_argument("--emit", metavar="OUT", default=None)
     b.add_argument("--json", action="store_true")
@@ -433,9 +433,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         # the reader is gone; later writes and the flush at exit go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except FanParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except MeasureError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
         return 4

@@ -84,7 +84,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import DegenerateInputError, DimensionError, MeasureError, SupportError
 from .exact_lattice import (
@@ -223,6 +223,21 @@ class Cone:
         return "Cone<" + ", ".join(repr(g) for g in self.generators) + ">"
 
 
+def _absorbed(cones: Collection[Cone]) -> set[Cone]:
+    """The cones of ``cones`` whose generators are a proper subset of
+    another's; none, at once, when all the cones have one dimension."""
+    if len({len(c.generators) for c in cones}) < 2:
+        return set()
+    return {
+        c
+        for c in cones
+        if any(
+            len(c.generators) < len(d.generators) and set(c.generators) <= set(d.generators)
+            for d in cones
+        )
+    }
+
+
 @dataclass(frozen=True)
 class Fan:
     """Finite set of maximal simplicial cones of a common ambient rank.
@@ -230,9 +245,8 @@ class Fan:
     There are two constructors.  ``Fan(rank, cones)``, for parsed and
     hand-built fans, absorbs any cone whose generators are a subset of
     another cone's, so only maximal cones are stored; their faces are
-    implied.  Only cones below the top dimension are tested: a
-    full-dimensional cone is never a proper face of another, and equal cones
-    meet in the set.  :meth:`_from_parts` takes cones that already form an
+    implied (see :func:`_absorbed`); equal cones meet in the set.
+    :meth:`_from_parts` takes cones that already form an
     antichain and their ray index, with no pass over the cones; only
     :func:`star_subdivide` calls it.
 
@@ -247,17 +261,8 @@ class Fan:
         for c in cs:
             if c.rank != rank:
                 raise DimensionError("cone rank does not match fan rank")
-        absorbed = {
-            c
-            for c in cs
-            if len(c.generators) < rank
-            and any(
-                len(c.generators) < len(d.generators) and set(c.generators) <= set(d.generators)
-                for d in cs
-            )
-        }
         object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "cones", frozenset(cs - absorbed))
+        object.__setattr__(self, "cones", frozenset(cs - _absorbed(cs)))
 
     @classmethod
     def _from_parts(
@@ -438,9 +443,8 @@ def star_subdivide(
     cone set and the updated index by :meth:`Fan._from_parts`, the second
     constructor, with no pass over the cones.  A star subdivision of a fan
     absorbs no cone, and only cones having one of the rays can absorb or be
-    absorbed (see the module docstring), so the cones of each ray's set are
-    compared and :class:`DegenerateInputError` is raised if one of them has
-    the generators of another of lower dimension.
+    absorbed (see the module docstring), so :class:`DegenerateInputError`
+    is raised if :func:`_absorbed` finds a cone in some ray's set.
     """
     current = set(f.cones)
     index = dict(f.ray_index)
@@ -472,13 +476,7 @@ def star_subdivide(
                         cs = owned[g] = index[g] = set(index.get(g, ()))
                     cs.add(piece)
     for u in set(rays):
-        star = index[u]
-        if len({len(c.generators) for c in star}) > 1 and any(
-            len(c.generators) < len(d.generators)
-            and set(c.generators) <= set(d.generators)
-            for c in star
-            for d in star
-        ):
+        if _absorbed(index[u]):
             raise DegenerateInputError(
                 "star subdivision absorbed a cone: the input is not a fan"
             )

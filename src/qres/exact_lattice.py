@@ -23,8 +23,9 @@ other input takes one fraction-free (Bareiss) Gauss-Jordan elimination,
 :func:`bareiss_adjugate`, which the tests also use as the reference for the
 closed forms.  The same sizes have a closed-form determinant alone,
 :func:`closed_determinant`, which :func:`determinant` and the cone
-constructor read.  :func:`span_coordinates` and :func:`matrix_rank` eliminate
-over ``Fraction`` and are only the reference the tests compare against.
+constructor read.  :func:`span_coordinates` and :func:`matrix_rank` share one
+Gauss-Jordan elimination over ``Fraction``, :func:`_gauss_jordan`, and are
+only the reference the tests compare against.
 
 One Smith elimination, :func:`smith_elimination`, works on int rows, such
 as a cone's generators, and returns the diagonal and the left transform as
@@ -685,12 +686,15 @@ def smith_normal_form(m: IntegerMatrix) -> SmithDecomposition:
     return SmithDecomposition(IntegerMatrix(left), diagonal, IntegerMatrix(right))
 
 
-def matrix_rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals, by exact elimination."""
-    a = [[Fraction(x) for x in row] for row in m.to_lists()]
-    nr, nc = m.nrows, m.ncols
+def _gauss_jordan(a: list[list[Fraction]], ncols: int) -> int:
+    """Reduce ``a`` in place to reduced row echelon form over its first
+    ``ncols`` columns, the later ones following the row operations; the
+    number of pivots, which are 1 and head rows ``0, 1, ...`` in order."""
+    nr = len(a)
     r = 0
-    for c in range(nc):
+    for c in range(ncols):
+        if r == nr:
+            break
         pivot = next((i for i in range(r, nr) if a[i][c] != 0), None)
         if pivot is None:
             continue
@@ -702,9 +706,12 @@ def matrix_rank(m: IntegerMatrix) -> int:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         r += 1
-        if r == nr:
-            break
     return r
+
+
+def matrix_rank(m: IntegerMatrix) -> int:
+    """Rank over the rationals, by exact elimination."""
+    return _gauss_jordan([[Fraction(x) for x in row] for row in m.to_lists()], m.ncols)
 
 
 def primitive(v: IntegerVector) -> IntegerVector:
@@ -750,22 +757,8 @@ def span_coordinates(
         [Fraction(rows[j][i]) for j in range(m)] + [Fraction(target[i])]
         for i in range(n)
     ]
-    r = 0
-    pivot_rows = []
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise DimensionError("rows are linearly dependent")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivot_rows.append(r)
-        r += 1
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            return None
-    return tuple(aug[i][m] for i in pivot_rows)
+    if _gauss_jordan(aug, m) < m:
+        raise DimensionError("rows are linearly dependent")
+    if any(aug[i][m] != 0 for i in range(m, n)):
+        return None
+    return tuple(aug[i][m] for i in range(m))

@@ -343,19 +343,20 @@ def emit_trace(trace: ResolutionTrace) -> str:
 
 @dataclass(frozen=True)
 class TraceDocument:
-    """Replayable view of a trace file (digest, ray groups, final state).
+    """Replayable view of a trace file: the input digest, the subdivisions
+    and the final state, which :func:`~qres.resolution_engine.replay` reads.
 
-    ``hint_groups`` holds, for each added ray, the first recorded center
-    cone whose ray it is; :func:`parse_trace` rejects an added ray that no
-    center of its step names.  Replay subdivides each ray in the star of its
-    center cone's face containing it, and a center cone that does not
-    contain its ray is an error, never a reason to scan the fan.
+    ``subdivisions`` pairs each added ray, in the order the steps applied
+    them, with the first recorded center cone of its step whose ray it is;
+    :func:`parse_trace` rejects an added ray that no center of its step
+    names.  Replay subdivides each ray in the star of its center cone's face
+    containing it, and a center cone that does not contain its ray is an
+    error, never a reason to scan the fan.
     """
 
     input_digest: str
-    ray_groups: tuple[tuple[IntegerVector, ...], ...]
+    subdivisions: tuple[tuple[IntegerVector, Cone], ...]
     final: MarkedFan
-    hint_groups: tuple[tuple[Cone, ...], ...]
 
 
 def parse_trace(text: str) -> TraceDocument:
@@ -389,19 +390,17 @@ def parse_trace(text: str) -> TraceDocument:
         raise FanParseError("trace header lacks an input digest", header_line)
     rank, characteristic = _rank_and_characteristic(header, header_line)
     memo: dict[tuple[str, ...], IntegerVector] = {}
-    groups = []
-    hint_groups = []
+    subdivisions = []
     for lineno, obj in _steps_in_order(steps):
         added = obj.get("added")
         if not isinstance(added, list):
             raise FanParseError("step record needs an 'added' list", lineno)
-        group = tuple(_parse_vector_once(v, rank, lineno, "added ray", memo) for v in added)
+        group = [_parse_vector_once(v, rank, lineno, "added ray", memo) for v in added]
         cone_of = _parse_center_cones(obj.get("centers"), rank, lineno, memo)
         for u in group:
             if u not in cone_of:
                 raise FanParseError(f"added ray {u} is the ray of no center of its step", lineno)
-        groups.append(group)
-        hint_groups.append(tuple(cone_of[u] for u in group))
+            subdivisions.append((u, cone_of[u]))
     lineno, obj = final_record
     cones_payload = obj.get("cones")
     if not isinstance(cones_payload, list) or not cones_payload:
@@ -423,7 +422,7 @@ def parse_trace(text: str) -> TraceDocument:
         final = MarkedFan(Fan(rank, cones), marked, characteristic)
     except (PreconditionError, QresError) as exc:
         raise FanParseError(str(exc), lineno)
-    return TraceDocument(digest, tuple(groups), final, tuple(hint_groups))
+    return TraceDocument(digest, tuple(subdivisions), final)
 
 
 def _steps_in_order(steps: list[tuple[int, dict]]) -> list[tuple[int, dict]]:

@@ -13,6 +13,12 @@ freshest marked ray with unit character (largest creation index) as the
 divisor.  Both measures decrease strictly; that and every other invariant
 of the loop is checked explicitly and a failure raises
 :class:`~qres.errors.MeasureError`, so the checks survive ``python -O``.
+One function chooses the next step, takes it and checks its measure:
+:func:`resolve` repeats it until the fan is smooth and :func:`blowup_step`
+takes it once, so iterating ``blowup_step`` makes exactly ``resolve``'s
+steps, in either characteristic.  :func:`replay` reads a trace as one
+sequence of subdivisions, each added ray with the first center cone
+naming it.
 
 A blow-up changes only the stars of its centers, so each step passes its
 state to the next instead of rebuilding it from the fan.  The fan carries
@@ -223,17 +229,14 @@ class ResolutionTrace:
     final: MarkedFan
 
     @property
-    def ray_groups(self) -> tuple[tuple[IntegerVector, ...], ...]:
-        return tuple(step.added_rays for step in self.steps)
-
-    @property
-    def hint_groups(self) -> tuple[tuple[Cone, ...], ...]:
-        """For each added ray, the first center cone it was computed in."""
-        groups = []
+    def subdivisions(self) -> tuple[tuple[IntegerVector, Cone], ...]:
+        """Each added ray with the first center cone naming it, in the order
+        the steps applied them: what :func:`replay` subdivides at."""
+        out: list[tuple[IntegerVector, Cone]] = []
         for step in self.steps:
             cone_of = _center_cones(step.centers)
-            groups.append(tuple(cone_of[u] for u in step.added_rays))
-        return tuple(groups)
+            out.extend((u, cone_of[u]) for u in step.added_rays)
+        return tuple(out)
 
     @cached_property
     def all_smooth(self) -> bool:
@@ -253,7 +256,7 @@ class ResolutionTrace:
 
     @property
     def exceptional_rays(self) -> tuple[IntegerVector, ...]:
-        return tuple(u for group in self.ray_groups for u in group)
+        return tuple(u for step in self.steps for u in step.added_rays)
 
 
 def fan_digest(m: MarkedFan) -> str:
@@ -382,20 +385,25 @@ def _targets(m: MarkedFan, order: int) -> list[Cone]:
 
 def _apply_step(
     m: MarkedFan,
-    phase: str,
     inv_before: tuple[int, int],
     nt_before: Optional[tuple[int, int]],
     types: TypeMemo,
 ) -> tuple[MarkedFan, StepRecord]:
-    """Blow up every cone of the order the phase targets.
+    """The next step of :func:`resolve` from ``m``, whose measures are
+    ``inv_before`` and ``nt_before``: while a chart is non-tame, a non-tame
+    step blows up every cone of the largest non-tame order, and otherwise a
+    max-order step every cone of the largest order.  Raises
+    :class:`MeasureError` unless the step's measure drops.
 
-    ``inv_before`` and ``nt_before`` are the measures of ``m``; the step
-    computes only the measures of the result, from the state it derives
-    from ``m`` and the record of its subdivision.  ``types`` is the memo of
-    chart types :func:`_local_charts` reads and fills; :func:`resolve` keeps
-    one for all its steps.
+    The step computes only the measures of the result, from the state it
+    derives from ``m`` and the record of its subdivision.  ``types`` is the
+    memo of chart types :func:`_local_charts` reads and fills;
+    :func:`resolve` keeps one for all its steps.
     """
-    top = nt_before[0] if phase == PHASE_NON_TAME else inv_before[0]
+    if nt_before is not None:
+        phase, top = PHASE_NON_TAME, nt_before[0]
+    else:
+        phase, top = PHASE_MAX_ORDER, inv_before[0]
     centers = tuple(_center_for(m, c, top) for c in _targets(m, top))
     cone_of = _center_cones(centers)
     added = tuple(sorted(cone_of))
@@ -417,15 +425,18 @@ def _apply_step(
         nontame_before=nt_before,
         nontame_after=_nontame_invariant(new_m),
     )
+    _check_step_measure(record)
     return new_m, record
 
 
 def blowup_step(m: MarkedFan) -> tuple[MarkedFan, StepRecord]:
-    """One simultaneous blow-up of all cones of maximal multiplicity."""
+    """The next step of :func:`resolve` from ``m``: iterating it from a
+    marked fan makes exactly the steps that ``resolve`` records.  Raises
+    :class:`PreconditionError` when ``m`` is already smooth."""
     inv = invariant(m)
     if inv[0] == 1:
         raise PreconditionError("fan is already smooth")
-    return _apply_step(m, PHASE_MAX_ORDER, inv, _nontame_invariant(m), {})
+    return _apply_step(m, inv, _nontame_invariant(m), {})
 
 
 def _check_step_measure(record: StepRecord) -> None:
@@ -452,8 +463,8 @@ def resolve(m: MarkedFan) -> ResolutionTrace:
     have a marked ray with unit character; both are rechecked as new charts
     appear.  Charts of order divisible by the characteristic are eliminated
     before the next ordinary step, always using the freshest faithful
-    marking.  Raises :class:`MeasureError` when a recorded measure fails to
-    decrease or the final fan is not smooth.
+    marking (see :func:`_apply_step`).  Raises :class:`MeasureError` when a
+    recorded measure fails to decrease or the final fan is not smooth.
     """
     order_of = {c: x for x, group in m.singular.items() for c in group}
     for cone in sorted(order_of, key=Cone.sort_key):
@@ -462,19 +473,12 @@ def resolve(m: MarkedFan) -> ResolutionTrace:
     types: TypeMemo = {}
     current = m
     inv, nt = invariant(m), _nontame_invariant(m)
-    while len(steps) <= _STEP_BUDGET:
-        if nt is not None:
-            phase = PHASE_NON_TAME
-        elif inv[0] > 1:
-            phase = PHASE_MAX_ORDER
-        else:
-            break
-        current, record = _apply_step(current, phase, inv, nt, types)
-        _check_step_measure(record)
+    while inv[0] > 1:
+        if len(steps) > _STEP_BUDGET:
+            raise MeasureError("step budget exceeded; measure failed to make progress")
+        current, record = _apply_step(current, inv, nt, types)
         steps.append(record)
         inv, nt = record.invariant_after, record.nontame_after
-    else:
-        raise MeasureError("step budget exceeded; measure failed to make progress")
     trace = ResolutionTrace(fan_digest(m), tuple(steps), current)
     if not trace.all_smooth:
         raise MeasureError("resolution ended with a singular cone")
@@ -484,30 +488,25 @@ def resolve(m: MarkedFan) -> ResolutionTrace:
 def replay(m: MarkedFan, trace) -> Fan:
     """Re-apply the recorded subdivisions; exact agreement is enforced.
 
-    Accepts anything exposing ``input_digest``, ``ray_groups``,
-    ``hint_groups`` and ``final`` the way :class:`ResolutionTrace` does.
-    The groups, concatenated in order, are one batched
+    Accepts anything exposing ``input_digest``, ``subdivisions`` and
+    ``final`` the way :class:`ResolutionTrace` does.  The subdivisions, each
+    an added ray with the first center cone naming it, in the order the
+    steps applied them, are one batched
     :func:`~qres.cones_fans.star_subdivide` call, which applies its rays in
     order and lets a later ray split an earlier ray's piece, so it equals one
-    call per group and builds one :class:`~qres.cones_fans.Fan`.  Each ray
-    comes with one cone, checked per group by length: the recorded center
-    cone, which must contain the ray and whose face containing it must be a
-    cone of the fan at that point.
-    A center that breaks this is a :class:`ReplayError`, like a ray outside
-    the fan; it is never repaired by scanning the fan.  The final state
-    must also keep the input's characteristic and mark its rays followed by
-    every added ray in order.
+    call per step and builds one :class:`~qres.cones_fans.Fan`.  Each center
+    cone must contain its ray, and its face containing the ray must be a
+    cone of the fan at that point.  A center that breaks this is a
+    :class:`ReplayError`, like a ray outside the fan; it is never repaired
+    by scanning the fan.  The final state must also keep the input's
+    characteristic and mark its rays followed by every added ray in order.
     """
     if fan_digest(m) != trace.input_digest:
         raise ReplayError("trace was produced from a different input")
-    rays: list[IntegerVector] = []
-    cones: list[Cone] = []
-    for group, hints in zip(trace.ray_groups, trace.hint_groups, strict=True):
-        for u, cone in zip(group, hints, strict=True):
-            rays.append(u)
-            cones.append(cone)
+    subdivisions = trace.subdivisions
+    rays = tuple(u for u, _ in subdivisions)
     try:
-        fan = star_subdivide(m.fan, rays, cones)
+        fan = star_subdivide(m.fan, rays, [cone for _, cone in subdivisions])
     except (SupportError, DegenerateInputError) as exc:
         raise ReplayError(f"recorded ray cannot be applied: {exc}") from exc
     final = trace.final
@@ -515,7 +514,7 @@ def replay(m: MarkedFan, trace) -> Fan:
         raise ReplayError("replayed fan differs from the recorded final fan")
     if final.characteristic != m.characteristic:
         raise ReplayError("recorded final characteristic differs from the input's")
-    if final.marked_rays != m.marked_rays + tuple(rays):
+    if final.marked_rays != m.marked_rays + rays:
         raise ReplayError("recorded final marking is not the input's plus the added rays")
     return fan
 

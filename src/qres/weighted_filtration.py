@@ -363,7 +363,8 @@ def glue_check(w: WeightedFiltration, phi: TruncatedAutomorphism, k_max: int) ->
     to truncation.
 
     Requires a divisor-fixing local substitution and a divisor coordinate of
-    weight 1 (hence unit character); monomials of total degree beyond the
+    weight 1 (hence unit character), which the filtration stores as
+    ``1 % order``, 0 for order 1; monomials of total degree beyond the
     truncation bound ``T`` are ignored.
 
     Criterion: with weights ``a``, the answer is True iff for every
@@ -393,9 +394,10 @@ def glue_check(w: WeightedFiltration, phi: TruncatedAutomorphism, k_max: int) ->
     """
     if w.rank != phi.rank:
         raise DimensionError("filtration and substitution rank differ")
-    if w.weights[-1] != 1:
+    unit = 1 % w.order
+    if w.weights[-1] != unit:
         raise GluePreconditionError(
-            f"divisor coordinate has weight {w.weights[-1]}, expected 1"
+            f"divisor coordinate has weight {w.weights[-1]}, expected {unit}"
         )
     if not phi.fixes_divisor():
         raise GluePreconditionError("substitution does not fix the divisor ideal")

@@ -52,11 +52,33 @@ def sha256(text: str) -> str:
 
 
 def report(command: str) -> str:
-    """The standard output of ``qres COMMAND``, split at spaces."""
+    """The standard output of ``qres COMMAND``, split at spaces, followed by
+    the text of every file it writes.
+
+    `` ; `` separates commands, which run in order.  A word ``{NAME}`` is a
+    path in one temporary directory: for a key of :data:`FANS` a file that
+    holds that fan, written by ``emit_fan`` before the commands run, and
+    otherwise a file that a command writes and a later one may read.
+    """
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli.main(command.split())
-    return out.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths: dict[str, Path] = {}
+
+        def path(word: str) -> str:
+            if not (word.startswith("{") and word.endswith("}")):
+                return word
+            name = word[1:-1]
+            if name not in paths:
+                paths[name] = Path(tmp) / f"{len(paths)}.jsonl"
+                if name in FANS:
+                    paths[name].write_text(fanfile.emit_fan(FANS[name]()), encoding="utf-8")
+            return str(paths[name])
+
+        with contextlib.redirect_stdout(out):
+            for argv in command.split(" ; "):
+                cli.main([path(word) for word in argv.split()])
+        written = [p.read_text(encoding="utf-8") for name, p in paths.items() if name not in FANS]
+    return out.getvalue() + "".join(written)
 
 
 # ---------------------------------------------------------------------------
@@ -130,35 +152,88 @@ FANS = {
     "final": lambda: resolve(marked_fan_from_characters(31, (1, 5, 11))).final,
     # rank 4 and smooth: its fan check sends 45 pairs to Fourier-Motzkin
     "final-rank4": lambda: resolve(marked_fan_from_characters(8, (4, 3, 2, 7))).final,
+    # its resolution alternates max-order and non-tame steps
+    "1/97(1,13,41)@2": lambda: marked_fan_from_characters(97, (1, 13, 41), 2),
 }
-
-
-@contextlib.contextmanager
-def _fan_file(fan: str):
-    """The path of a temporary file holding ``FANS[fan]``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fan.jsonl"
-        path.write_text(fanfile.emit_fan(FANS[fan]()), encoding="utf-8")
-        yield path
 
 
 def resolve_report(fan: str) -> str:
     """The ``qres resolve --json`` report of ``FANS[fan]``."""
-    with _fan_file(fan) as path:
-        return report(f"resolve {path} --json")
+    return report(f"resolve {{{fan}}} --json")
 
 
 def classify_sha256(fan: str) -> tuple[str, str]:
     """The sha256 of the ``qres classify`` reports of ``FANS[fan]``, with
     ``--json`` and as text."""
-    with _fan_file(fan) as path:
-        return sha256(report(f"classify {path} --json")), sha256(report(f"classify {path}"))
+    return sha256(report(f"classify {{{fan}}} --json")), sha256(report(f"classify {{{fan}}}"))
 
 
 REPORTS = {
     "hilbert 1/3(1,1) --bound 3 --json": (
         '{"bound":"3","generators":[["0","3"],["1","2"],["2","1"],["3","0"]],'
         '"type":"1/3(1,1)"}\n'
+    ),
+    "blowup {1/5(1,2)} --emit {emitted}": (
+        'center <(-3,5), (1,0)> of order 5\n'
+        '  ray: (0,1)  weights: (1, 3)\n'
+        '  chart 1/3(1,1) (tame), order 3\n'
+        '  chart 1/1(0,0) (tame), order 1\n'
+        '{"characteristic":"0","rank":"2","record":"fan"}\n'
+        '{"id":"0","record":"ray","v":["-3","5"]}\n'
+        '{"id":"1","record":"ray","v":["0","1"]}\n'
+        '{"id":"2","record":"ray","v":["1","0"]}\n'
+        '{"rays":["0","1"],"record":"cone"}\n'
+        '{"rays":["1","2"],"record":"cone"}\n'
+        '{"ray":"0","record":"marked"}\n'
+        '{"ray":"1","record":"marked"}\n'
+    ),
+    "blowup {1/5(1,2)} --json": (
+        '{"added":[["0","1"]],"centers":[{"charts":[{"order":"3","tame":true,'
+        '"type":"1/3(1,1)"},{"order":"1","tame":true,"type":"1/1(0,0)"}],'
+        '"cone":["(-3,5)","(1,0)"],"order":"5","weights":["1","3"]}]}\n'
+    ),
+    # the second step of resolve, which blows up the non-tame chart of order 50
+    "blowup {1/97(1,13,41)@2} --json --emit {emitted} ; blowup {emitted} --json": (
+        '{"added":[["0","0","1"]],"centers":[{"charts":[{"order":"71","tame":true,'
+        '"type":"1/71(1,8,27)"},{"order":"50","tame":false,"type":"1/50(1,3,21)"},'
+        '{"order":"1","tame":true,"type":"1/1(0,0,0)"}],"cone":["(-71,-50,97)","(0,1,0)",'
+        '"(1,0,0)"],"order":"97","weights":["1","50","71"]}]}\n'
+        '{"added":[["-24","-17","33"]],"centers":[{"charts":[{"order":"7","tame":true,'
+        '"type":"1/7(1,2,5)"},{"order":"1","tame":true,"type":"1/1(0,0,0)"},'
+        '{"order":"17","tame":true,"type":"1/17(1,1,7)"}],'
+        '"cone":["(-71,-50,97)","(0,0,1)","(1,0,0)"],"order":"50","weights":["17","1","7"]}]}\n'
+        '{"characteristic":"2","rank":"3","record":"fan"}\n'
+        '{"id":"0","record":"ray","v":["-71","-50","97"]}\n'
+        '{"id":"1","record":"ray","v":["0","0","1"]}\n'
+        '{"id":"2","record":"ray","v":["0","1","0"]}\n'
+        '{"id":"3","record":"ray","v":["1","0","0"]}\n'
+        '{"rays":["0","1","2"],"record":"cone"}\n'
+        '{"rays":["0","1","3"],"record":"cone"}\n'
+        '{"rays":["1","2","3"],"record":"cone"}\n'
+        '{"ray":"0","record":"marked"}\n'
+        '{"ray":"1","record":"marked"}\n'
+    ),
+    "hj 7 3": '[3,2,2]\n',
+    "hj 7 3 --rays": (
+        '[3,2,2]\n'
+        '(0,1) (-1,3) (-2,5)\n'
+    ),
+    "hj 7 3 --json": '{"a":"3","coefficients":["3","2","2"],"l":"7"}\n',
+    "hj 7 3 --json --rays": (
+        '{"a":"3","coefficients":["3","2","2"],"l":"7","rays":[["0","1"],["-1","3"],'
+        '["-2","5"]]}\n'
+    ),
+    "cartify 1/6(2,3,1) --ray 2": '1/3(0,1,2)\n',
+    "cartify 1/6(2,3,1) --ray 2 --json": (
+        '{"input":"1/6(2,3,1)","ray":"2","result":"1/3(0,1,2)"}\n'
+    ),
+    "hilbert 1/3(1,1) --bound 3": 'y^3, x*y^2, x^2*y, x^3\n',
+    "glue-check 1/7(1,3,1) --samples 5": (
+        'glue check: 5/5 substitutions preserve the filtration\n'
+    ),
+    # the divisor weight 1 is stored as 1 % 1 = 0
+    "glue-check 1/1(0) --samples 3": (
+        'glue check: 3/3 substitutions preserve the filtration\n'
     ),
 }
 

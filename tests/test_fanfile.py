@@ -3,7 +3,10 @@
 A fan file's ray of the wrong rank, a ray repeating another's vector and a
 cone naming one ray id twice are reported at their lines, a header rank
 below 1 at the header line of a fan or trace file, and every added ray of
-a trace must be the ray of a center of its step.
+a trace must be the ray of a center of its step.  Each other malformed fan
+or trace file of the two tables below is a ``FanParseError`` at its line,
+or of the whole file, and ``qres classify`` reports a malformed fan file
+with exit 3 and one line on stderr.
 
 The parse errors for bad vector payloads in every kind of record are pinned
 as they read before ``parse_trace`` shared one vector per distinct payload,
@@ -286,6 +289,199 @@ def test_a_rank_below_one_is_reported_at_the_header_of_either_file(rank):
     assert (str(info.value), info.value.line) == ("line 1: rank must be positive", 1)
 
 
+# a rank-2 fan file: header, rays 0 = (1,0) and 1 = (0,1), the cone on them
+# and a marking of ray 0, in that order
+HEAD = '{"characteristic":"0","rank":"2","record":"fan"}'
+RAY0 = '{"id":"0","record":"ray","v":["1","0"]}'
+RAY1 = '{"id":"1","record":"ray","v":["0","1"]}'
+CONE = '{"rays":["0","1"],"record":"cone"}'
+MARK = '{"ray":"0","record":"marked"}'
+
+# each malformed fan file as its lines, with the line of its error (None for
+# an error of the whole file) and its message
+MALFORMED_FANS = {
+    "invalid-json": (
+        [HEAD, "{", RAY1, CONE],
+        2,
+        "invalid JSON at column 2: Expecting property name enclosed in double quotes",
+    ),
+    "not-an-object": (
+        [HEAD, "[1]", CONE],
+        2,
+        "expected a JSON object with a 'record' field",
+    ),
+    "duplicate-header": ([HEAD, RAY0, HEAD, RAY1, CONE], 3, "duplicate fan header"),
+    "ray-without-id": (
+        [HEAD, '{"record":"ray","v":["1","0"]}', RAY1, CONE],
+        2,
+        "ray record needs 'id' and 'v'",
+    ),
+    "ray-without-v": (
+        [HEAD, '{"id":"0","record":"ray"}', RAY1, CONE],
+        2,
+        "ray record needs 'id' and 'v'",
+    ),
+    "duplicate-ray-id": (
+        [HEAD, RAY0, '{"id":"0","record":"ray","v":["0","1"]}', CONE],
+        3,
+        "duplicate ray id 0",
+    ),
+    "non-primitive-ray": (
+        [HEAD, '{"id":"0","record":"ray","v":["2","0"]}', RAY1, CONE],
+        2,
+        "ray (2, 0) is not primitive",
+    ),
+    "cone-without-rays": (
+        [HEAD, RAY0, RAY1, '{"record":"cone"}'],
+        4,
+        "cone record needs a nonempty 'rays' list",
+    ),
+    "marking-without-ray": (
+        [HEAD, RAY0, RAY1, CONE, '{"record":"marked"}'],
+        5,
+        "marked record needs a 'ray' id",
+    ),
+    "unknown-record": (
+        [HEAD, RAY0, RAY1, '{"record":"face"}', CONE],
+        4,
+        "unknown record type 'face'",
+    ),
+    "missing-header": ([RAY0, RAY1, CONE], None, "missing fan header record"),
+    "header-without-rank": (
+        ['{"record":"fan"}', RAY0, RAY1, CONE],
+        1,
+        "rank must be a decimal string, got NoneType",
+    ),
+    "no-cones": ([HEAD, RAY0, RAY1, MARK], None, "fan file declares no cones"),
+    "unknown-ray-in-cone": (
+        [HEAD, RAY0, RAY1, '{"rays":["0","2"],"record":"cone"}'],
+        4,
+        "cone references unknown ray id 2",
+    ),
+    "dependent-cone": (
+        [HEAD, RAY0, '{"id":"1","record":"ray","v":["-1","0"]}', CONE],
+        4,
+        "invalid cone: generators are linearly dependent",
+    ),
+    "overlapping-cones": (
+        [
+            HEAD,
+            RAY0,
+            RAY1,
+            '{"id":"2","record":"ray","v":["1","1"]}',
+            '{"id":"3","record":"ray","v":["-1","0"]}',
+            CONE,
+            '{"rays":["2","3"],"record":"cone"}',
+        ],
+        None,
+        "cones do not intersect along common faces",
+    ),
+    "unknown-ray-in-marking": (
+        [HEAD, RAY0, RAY1, CONE, '{"ray":"7","record":"marked"}'],
+        5,
+        "marking references unknown ray id 7",
+    ),
+    "marked-ray-off-the-fan": (
+        [
+            HEAD,
+            RAY0,
+            RAY1,
+            '{"id":"2","record":"ray","v":["-1","0"]}',
+            CONE,
+            '{"ray":"2","record":"marked"}',
+        ],
+        None,
+        "marked ray (-1, 0) is not a ray of the fan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FANS)
+def test_malformed_fan_file_is_a_parse_error(case, tmp_path, capsys):
+    lines, line, message = MALFORMED_FANS[case]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(FanParseError) as info:
+        fanfile.parse_fan(text)
+    assert (info.value.line, str(info.value)) == (
+        line,
+        message if line is None else f"line {line}: {message}",
+    )
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(text, encoding="utf-8")
+    assert cli.main(["classify", str(fan_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {info.value}\n"
+
+
+def _tiny_trace():
+    """The records of the trace of 1/5(1,2): the header, two steps, the
+    final fan and the certificates, on lines 1 to 5."""
+    text = fanfile.emit_trace(resolve(marked_fan_from_characters(5, (1, 2))))
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def _without(rec, key):
+    return {k: v for k, v in rec.items() if k != key}
+
+
+# each edit of the tiny trace's records, with the line of its error (None
+# for an error of the whole file) and its message
+MALFORMED_TRACES = {
+    "duplicate-header": (lambda r: [r[0], r[0], *r[1:]], 2, "duplicate trace header"),
+    "unknown-record": (lambda r: [*r, {"record": "face"}], 6, "unknown record type 'face'"),
+    "missing-header": (lambda r: r[1:], None, "missing trace header record"),
+    "unsupported-format": (
+        lambda r: [{**r[0], "format": "qres-trace-v0"}, *r[1:]],
+        1,
+        "unsupported trace format 'qres-trace-v0'",
+    ),
+    "missing-final-fan": (lambda r: [*r[:3], r[4]], None, "missing final_fan record"),
+    "header-without-digest": (
+        lambda r: [_without(r[0], "input"), *r[1:]],
+        1,
+        "trace header lacks an input digest",
+    ),
+    "step-without-added": (
+        lambda r: [r[0], _without(r[1], "added"), *r[2:]],
+        2,
+        "step record needs an 'added' list",
+    ),
+    "step-without-index": (
+        lambda r: [r[0], _without(r[1], "index"), *r[2:]],
+        2,
+        "step record needs an 'index'",
+    ),
+    "final-fan-without-cones": (
+        lambda r: [*r[:3], {**r[3], "cones": []}, r[4]],
+        4,
+        "final_fan record needs a nonempty 'cones' list",
+    ),
+    "final-cone-not-a-list": (
+        lambda r: [*r[:3], {**r[3], "cones": ["x"]}, r[4]],
+        4,
+        "final_fan cone must be a list of rays",
+    ),
+    "final-marking-off-the-fan": (
+        lambda r: [*r[:3], {**r[3], "marked": [["1", "1"]]}, r[4]],
+        4,
+        "marked ray (1, 1) is not a ray of the fan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TRACES)
+def test_malformed_trace_file_is_a_parse_error(case):
+    edit, line, message = MALFORMED_TRACES[case]
+    text = "\n".join(json.dumps(rec) for rec in edit(_tiny_trace())) + "\n"
+    with pytest.raises(FanParseError) as info:
+        fanfile.parse_trace(text)
+    assert (info.value.line, str(info.value)) == (
+        line,
+        message if line is None else f"line {line}: {message}",
+    )
+
+
 def _cut_marking(recs):
     assert len(recs[FINAL]["marked"]) == 58
     recs[FINAL]["marked"] = recs[FINAL]["marked"][:2]
@@ -377,7 +573,7 @@ def test_parse_and_replay_build_every_cone_without_an_elimination(monkeypatch):
     assert len(inits) == 161
     # one vector per distinct payload: every ray of the final fan is the
     # object its added record produced
-    added = {u: u for group in doc.ray_groups for u in group}
+    added = {u: u for u, _ in doc.subdivisions}
     for cone in doc.final.fan.cones:
         for g in cone.generators:
             assert g not in added or added[g] is g

@@ -2,8 +2,10 @@
 
 ``tests/pins.py`` holds every pinned output; the other test modules check
 the traces, classify reports, glue-check reports, sampled images, Smith
-decompositions and simplex enumerations, this one the hilbert and resolve
-reports.  The checker must report a value that differs and exit 1.
+decompositions and simplex enumerations, this one the command reports of
+``REPORTS`` (blowup, hj, cartify, hilbert and glue-check, with the fan files
+they write) and the resolve reports.  The checker must report a value that
+differs and exit 1.
 """
 
 import pytest

@@ -2,7 +2,9 @@
 
 Covers the paper's main claim on a few ladder types in characteristic 0, 2,
 3 and 5, the chart orders of every step, one evaluation of the measure per
-fan state, the fan and trace round trips, replay with any center of a ray
+fan state, that iterating ``blowup_step``, also through the fan files
+``qres blowup --emit`` writes, takes exactly ``resolve``'s steps, the fan
+and trace round trips, replay with any center of a ray
 and its errors for a center not containing its ray or naming a face an
 earlier ray split, that no center splits another's cone, pinned traces of
 larger types and bounds on the containment tests, sorts, multiplicities and
@@ -41,12 +43,11 @@ from qres.cones_fans import (
     star_subdivide,
     validate_fan,
 )
-from qres.errors import FanParseError, MeasureError, ReplayError
+from qres.errors import FanParseError, MeasureError, PreconditionError, ReplayError
 from qres.exact_lattice import IntegerVector
 from qres.fanfile import TraceDocument
 from qres.hj_oracle import hj_cone_rays, hj_rays
 from qres.resolution_engine import (
-    PHASE_MAX_ORDER,
     PHASE_NON_TAME,
     MarkedFan,
     _apply_step,
@@ -167,7 +168,7 @@ def test_trace_round_trips(case):
     text = fanfile.emit_trace(trace)
     doc = fanfile.parse_trace(text)
     assert doc.input_digest == trace.input_digest
-    assert doc.ray_groups == trace.ray_groups
+    assert doc.subdivisions == trace.subdivisions
     assert doc.final == trace.final
     assert replay(m, doc) == trace.final.fan
     assert '"measure_decreasing":true' in text
@@ -191,23 +192,18 @@ def test_a_step_whose_measure_does_not_drop_turns_the_verdict_false(case):
     )
 
 
-def _document(trace, ray_groups=None, hint_groups=None):
-    return TraceDocument(
-        trace.input_digest,
-        trace.ray_groups if ray_groups is None else ray_groups,
-        trace.final,
-        trace.hint_groups if hint_groups is None else hint_groups,
-    )
+def _document(trace, subdivisions):
+    return TraceDocument(trace.input_digest, subdivisions, trace.final)
 
 
 def _last_centers(trace):
-    """For each added ray, the last center cone naming it; the trace keeps
+    """Each added ray with the last center cone naming it; the trace keeps
     the first."""
-    groups = []
+    out = []
     for step in trace.steps:
         cone_of = {center.ray: center.cone for center in step.centers}
-        groups.append(tuple(cone_of[u] for u in step.added_rays))
-    return tuple(groups)
+        out.extend((u, cone_of[u]) for u in step.added_rays)
+    return tuple(out)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -217,18 +213,18 @@ def test_replay_does_not_depend_on_hints(case):
     # several centers name)
     m, trace = traced(case)
     doc = fanfile.parse_trace(fanfile.emit_trace(trace))
-    assert doc.hint_groups == trace.hint_groups
-    assert replay(m, _document(trace, hint_groups=_last_centers(trace))) == trace.final.fan
+    assert doc.subdivisions == trace.subdivisions
+    assert replay(m, _document(trace, _last_centers(trace))) == trace.final.fan
 
 
 def test_replay_rejects_a_center_not_containing_its_ray():
     m, trace = traced(CASES[0])
     outside = Cone(m.fan.rank, [-g for g in next(iter(m.fan.cones)).generators])
     assert not any(outside.contains(u) for u in trace.exceptional_rays)
-    first, *rest = trace.hint_groups
-    wrong = ((outside,) + first[1:], *rest)
+    (u, _), *rest = trace.subdivisions
+    wrong = ((u, outside), *rest)
     with pytest.raises(ReplayError, match="does not lie in"):
-        replay(m, _document(trace, hint_groups=wrong))
+        replay(m, _document(trace, wrong))
 
 
 @pytest.mark.parametrize(
@@ -271,8 +267,8 @@ def test_replay_rejects_a_center_whose_face_was_split_in_the_group():
         final = star_subdivide(final, [u], found[-1:])
     assert found[0] == sigma != found[1]
     marked = MarkedFan(final, m.marked_rays + group)
-    assert replay(m, TraceDocument(fan_digest(m), (group,), marked, (tuple(found),))) == final
-    stale = TraceDocument(fan_digest(m), (group,), marked, ((sigma, sigma),))
+    assert replay(m, TraceDocument(fan_digest(m), tuple(zip(group, found)), marked)) == final
+    stale = TraceDocument(fan_digest(m), ((group[0], sigma), (group[1], sigma)), marked)
     with pytest.raises(ReplayError, match="is not a cone of the fan"):
         replay(m, stale)
 
@@ -280,19 +276,19 @@ def test_replay_rejects_a_center_whose_face_was_split_in_the_group():
 def test_replay_rejects_a_ray_outside_the_support_despite_a_hint():
     m, trace = traced(CASES[0])
     outside = -trace.exceptional_rays[0]
-    groups = ((outside,) + trace.ray_groups[0],) + trace.ray_groups[1:]
-    hints = ((trace.hint_groups[0][0],) + trace.hint_groups[0],) + trace.hint_groups[1:]
+    hint = trace.subdivisions[0][1]
     with pytest.raises(ReplayError, match="cannot be applied"):
-        replay(m, _document(trace, groups, hints))
+        replay(m, _document(trace, ((outside, hint),) + trace.subdivisions))
 
 
 def test_replay_rejects_a_group_with_a_ray_dropped():
     m, trace = traced(CASES[0])
-    k = next(i for i, g in enumerate(trace.ray_groups) if len(g) > 1)
-    groups, cones = list(trace.ray_groups), list(trace.hint_groups)
-    groups[k], cones[k] = groups[k][1:], cones[k][1:]
+    # the first ray of the first step that adds more than one
+    k = next(i for i, s in enumerate(trace.steps) if len(s.added_rays) > 1)
+    drop = sum(len(s.added_rays) for s in trace.steps[:k])
+    kept = trace.subdivisions[:drop] + trace.subdivisions[drop + 1 :]
     with pytest.raises(ReplayError):
-        replay(m, _document(trace, tuple(groups), tuple(cones)))
+        replay(m, _document(trace, kept))
 
 
 def _count_calls(monkeypatch, modules, fn):
@@ -508,17 +504,13 @@ def test_carried_step_state_equals_a_rebuild(case):
     inv, nt = invariant(m), _nontame_invariant(m)
     while True:
         _assert_state_is_rebuilt(m)
-        if nt is not None:
-            phase = PHASE_NON_TAME
-        elif inv[0] > 1:
-            phase = PHASE_MAX_ORDER
-        else:
+        if inv[0] == 1:
             break
-        target = _targets(m, (nt or inv)[0])[0]
-        u = _center_for(m, target, (nt or inv)[0]).ray
-        _assert_subdivision_leaves_input(m.fan, u, target, *_interior_ray(m.fan, u))
-        m, record = _apply_step(m, phase, inv, nt, {})
-        inv, nt = record.invariant_after, record.nontame_after
+        child, record = _apply_step(m, inv, nt, {})
+        center = record.centers[0]
+        u = center.ray
+        _assert_subdivision_leaves_input(m.fan, u, center.cone, *_interior_ray(m.fan, u))
+        m, inv, nt = child, record.invariant_after, record.nontame_after
 
 
 def _cone_data(pieces):
@@ -540,7 +532,7 @@ def test_shared_chart_types_equal_fresh_ones(case):
     # resolve makes one chart type per order and sorted characters and shares
     # it across its steps; each equals the type built from its chart's own
     # characters, and a lone step, with a memo of its own, records the same
-    # as the first step of a resolve that starts in the max-order phase
+    # as the first step of the resolve
     m, trace = traced(case)
     for step in trace.steps:
         for charts in step.charts:
@@ -549,8 +541,20 @@ def test_shared_chart_types_equal_fresh_ones(case):
                 fresh = quotient_classifier.CyclicQuotientType(order, chars)
                 assert chart.chart_type == fresh
                 assert str(chart.chart_type) == str(fresh)
-    if trace.steps[0].phase == PHASE_MAX_ORDER:
-        assert resolution_engine.blowup_step(m)[1] == trace.steps[0]
+    assert resolution_engine.blowup_step(m)[1] == trace.steps[0]
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_iterated_blowup_step_takes_the_steps_of_resolve(case):
+    # blowup_step takes resolve's next step, non-tame phase included, so a
+    # blowup applied to the fan the last one emitted continues the resolution
+    m, trace = traced(case)
+    for step in trace.steps:
+        m, record = resolution_engine.blowup_step(m)
+        assert record == step
+    assert m == trace.final
+    with pytest.raises(PreconditionError, match="already smooth"):
+        resolution_engine.blowup_step(m)
 
 
 def test_chart_pieces_missing_from_the_subdivision_are_a_measure_error():
@@ -671,8 +675,8 @@ def test_resolution_restricts_to_each_cone_after_the_first_step(case):
     # the first step on its own, with its marked rays in marking order,
     # gives exactly the cones of the full resolution that lie inside it
     m, trace = traced(case)
-    first = trace.ray_groups[0]
-    fan = star_subdivide(m.fan, first, trace.hint_groups[0])
+    first = trace.steps[0].added_rays
+    fan = star_subdivide(m.fan, first, [c for _, c in trace.subdivisions[: len(first)]])
     marking = m.marked_rays + first
     final = trace.final.fan.cones
     for sigma in fan.sorted_cones():
@@ -721,9 +725,9 @@ def test_resolution_commutes_with_smooth_base_change(case):
         MarkedFan(_times_ray(m.fan), [_pad(r) for r in m.marked_rays], p)
     )
     assert moved.final.fan == _times_ray(trace.final.fan)
-    assert moved.ray_groups == tuple(
-        tuple(_pad(u) for u in group) for group in trace.ray_groups
-    )
+    assert [s.added_rays for s in moved.steps] == [
+        tuple(_pad(u) for u in s.added_rays) for s in trace.steps
+    ]
     assert [s.phase for s in moved.steps] == [s.phase for s in trace.steps]
 
 
@@ -813,6 +817,24 @@ def test_resolve_command_succeeds(tmp_path, capsys):
     )
     assert cli.main(["resolve", str(fan_file), "--json"]) == 0
     assert '"smooth":true' in capsys.readouterr().out
+
+
+def test_blowup_of_its_own_emitted_fan_takes_the_next_step_of_resolve(tmp_path, capsys):
+    # each blowup reads the fan the one before it emitted, so the second
+    # report lists the centers of resolve's second step, a non-tame one
+    m = marked_fan_from_characters(97, (1, 13, 41), 2)
+    steps = resolve(m).steps[:2]
+    assert steps[1].phase == PHASE_NON_TAME
+    fan_file = tmp_path / "fan.jsonl"
+    fan_file.write_text(fanfile.emit_fan(m), encoding="utf-8")
+    for step in steps:
+        assert cli.main(["blowup", str(fan_file), "--json", "--emit", str(fan_file)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [(c["cone"], c["order"]) for c in report["centers"]] == [
+            (["(" + ",".join(map(str, g)) + ")" for g in c.cone.generators], str(c.order))
+            for c in step.centers
+        ]
+        assert report["added"] == [[str(e) for e in u] for u in step.added_rays]
 
 
 def test_resolve_command_checks_smoothness_in_one_pass(tmp_path, capsys, monkeypatch):

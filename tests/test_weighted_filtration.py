@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qres
-from qres import weighted_filtration
+from qres import cli, weighted_filtration
 from qres.errors import DimensionError, GluePreconditionError, QresError
 from qres.exact_lattice import IntegerVector
 from qres.quotient_classifier import (
@@ -162,6 +162,18 @@ class TestGlueCheck:
         phi = TruncatedAutomorphism.identity(2, 7, 12)
         with pytest.raises(GluePreconditionError):
             glue_check(w, phi, 12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_order_one_divisor_has_weight_one_mod_one(self, n):
+        # the filtration stores every weight mod 1, so the divisor's weight 1
+        # is 0; every monomial is invariant and every substitution glues
+        w = WeightedFiltration(1, (1,) * n)
+        assert w.weights == (0,) * n
+        rng = Random(0)
+        for _ in range(3):
+            phi = sample_divisor_fixing_automorphism(w, rng)
+            assert glue_check(w, phi, 12) is True
+            assert brute_force_glue_check(w, phi, 12) is True
 
     def test_incompatible_substitution_moves_the_filtration(self):
         # x -> x + y is divisor-fixing but not action-compatible; I_2 leaks
@@ -434,6 +446,13 @@ class TestTruncatedAutomorphismEdges:
 @pytest.mark.parametrize("argv", sorted({argv for argv, _ in pins.GLUE_REPORTS}))
 def test_glue_check_report_bytes(argv, seed):
     assert pins.glue_report((argv, seed)) == pins.GLUE_REPORTS[argv, seed]
+
+
+@pytest.mark.parametrize("literal", ["1/1(0)", "1/1(0,0)", "1/1(5,3)"])
+def test_glue_check_of_an_order_one_type_passes(literal, capsys):
+    assert cli.main(["glue-check", literal, "--samples", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out == "glue check: 3/3 substitutions preserve the filtration\n"
 
 
 @pytest.mark.parametrize("key", sorted(pins.SAMPLED_IMAGES_SHA256))
